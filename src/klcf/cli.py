@@ -129,7 +129,7 @@ def _dispatch(cfg: RunConfig, algo: str, text: Text, lce, ell0: int):
     if algo == "strided":
         stats = ScanStats()
         span = klcf_strided(text, lce, cfg.k, stats=stats)
-        return span, stats.cells_visited
+        return span, stats.cells_visited + stats.scan_cells
     if algo == "tabulation":
         stats = TabulationStats()
         span = klcf_tabulation(text, cfg.k, b=cfg.block_bits, stats=stats)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Text
+from .diagonal import argmin_pair
 
 
 def _suffix_array(seq: np.ndarray) -> np.ndarray:
@@ -207,7 +208,6 @@ def lcf0(idx: LceIndex) -> tuple[int, int, int]:
     splits = np.flatnonzero(lcp < best)  # lcp[0] == 0 < best, so runs cover all
     m1 = np.minimum.reduceat(p1, splits)
     m2 = np.minimum.reduceat(p2, splits)
-    valid = (m1 < big) & (m2 < big)
-    keys = np.where(valid, m1 * np.int64(1 << 21) + m2, np.int64(1 << 62))
-    t = int(np.argmin(keys))
+    valid = np.flatnonzero((m1 < big) & (m2 < big))
+    t = valid[argmin_pair(m1[valid], m2[valid])]
     return best, int(m1[t]), int(m2[t])

@@ -4,7 +4,9 @@ Each visited cell is expanded into the longest window through it holding at
 most k mismatches, via O(k) extension queries forward and backward along
 the diagonal.  A pass with stride h cannot miss a match of length >= h, so
 halving the stride until the best found length reaches it yields the exact
-optimum in O(n^2 k / l_k) extension queries.
+optimum in O(n^2 k / l_k) extension queries.  When l_k is small the last
+passes cost more than one exhaustive diagonal scan, so the solver switches
+to that scan as soon as the passes would outspend it.
 """
 
 from __future__ import annotations
@@ -14,90 +16,85 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, make_span, trivial_span
-from .lce import LceIndex, lce_backward, lce_forward, lcf0
+from .diagonal import argmin_pair, batches, diagonals, klcf_diagonal_scan
+from .lce import LceIndex, lcf0
+
+# visited cells expanded per batch of a pass
+PASS_CELLS = 1 << 16
+# R: cost of one extension of a pass cell (a forward and a backward batched
+# LCE query) in cells of the exhaustive scan.  Measured on a 2-core Xeon
+# with Python 3.11 and numpy 2.4: an extension costs 100-180 ns, a scanned
+# cell 5-8 ns, so R is 12 (sigma 20, k 1, n 1024) to 22-27 (DNA, k 4, from
+# n 3072 x 3072 to 263168 x 150).  A wrong R costs time, never exactness.
+SCAN_CELLS_PER_EXTENSION = 20
 
 
 @dataclass
 class ScanStats:
-    """Work counters exposed for the performance bound checks."""
+    """Work counters exposed for the performance bound checks.
+
+    ``cells_visited`` counts the cells the passes expanded with LCE queries;
+    ``scan_cells`` the cells of the exhaustive scan that finished the search
+    instead of further passes (0 when the passes settled it).
+    """
 
     cells_visited: int = 0
     passes: int = 0
     pass_strides: list = field(default_factory=list)
+    scan_cells: int = 0
 
 
 def longest_through_cell(text: Text, lce: LceIndex, i1: int, i2: int, k: int) -> MatchSpan:
     """Longest window on the diagonal through cell (i1, i2) with <= k mismatches.
 
-    Computes the first k+1 mismatch offsets forward of the cell and backward
-    of it (sequence ends act as virtual mismatches) and combines them into
-    the k+1 ways of splitting the budget around the cell.  Ties go to the
-    smallest start.
+    Ties go to the smallest start; see ``_batch_longest``.
     """
-    n1, n2 = text.n1, text.n2
-    p0 = i1
-    q0 = n1 + 1 + i2
-    rem_f = min(n1 - i1, n2 - i2)  # last valid forward offset
-    rem_b = min(i1, i2) - 1        # last valid backward offset
-    fwd = []
-    o = 0
-    for _ in range(k + 1):
-        if o <= rem_f:
-            o += lce_forward(lce, p0 + o, q0 + o)
-        fwd.append(o)
-        o += 1
-    bwd = []
-    o = 0
-    for _ in range(k + 1):
-        if o <= rem_b:
-            o += lce_backward(lce, p0 - o, q0 - o)
-        bwd.append(o)
-        o += 1
-    # reach = last window offset in each direction: stop one short of the
-    # next mismatch, and never past the diagonal end
-    fr = [min(v - 1, rem_f) for v in fwd]
-    br = [min(v - 1, rem_b) for v in bwd]
-    if fwd[0] > 0:
-        # the cell itself matches: t mismatches backward, k-t forward
-        cands = [(fr[k - t] + br[t] + 1, br[t]) for t in range(k + 1)]
-    elif k == 0:
-        return MatchSpan(0, i1, i2, ())
-    else:
-        # the cell is a mismatch and consumes one unit of the budget; it
-        # would otherwise be counted by both extension directions
-        cands = [(fr[k - t] + br[t + 1] + 1, br[t + 1]) for t in range(k)]
-    length, back = max(cands, key=lambda c: (c[0], c[1]))
-    return make_span(text, length, i1 - back, i2 - back)
+    length, back = _batch_longest(text, lce, np.array([i1]), np.array([i2]), k)
+    back = int(back[0])
+    return make_span(text, int(length[0]), i1 - back, i2 - back)
 
 
-def _pass_cells(n1: int, n2: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Visited cells of one pass: the h-th, 2h-th, ... cell of every diagonal."""
-    d = np.arange(-(n1 - 1), n2)
-    st1 = np.where(d < 0, 1 - d, 1)
-    st2 = st1 + d
-    length = np.minimum(n1 - st1, n2 - st2) + 1
+def _pass_cells(n1: int, n2: int, h: int, lo: int = 0,
+                hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Visited cells of one pass on diagonals lo .. hi-1: the h-th, 2h-th,
+    ... cell of every diagonal."""
+    st1, st2, length = diagonals(n1, n2, lo, hi)
     counts = length // h
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    diag = np.repeat(np.arange(len(d)), counts)
-    base = np.zeros(len(d), np.int64)
+    diag = np.repeat(np.arange(len(counts)), counts)
+    base = np.zeros(len(counts), np.int64)
     base[1:] = np.cumsum(counts)[:-1]
     t = np.arange(total, dtype=np.int64) - base[diag]
     off = t * h + (h - 1)  # 0-based offset of the (t+1)-th visited cell
     return st1[diag] + off, st2[diag] + off
 
 
+def _longest(lens: np.ndarray, back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column: the largest length, and the largest backward reach (the
+    smallest start) among the rows reaching it.  back >= -1 everywhere."""
+    best = lens.max(axis=0)
+    return best, np.where(lens == best, back, -1).max(axis=0)
+
+
 def _batch_longest(text: Text, lce: LceIndex, i1s: np.ndarray, i2s: np.ndarray,
                    k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised longest_through_cell: per-cell (length, backward reach)."""
+    """Per cell (i1, i2): the length and backward reach of the longest
+    window through it on its diagonal with <= k mismatches.
+
+    Computes the first k+1 mismatch offsets forward of each cell and
+    backward of it (sequence ends act as virtual mismatches) and combines
+    them into the k+1 ways of splitting the budget around the cell.  Ties
+    go to the smallest start.
+    """
     n1, n2 = text.n1, text.n2
     n = lce.n
     c = len(i1s)
     p0 = i1s.astype(np.int64)
     q0 = n1 + 1 + i2s.astype(np.int64)
-    rem_f = np.minimum(n1 - i1s, n2 - i2s)
-    rem_b = np.minimum(i1s, i2s) - 1
+    rem_f = np.minimum(n1 - i1s, n2 - i2s)  # last valid forward offset
+    rem_b = np.minimum(i1s, i2s) - 1        # last valid backward offset
     fwd = np.empty((k + 1, c), np.int64)
     o = np.zeros(c, np.int64)
     for t in range(k + 1):
@@ -114,21 +111,17 @@ def _batch_longest(text: Text, lce: LceIndex, i1s: np.ndarray, i2s: np.ndarray,
         o = np.where(act, o + ext, o)
         bwd[t] = o
         o = o + 1
-    fr = np.minimum(fwd - 1, rem_f)  # last reachable forward offset
+    # reach = last window offset in each direction: stop one short of the
+    # next mismatch, and never past the diagonal end
+    fr = np.minimum(fwd - 1, rem_f)
     br = np.minimum(bwd - 1, rem_b)
     frev = fr[::-1]
-    lens_match = frev + br + 1
-    key_match = (lens_match << np.int64(22)) + br
-    sel = np.argmax(key_match, axis=0)
-    cols = np.arange(c)
-    len_m = lens_match[sel, cols]
-    back_m = br[sel, cols]
+    # the cell matches: t mismatches backward, k-t forward
+    len_m, back_m = _longest(frev + br + 1, br)
     if k > 0:
-        lens_x = frev[:k] + br[1:] + 1
-        key_x = (lens_x << np.int64(22)) + br[1:]
-        selx = np.argmax(key_x, axis=0)
-        len_x = lens_x[selx, cols]
-        back_x = br[1:][selx, cols]
+        # the cell is a mismatch and consumes one unit of the budget; it
+        # would otherwise be counted by both extension directions
+        len_x, back_x = _longest(frev[:k] + br[1:] + 1, br[1:])
     else:
         len_x = np.zeros(c, np.int64)
         back_x = np.zeros(c, np.int64)  # degenerate: empty span at the cell
@@ -143,34 +136,47 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
     """Best window over the cells visited with stride h.
 
     If h <= l_k the optimum window covers at least one visited cell, so the
-    pass returns a span of the optimum length.
+    pass returns a span of the optimum length.  Cells are expanded in
+    batches of diagonals holding at most PASS_CELLS visited cells.
     """
     if h < 1:
         raise ValueError("stride must be >= 1")
-    if min(text.n1, text.n2) == 0:
+    n1, n2 = text.n1, text.n2
+    if min(n1, n2) == 0:
         return MatchSpan(0, 1, 1, ())
-    i1s, i2s = _pass_cells(text.n1, text.n2, h)
-    if stats is not None:
-        stats.cells_visited += len(i1s)
-    if len(i1s) == 0:
+    best = MatchSpan(0, 1, 1)
+    for lo, hi in batches(diagonals(n1, n2)[2] // h, PASS_CELLS):
+        i1s, i2s = _pass_cells(n1, n2, h, lo, hi)
+        if stats is not None:
+            stats.cells_visited += len(i1s)
+        if len(i1s) == 0:
+            continue
+        length, back = _batch_longest(text, lce, i1s, i2s, k)
+        mx = int(length.max())
+        if mx <= 0 or mx < best.length:
+            continue
+        hits = np.flatnonzero(length == mx)
+        st1 = i1s[hits] - back[hits]
+        st2 = i2s[hits] - back[hits]
+        g = argmin_pair(st1, st2)
+        best = better_span(best, MatchSpan(mx, int(st1[g]), int(st2[g])))
+    if best.length == 0:
         return MatchSpan(0, 1, 1, ())
-    length, back = _batch_longest(text, lce, i1s, i2s, k)
-    st1 = i1s - back
-    st2 = i2s - back
-    key = (length << np.int64(36)) - (st1 << np.int64(18)) - st2
-    g = int(np.argmax(key))
-    if length[g] <= 0:
-        return MatchSpan(0, 1, 1, ())
-    return make_span(text, int(length[g]), int(st1[g]), int(st2[g]))
+    return make_span(text, best.length, best.i1, best.i2)
 
 
 def klcf_strided(text: Text, lce: LceIndex, k: int,
                  stats: ScanStats | None = None) -> MatchSpan:
-    """Exact optimum by strided passes.
+    """Exact optimum by strided passes, finished by one exhaustive scan once
+    the passes stop paying off.
 
     Starts at h = min((k+1)*l0 + k, min(n1, n2)) and halves the stride until
-    a window at least as long as the stride is known; the h = 1 pass is
-    exhaustive, so the loop always terminates with the exact answer.
+    a window at least as long as the stride is known.  Before each pass it
+    weighs, in scanned-cell units, the passes' work so far plus this pass,
+    (k+1) * SCAN_CELLS_PER_EXTENSION * cells(h), against the n1*n2 cells of
+    the exhaustive scan; once the passes cost at least as much, the scan
+    replaces every remaining pass (rent until renting costs the purchase
+    price).  Either way the answer is exact, with the smallest witness.
     """
     if stats is None:
         stats = ScanStats()
@@ -181,11 +187,19 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     if ell0 == 0:
         return trivial_span(text, k)
     best = MatchSpan(ell0, w1, w2, ())
-    h = min((k + 1) * ell0 + k, n1, n2)
-    if best.length >= h:
-        # the optimum never exceeds h1, so the exact-match witness ties it
+    if k == 0:
         return best
+    # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
+    # n2)) without being the smallest witness, so a pass or the scan runs
+    h = min((k + 1) * ell0 + k, n1, n2)
+    lengths = diagonals(n1, n2)[2]
+    spent = 0
     while True:
+        cost = (k + 1) * SCAN_CELLS_PER_EXTENSION * int((lengths // h).sum())
+        if spent + cost >= n1 * n2:
+            stats.scan_cells += n1 * n2
+            return better_span(best, klcf_diagonal_scan(text, k))
+        spent += cost
         stats.passes += 1
         stats.pass_strides.append(h)
         best = better_span(best, scan_pass(text, lce, k, h, stats))

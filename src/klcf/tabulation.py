@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MatchSpan, ResourceLimitError, Text, make_span, trivial_span
+from .diagonal import argmin_pair, batches, diagonals
 
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
@@ -259,15 +260,6 @@ class MismatchBlocks:
     total_bits: int
 
 
-def _diag_geometry(n1: int, n2: int):
-    """(start1, start2, length) arrays for all n1+n2-1 diagonals."""
-    a = np.arange(-(n1 - 1), n2, dtype=np.int64)
-    st1 = np.where(a < 0, 1 - a, 1)
-    st2 = st1 + a
-    length = np.minimum(n1 - st1, n2 - st2) + 1
-    return st1, st2, length
-
-
 def _blocks_flat(packed: PackedText, st1, st2, length, b: int):
     """Mismatch blocks of many diagonals, concatenated.
 
@@ -330,9 +322,8 @@ def build_mismatch_blocks(packed: PackedText, alignment: int, b: int) -> Mismatc
     n1, n2 = packed.n1, packed.n2
     if not -(n1 - 1) <= alignment <= n2 - 1:
         raise ValueError(f"alignment {alignment} outside the diagonal range")
-    st1 = np.array([1 - alignment if alignment < 0 else 1], dtype=np.int64)
-    st2 = st1 + alignment
-    length = np.minimum(n1 - st1, n2 - st2) + 1
+    g = alignment + n1 - 1
+    st1, st2, length = diagonals(n1, n2, g, g + 1)
     blocks, _, _ = _blocks_flat(packed, st1, st2, length, b)
     return MismatchBlocks(b, blocks, int(length[0]))
 
@@ -431,7 +422,7 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
         hits = np.flatnonzero(clen == mx)  # tie-break only among the maxima
         i1 = st1[dsel[hits]] + cst[hits] - 1
         i2 = st2[dsel[hits]] + cst[hits] - 1
-        g = int(np.argmin((i1 << np.int64(18)) + i2))
+        g = argmin_pair(i1, i2)
         cand = (mx, int(i1[g]), int(i2[g]))
         if best is None or (cand[0], -cand[1], -cand[2]) > (best[0], -best[1], -best[2]):
             best = cand
@@ -479,14 +470,9 @@ def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
     l1 = _cached_l1(b)
     l2 = _cached_l2(b)
     packed = pack(text, w)
-    st1, st2, length = _diag_geometry(n1, n2)
-    cum = np.cumsum(length)
+    st1, st2, length = diagonals(n1, n2)
     best = (0, 1, 1)
-    lo = 0
-    dcount = len(length)
-    while lo < dcount:
-        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + batch_bits)) + 1
-        hi = min(max(hi, lo + 1), dcount)
+    for lo, hi in batches(length, batch_bits):
         blocks, m, boff = _blocks_flat(packed, st1[lo:hi], st2[lo:hi],
                                        length[lo:hi], b)
         if stats is not None:
@@ -495,7 +481,6 @@ def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
                          b, k, l1, l2, stats)
         if res is not None and (res[0], -res[1], -res[2]) > (best[0], -best[1], -best[2]):
             best = res
-        lo = hi
     return make_span(text, *best)
 
 
