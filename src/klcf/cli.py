@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -16,17 +15,21 @@ from math import comb
 
 import numpy as np
 
-from .core import (MatchSpan, ResourceLimitError, Text, klcf_oracle,
-                   verify_match)
+from .core import (MatchSpan, ResourceLimitError, Text, generate_instance,
+                   load_inputs, verify_match)
+from .diagonal import klcf_diagonal_scan
 from .lce import build_lce, lcf0
 from .neighborhood import (DEFAULT_MEM_BUDGET_WORDS, NeighborhoodStats,
                            default_piece_count, klcf_neighborhood)
 from .strided import ScanStats, klcf_strided
-from .tabulation import (DEFAULT_BLOCK_BITS, TabulationStats, klcf_tabulation,
-                         klcf_tabulation_remapped)
+from .tabulation import DEFAULT_BLOCK_BITS, TabulationStats, klcf_tabulation
 
-ALGORITHMS = ("auto", "naive", "neighborhood", "strided", "tabulation",
-              "tabulation-remap")
+ALGORITHMS = ("auto", "naive", "neighborhood", "strided", "tabulation")
+# the flag that shrinks what each solver's ResourceLimitError refused
+_RESOURCE_HINTS = {
+    "neighborhood": "raise --mem-budget",
+    "tabulation": f"use a smaller --block-bits (default {DEFAULT_BLOCK_BITS})",
+}
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -62,37 +65,6 @@ class BenchRecord:
             f"{self.time_ms:.3f}", self.work, self.agree))
 
 
-def _read_plain(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data.endswith(b"\n"):
-        data = data[:-1]
-    return data
-
-
-def _read_fasta(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(b">"):
-        raise ValueError(f"{path}: not a FASTA file (missing '>' header)")
-    seq = bytearray()
-    for line in lines[1:]:
-        if line.startswith(b">"):
-            break
-        seq.extend(line.strip())
-    if not seq:
-        raise ValueError(f"{path}: empty FASTA record")
-    return bytes(seq)
-
-
-def load_inputs(path1: str, path2: str, fmt: str = "plain") -> Text:
-    """Read two sequence files and densify their byte alphabets."""
-    reader = {"plain": _read_plain, "fasta": _read_fasta}.get(fmt)
-    if reader is None:
-        raise ValueError(f"unknown input format {fmt!r}")
-    return Text.from_symbols(reader(path1), reader(path2))
-
-
 def select_algorithm(cfg: RunConfig, n1: int, n2: int, sigma: int,
                      ell0: int, k: int) -> str:
     """Resolve algo=auto to neighborhood or strided.
@@ -116,10 +88,10 @@ def select_algorithm(cfg: RunConfig, n1: int, n2: int, sigma: int,
     return "neighborhood"
 
 
-def _dispatch(cfg: RunConfig, algo: str, text: Text, lce, ell0: int):
+def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
     """Run one algorithm; returns (span, work counter)."""
     if algo == "naive":
-        return klcf_oracle(text, cfg.k), text.n1 * text.n2
+        return klcf_diagonal_scan(text, cfg.k), text.n1 * text.n2
     if algo == "neighborhood":
         stats = NeighborhoodStats()
         span = klcf_neighborhood(text, lce, cfg.k, h=cfg.pieces,
@@ -133,11 +105,6 @@ def _dispatch(cfg: RunConfig, algo: str, text: Text, lce, ell0: int):
     if algo == "tabulation":
         stats = TabulationStats()
         span = klcf_tabulation(text, cfg.k, b=cfg.block_bits, stats=stats)
-        return span, stats.lut_queries
-    if algo == "tabulation-remap":
-        stats = TabulationStats()
-        span = klcf_tabulation_remapped(text, cfg.k, ell0, b=cfg.block_bits,
-                                        stats=stats)
         return span, stats.lut_queries
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -173,10 +140,10 @@ def run(cfg: RunConfig, path1: str, path2: str, out=None) -> int:
     if algo == "auto":
         algo = select_algorithm(cfg, text.n1, text.n2, text.sigma, ell0, cfg.k)
     try:
-        span, _ = _dispatch(cfg, algo, text, lce, ell0)
+        span, _ = _dispatch(cfg, algo, text, lce)
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
-        print("hint: rerun with --algo strided, or raise --mem-budget",
+        print(f"hint: rerun with --algo strided, or {_RESOURCE_HINTS[algo]}",
               file=sys.stderr)
         return 2
     time_ms = (time.perf_counter() - t0) * 1000.0
@@ -185,30 +152,6 @@ def run(cfg: RunConfig, path1: str, path2: str, out=None) -> int:
         return 1
     print(format_result(span, ell0, algo, time_ms, cfg.output_format), file=out)
     return 0
-
-
-def generate_instance(kind: str, n: int, sigma: int, k: int, length: int = 0,
-                      seed: int = 0) -> Text:
-    """Deterministic test instance; `planted` embeds a window pair of the
-    given length differing in exactly k chosen offsets."""
-    if n < 0 or sigma < 1:
-        raise ValueError("need n >= 0 and sigma >= 1")
-    rng = random.Random(seed)
-    s1 = [rng.randrange(sigma) for _ in range(n)]
-    s2 = [rng.randrange(sigma) for _ in range(n)]
-    if kind == "planted":
-        if not 0 <= k <= length <= n:
-            raise ValueError("planted needs 0 <= k <= L <= n")
-        if k > 0 and sigma < 2:
-            raise ValueError("planted mismatches need sigma >= 2")
-        i1 = rng.randrange(n - length + 1) if n > length else 0
-        i2 = rng.randrange(n - length + 1) if n > length else 0
-        s2[i2:i2 + length] = s1[i1:i1 + length]
-        for t in sorted(rng.sample(range(length), k)):
-            s2[i2 + t] = (s1[i1 + t] + 1 + rng.randrange(sigma - 1)) % sigma
-    elif kind != "random":
-        raise ValueError(f"unknown instance kind {kind!r}")
-    return Text.from_symbols(s1, s2)
 
 
 def _write_sequence(path: str, text_side: np.ndarray, alphabet, sigma: int):
@@ -249,7 +192,7 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                     for rep in range(repeats):
                         t0 = time.perf_counter()
                         try:
-                            span, work = _dispatch(run_cfg, algo, text, lce, ell0)
+                            span, work = _dispatch(run_cfg, algo, text, lce)
                             ellk = span.length
                         except ResourceLimitError:
                             ellk, work = -1, 0

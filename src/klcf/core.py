@@ -1,4 +1,5 @@
-"""Input model, result type, reference oracle, and match verification.
+"""Input model and loading, instance generation, result type, reference
+oracle, and match verification.
 
 Positions are 1-based throughout the public API. A match of length ``l``
 pairs ``s1[i1 .. i1+l-1]`` with ``s2[i2 .. i2+l-1]`` and is valid for a
@@ -8,6 +9,7 @@ positions.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -168,3 +170,58 @@ def klcf_bounds(ell0: int, k: int, n1: int, n2: int) -> tuple[int, int]:
     lower = max(ell0, min(n, k))
     upper = min(n, (k + 1) * ell0 + k)
     return lower, upper
+
+
+def _read_plain(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.endswith(b"\n"):
+        data = data[:-1]
+    return data
+
+
+def _read_fasta(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith(b">"):
+        raise ValueError(f"{path}: not a FASTA file (missing '>' header)")
+    seq = bytearray()
+    for line in lines[1:]:
+        if line.startswith(b">"):
+            break
+        seq.extend(line.strip())
+    if not seq:
+        raise ValueError(f"{path}: empty FASTA record")
+    return bytes(seq)
+
+
+def load_inputs(path1: str, path2: str, fmt: str = "plain") -> Text:
+    """Read two sequence files and densify their byte alphabets."""
+    reader = {"plain": _read_plain, "fasta": _read_fasta}.get(fmt)
+    if reader is None:
+        raise ValueError(f"unknown input format {fmt!r}")
+    return Text.from_symbols(reader(path1), reader(path2))
+
+
+def generate_instance(kind: str, n: int, sigma: int, k: int, length: int = 0,
+                      seed: int = 0) -> Text:
+    """Deterministic test instance; `planted` embeds a window pair of the
+    given length differing in exactly k chosen offsets."""
+    if n < 0 or sigma < 1:
+        raise ValueError("need n >= 0 and sigma >= 1")
+    rng = random.Random(seed)
+    s1 = [rng.randrange(sigma) for _ in range(n)]
+    s2 = [rng.randrange(sigma) for _ in range(n)]
+    if kind == "planted":
+        if not 0 <= k <= length <= n:
+            raise ValueError("planted needs 0 <= k <= L <= n")
+        if k > 0 and sigma < 2:
+            raise ValueError("planted mismatches need sigma >= 2")
+        i1 = rng.randrange(n - length + 1) if n > length else 0
+        i2 = rng.randrange(n - length + 1) if n > length else 0
+        s2[i2:i2 + length] = s1[i1:i1 + length]
+        for t in sorted(rng.sample(range(length), k)):
+            s2[i2 + t] = (s1[i1 + t] + 1 + rng.randrange(sigma - 1)) % sigma
+    elif kind != "random":
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return Text.from_symbols(s1, s2)

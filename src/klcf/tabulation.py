@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MatchSpan, ResourceLimitError, Text, make_span, trivial_span
+from .core import MatchSpan, ResourceLimitError, Text, make_span
 from .diagonal import argmin_pair, batches, diagonals
 
 DEFAULT_BLOCK_BITS = 8
@@ -106,9 +106,7 @@ def mismatch_word(x: int, y: int, f: int, w: int = WORD_BITS) -> int:
     Classic zero-field detector: xor, then let the low f-1 bits of each
     field carry into the high bit, OR the original high bits back in.
     """
-    high, low, used = _field_masks(f, w)
-    z = (x ^ y) & used
-    return (((z & low) + low) | z) & high
+    return int(_mismatch_words_vec(np.uint64(x), np.uint64(y), f, w))
 
 
 def _mismatch_words_vec(x: np.ndarray, y: np.ndarray, f: int, w: int) -> np.ndarray:
@@ -331,59 +329,6 @@ def build_mismatch_blocks(packed: PackedText, alignment: int, b: int) -> Mismatc
 # ---------------------------------------------------------------------------
 # window scans
 
-def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
-                       ) -> tuple[int, int]:
-    """Maximum-length window with <= k set bits; (start, end) bit positions.
-
-    Queries L1 per block and L2 for each left block paired with the largest
-    reachable right block per interior budget 0..k; bits past total_bits are
-    treated as set during queries so no window silently overhangs the end.
-    Returns (1, 0) when not even a single position fits (all-ones, k = 0).
-    """
-    b = mb.b
-    length = mb.total_bits
-    if length == 0:
-        return (1, 0)
-    bl = [int(v) for v in mb.blocks]
-    m = len(bl)
-    blq = list(bl)
-    pad = m * b - length
-    if pad:
-        blq[-1] |= ((1 << pad) - 1) << (b - pad)
-    pref = [0]
-    for v in bl:
-        pref.append(pref[-1] + v.bit_count())
-    best = (0, 1, 0)  # length, start, end
-    k1 = min(k, b)
-    for c in range(m):
-        i, j, _ = l1.query(blq[c], k1)
-        st = c * b + i
-        en = min(c * b + j, length)
-        ln = en - st + 1
-        if ln > best[0] or (ln == best[0] and ln > 0 and st < best[1]):
-            best = (ln, st, en)
-    if m > 1:
-        ptr = [0] * (k + 1)
-        for c in range(m - 1):
-            base = pref[c + 1]
-            for p in range(k + 1):
-                e = max(ptr[p], c + 1)
-                while e + 1 <= m - 1 and pref[e + 1] - base <= p:
-                    e += 1
-                ptr[p] = e
-                q = pref[e] - base
-                kp = min(k - q, 2 * b)
-                i, j, _ = l2.query(bl[c], blq[e], kp)
-                st = c * b + i
-                en = min(e * b + (j - b), length)
-                ln = en - st + 1
-                if ln > best[0] or (ln == best[0] and ln > 0 and st < best[1]):
-                    best = (ln, st, en)
-    if best[0] <= 0:
-        return (1, 0)
-    return best[1], best[2]
-
-
 @dataclass
 class TabulationStats:
     lut_queries: int = 0
@@ -460,6 +405,27 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
     return best
 
 
+def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
+                       ) -> tuple[int, int]:
+    """Maximum-length window with <= k set bits; (start, end) bit positions.
+
+    A size-1 call into the batched scan: L1 per block and L2 for each left
+    block paired with the largest reachable right block per interior budget
+    0..k.  Ties prefer the smallest start.  Returns (1, 0) when not even a
+    single position fits (all-ones, k = 0).
+    """
+    if mb.total_bits == 0:
+        return (1, 0)
+    # one diagonal starting at (1, 1), so a window's i1 is its start bit
+    st = np.ones(1, dtype=np.int64)
+    boff = np.zeros(1, dtype=np.int64)
+    best = _scan_flat(mb.blocks, np.array([len(mb.blocks)]), boff,
+                      np.array([mb.total_bits]), st, st, mb.b, k, l1, l2, None)
+    if best is None:
+        return (1, 0)
+    return best[1], best[1] + best[0] - 1
+
+
 def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
                     w: int = WORD_BITS, stats: TabulationStats | None = None,
                     batch_bits: int = _BATCH_BITS) -> MatchSpan:
@@ -481,47 +447,4 @@ def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
                          b, k, l1, l2, stats)
         if res is not None and (res[0], -res[1], -res[2]) > (best[0], -best[1], -best[2]):
             best = res
-    return make_span(text, *best)
-
-
-def _sub_text(s1: np.ndarray, s2: np.ndarray) -> Text:
-    joint = np.unique(np.concatenate([s1, s2]))
-    return Text(np.searchsorted(joint, s1), np.searchsorted(joint, s2), len(joint))
-
-
-def _chunk_starts(n: int, chunk: int, step: int) -> list[int]:
-    starts = [1]
-    while starts[-1] + chunk - 1 < n:
-        starts.append(starts[-1] + step)
-    return starts
-
-
-def klcf_tabulation_remapped(text: Text, k: int, ell0: int,
-                             b: int = DEFAULT_BLOCK_BITS, w: int = WORD_BITS,
-                             stats: TabulationStats | None = None) -> MatchSpan:
-    """Same answer as klcf_tabulation, computed over chunk pairs with a
-    densified per-pair alphabet.
-
-    No match exceeds v = (k+1)*ell0 + k, so chunks of length 2v-1 with
-    overlap v (floored at 32 symbols to keep the pair count sane for tiny v)
-    cover every optimal window with one chunk from each sequence.
-    """
-    n1, n2 = text.n1, text.n2
-    if n1 == 0 or n2 == 0:
-        return MatchSpan(0, 1, 1, ())
-    if ell0 == 0:
-        return trivial_span(text, k)
-    v = (k + 1) * ell0 + k
-    chunk = max(2 * v - 1, 32)
-    step = chunk - v
-    best = (0, 1, 1)
-    for a1 in _chunk_starts(n1, chunk, step):
-        c1 = text.s1[a1 - 1:a1 - 1 + chunk]
-        for a2 in _chunk_starts(n2, chunk, step):
-            c2 = text.s2[a2 - 1:a2 - 1 + chunk]
-            span = klcf_tabulation(_sub_text(c1, c2), k, b, w, stats)
-            if span.length > 0:
-                cand = (span.length, a1 + span.i1 - 1, a2 + span.i2 - 1)
-                if (cand[0], -cand[1], -cand[2]) > (best[0], -best[1], -best[2]):
-                    best = cand
     return make_span(text, *best)

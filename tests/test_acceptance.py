@@ -12,15 +12,14 @@ from math import comb
 
 import pytest
 
-from klcf.cli import generate_instance
-from klcf.core import (ResourceLimitError, Text, klcf_bounds, klcf_oracle,
-                       verify_match)
+from klcf.core import (ResourceLimitError, Text, generate_instance, klcf_bounds,
+                       klcf_oracle, verify_match)
+from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
 from klcf.neighborhood import enumerate_neighborhood, klcf_neighborhood
 from klcf.strided import ScanStats, klcf_strided
 from klcf.tabulation import (MismatchBlocks, TabulationStats, build_l1,
-                             build_l2, klcf_tabulation,
-                             klcf_tabulation_remapped, longest_window_lut)
+                             build_l2, klcf_tabulation, longest_window_lut)
 
 from conftest import (naive_lce_backward, naive_lce_forward, random_text,
                       two_pointer_window)
@@ -71,7 +70,7 @@ def sweep():
         spans = {
             "strided": klcf_strided(text, lce, k),
             "tabulation": klcf_tabulation(text, k),
-            "tabulation-remap": klcf_tabulation_remapped(text, k, ell0),
+            "diagonal-scan": klcf_diagonal_scan(text, k),
         }
         try:
             spans["neighborhood"] = klcf_neighborhood(
@@ -117,11 +116,10 @@ def test_criterion_2_planted_instances():
         oracle = klcf_oracle(text, k)
         ok = ok and oracle.length >= length
         lce = build_lce(text)
-        ell0 = lcf0(lce)[0]
         lengths = [
             klcf_strided(text, lce, k).length,
             klcf_tabulation(text, k).length,
-            klcf_tabulation_remapped(text, k, ell0).length,
+            klcf_diagonal_scan(text, k).length,
         ]
         try:
             lengths.append(klcf_neighborhood(

@@ -1,13 +1,18 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import klcf
 from klcf.cli import (RunConfig, bench, generate_instance, load_inputs, main,
                       run, select_algorithm)
 from klcf.core import klcf_oracle, verify_match
-from klcf.lce import build_lce, lcf0
+from klcf.lce import build_lce
 
 
 @pytest.fixture
@@ -87,8 +92,7 @@ def test_run_json_output(pair, capsys):
 
 def test_run_all_algorithms_agree(pair, capsys):
     lengths = set()
-    for algo in ("naive", "neighborhood", "strided", "tabulation",
-                 "tabulation-remap", "auto"):
+    for algo in ("naive", "neighborhood", "strided", "tabulation", "auto"):
         assert run(RunConfig(k=1, algo=algo, output_format="json"), *pair) == 0
         lengths.add(json.loads(capsys.readouterr().out)["length"])
     assert lengths == {4}
@@ -112,7 +116,15 @@ def test_run_resource_error_exit_code(tmp_path, capsys):
     cfg = RunConfig(k=6, algo="neighborhood", mem_budget_words=1 << 8)
     assert run(cfg, str(a), str(b)) == 2
     err = capsys.readouterr().err
-    assert "--algo strided" in err
+    assert "--algo strided" in err and "--mem-budget" in err
+
+
+def test_run_tabulation_resource_error_names_block_bits(pair, capsys):
+    # the L2 table for b=12 is refused by its byte limit, which --mem-budget
+    # does not govern
+    assert run(RunConfig(k=1, algo="tabulation", block_bits=12), *pair) == 2
+    err = capsys.readouterr().err
+    assert "--block-bits" in err and "--mem-budget" not in err
 
 
 def test_main_usage_error_exit_64(pair, capsys):
@@ -215,11 +227,22 @@ def test_witness_verifies_for_every_algorithm(tmp_path):
     b.write_bytes(bytes(rng.choice(b"acgt") for _ in range(113)))
     text = load_inputs(str(a), str(b))
     lce = build_lce(text)
-    ell0 = lcf0(lce)[0]
     from klcf.cli import _dispatch
     want = klcf_oracle(text, 3).length
-    for algo in ("naive", "neighborhood", "strided", "tabulation",
-                 "tabulation-remap"):
-        span, _ = _dispatch(RunConfig(k=3), algo, text, lce, ell0)
+    for algo in ("naive", "neighborhood", "strided", "tabulation"):
+        span, _ = _dispatch(RunConfig(k=3), algo, text, lce)
         assert span.length == want
         assert verify_match(text, span, 3)
+
+
+def test_import_klcf_leaves_the_cli_unloaded(pair):
+    env = {**os.environ, "PYTHONPATH": str(Path(klcf.__file__).parents[1])}
+    probe = "import sys, klcf; print('klcf.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+    # so running the CLI module imports it once, without a RuntimeWarning
+    res = subprocess.run([sys.executable, "-m", "klcf.cli", "--k", "1", *pair],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == ""
+    assert "length=4" in res.stdout

@@ -3,20 +3,19 @@
 from itertools import product
 
 from klcf.core import ResourceLimitError, Text, klcf_oracle, verify_match
-from klcf.lce import build_lce, lcf0
+from klcf.lce import build_lce
 from klcf.neighborhood import klcf_neighborhood
 from klcf.strided import klcf_strided
-from klcf.tabulation import klcf_tabulation, klcf_tabulation_remapped
+from klcf.tabulation import klcf_tabulation
 
 
 def _all_agree(t: Text, ks, budget=1 << 14):
     lce = build_lce(t)
-    ell0 = lcf0(lce)[0]
     for k in ks:
         ref = klcf_oracle(t, k)
         assert verify_match(t, ref, k)
         exact = [klcf_strided(t, lce, k), klcf_tabulation(t, k)]
-        spans = exact + [klcf_tabulation_remapped(t, k, ell0)]
+        spans = list(exact)
         try:
             spans.append(klcf_neighborhood(t, lce, k, mem_budget_words=budget))
         except ResourceLimitError:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from klcf.core import ResourceLimitError, Text, klcf_oracle, verify_match
-from klcf.lce import build_lce, lcf0
 from klcf.tabulation import (MismatchBlocks, TabulationStats, build_l1,
                              build_l2, build_mismatch_blocks, klcf_tabulation,
-                             klcf_tabulation_remapped, longest_window_lut,
-                             mismatch_word, pack, unpack)
+                             longest_window_lut, mismatch_word, pack, unpack)
 
 from conftest import random_text, two_pointer_window
 
@@ -297,32 +295,10 @@ def test_tabulation_agrees_with_per_diagonal_scan(rng):
         assert best == klcf_tabulation(t, k).length
 
 
-def test_remapped_examples():
-    t = Text.from_strings("abba", "aaba")
-    assert klcf_tabulation_remapped(t, 1, 2).length == 4
-    # already-dense alphabet and a single chunk pair: remap is the identity,
-    # so the result matches the plain scan exactly
-    t2 = Text.from_strings("aabb", "abab")
-    ell0 = lcf0(build_lce(t2))[0]
-    assert klcf_tabulation_remapped(t2, 1, ell0) == klcf_tabulation(t2, 1)
-
-
-def test_remapped_equals_oracle(rng):
-    for _ in range(50):
-        t = random_text(rng, rng.randrange(0, 80), rng.randrange(0, 80),
-                        rng.choice([2, 20, 64, 128]))
-        k = rng.randrange(0, 4)
-        ell0 = klcf_oracle(t, 0).length
-        span = klcf_tabulation_remapped(t, k, ell0)
-        assert span.length == klcf_oracle(t, k).length
-        assert verify_match(t, span, k)
-
-
-def test_remapped_large_sigma_instance():
+def test_tabulation_large_sigma_instance():
     rng = random.Random(11)
     t = random_text(rng, 200, 200, 64)
-    ell0 = klcf_oracle(t, 0).length
-    assert klcf_tabulation_remapped(t, 2, ell0).length == klcf_oracle(t, 2).length
+    assert klcf_tabulation(t, 2).length == klcf_oracle(t, 2).length
 
 
 def test_tabulation_other_word_widths(rng):
