@@ -1,7 +1,7 @@
 """Command-line tool: solve, generate instances, and benchmark.
 
 Exit codes: 0 success, 2 resource budget exceeded (the message names the
-fallback flag), 64 usage error.
+fallback flag), 64 usage error or an unreadable or malformed input file.
 """
 
 from __future__ import annotations
@@ -132,7 +132,11 @@ def format_result(span: MatchSpan, ell0: int, algo: str, time_ms: float,
 def run(cfg: RunConfig, path1: str, path2: str, out=None) -> int:
     """Load, solve, emit one result line; returns the exit status."""
     out = out if out is not None else sys.stdout
-    text = load_inputs(path1, path2, cfg.input_format)
+    try:
+        text = load_inputs(path1, path2, cfg.input_format)
+    except (OSError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 64
     t0 = time.perf_counter()
     lce = build_lce(text)
     ell0, _, _ = lcf0(lce)

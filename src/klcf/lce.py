@@ -14,12 +14,12 @@ from .core import Text
 from .diagonal import argmin_pair
 
 
-def _suffix_array(seq: np.ndarray) -> np.ndarray:
+def _suffix_array(symbols: np.ndarray) -> np.ndarray:
     """Suffix array by prefix doubling (numpy lexsort does the heavy work)."""
-    n = len(seq)
+    n = len(symbols)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    rank = np.unique(seq, return_inverse=True)[1].astype(np.int64)
+    rank = np.unique(symbols, return_inverse=True)[1].astype(np.int64)
     h = 1
     while True:
         key2 = np.full(n, -1, dtype=np.int64)
@@ -64,87 +64,89 @@ def _lcp_array(seq: np.ndarray, sa: np.ndarray) -> np.ndarray:
 
 
 class SuffixIndex:
-    """Suffix array + LCP + sparse-table RMQ over one sequence."""
+    """Suffix array, inverse ranks and a sparse-table RMQ over the LCP array.
 
-    __slots__ = ("seq", "sa", "rank", "lcp", "_rank_l", "_table", "_table_np", "_log")
+    ``table[g, i]`` is min(lcp[i .. i + 2^g - 1]); row 0 is the LCP array
+    itself.  Scalar queries read the same buffers through memoryviews, which
+    return Python ints without copying the arrays into lists.
+    """
 
-    def __init__(self, seq: np.ndarray):
-        self.seq = np.asarray(seq, dtype=np.int64)
-        self.sa = _suffix_array(self.seq)
+    __slots__ = ("sa", "rank", "table", "floor_log2", "_rank_view",
+                 "_row_views", "_log2_view")
+
+    def __init__(self, symbols: np.ndarray):
+        symbols = np.asarray(symbols, dtype=np.int64)
+        self.sa = _suffix_array(symbols)
         n = len(self.sa)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.sa] = np.arange(n)
-        self.lcp = _lcp_array(self.seq, self.sa)
-        self._rank_l = self.rank.tolist()
-        # sparse table: level g row i = min(lcp[i .. i+2^g-1]); rows padded so
-        # levels stack into one matrix for batched queries
+        # rows are padded so the levels stack into one matrix
         levels = max(1, n.bit_length())
-        big = np.int64(1 << 60)
-        table = np.full((levels, max(n, 1)), big, dtype=np.int64)
-        if n:
-            table[0, :n] = self.lcp
+        table = np.full((levels, max(n, 1)), np.int64(1 << 60))
+        table[0, :n] = _lcp_array(symbols, self.sa)
         for g in range(1, levels):
-            span = 1 << g
-            m = n - span + 1
-            if m <= 0:
-                break
-            np.minimum(table[g - 1, :m], table[g - 1, span // 2:span // 2 + m],
+            half = 1 << (g - 1)
+            m = n - 2 * half + 1
+            np.minimum(table[g - 1, :m], table[g - 1, half:half + m],
                        out=table[g, :m])
-        self._table_np = table
-        self._table = [row.tolist() for row in table]
-        log = [0] * (n + 1)
-        for x in range(2, n + 1):
-            log[x] = log[x >> 1] + 1
-        self._log = log
+        self.table = table
+        # floor(log2(x)) for x in [0, n], exact below 2^53; entry 0 is unused
+        self.floor_log2 = np.frexp(np.arange(n + 1))[1].astype(np.int64) - 1
+        self._rank_view = memoryview(self.rank)
+        self._row_views = [memoryview(row) for row in table]
+        self._log2_view = memoryview(self.floor_log2)
 
-    def rmq(self, l: int, r: int) -> int:
-        """min(lcp[l .. r]), 0-based inclusive, l <= r."""
-        g = self._log[r - l + 1]
-        row = self._table[g]
-        a = row[l]
-        b = row[r - (1 << g) + 1]
-        return a if a < b else b
+    @property
+    def lcp(self) -> np.ndarray:
+        """lcp[i] = LCP of the suffixes at sa[i-1] and sa[i]; lcp[0] = 0."""
+        return self.table[0, :len(self.sa)]
+
+    def lce(self, a: int, b: int) -> int:
+        """Longest common prefix of the suffixes at 1-based positions a, b."""
+        if a == b:
+            return len(self.sa) - a + 1
+        r1 = self._rank_view[a - 1]
+        r2 = self._rank_view[b - 1]
+        if r1 > r2:
+            r1, r2 = r2, r1
+        g = self._log2_view[r2 - r1]
+        row = self._row_views[g]
+        x = row[r1 + 1]
+        y = row[r2 - (1 << g) + 1]
+        return x if x < y else y
+
+    def lce_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """lce(p[i], q[i]) for every i."""
+        r1 = self.rank[p - 1]
+        r2 = self.rank[q - 1]
+        same = r1 == r2
+        lo = np.minimum(r1, r2) + ~same  # equal positions probe [r, r]
+        hi = np.maximum(r1, r2)
+        g = self.floor_log2[hi - lo + 1]
+        res = np.minimum(self.table[g, lo], self.table[g, hi - (1 << g) + 1])
+        return np.where(same, len(self.sa) - p + 1, res)
 
 
 class LceIndex:
     """Forward and backward LCE queries for a Text's concatenation."""
 
-    __slots__ = ("text", "n1", "n2", "n", "fwd", "bwd", "_log_np")
+    __slots__ = ("text", "n1", "n2", "n", "symbols", "fwd", "bwd")
 
     def __init__(self, text: Text):
         self.text = text
         self.n1 = text.n1
         self.n2 = text.n2
         self.n = len(text.concat)
+        self.symbols = memoryview(text.concat)  # scalar reads give Python ints
         self.fwd = SuffixIndex(text.concat)
         self.bwd = SuffixIndex(text.concat[::-1])
-        self._log_np = np.asarray(self.fwd._log, dtype=np.int64)
-
-    # -- batched queries (vectorised fancy-indexing), used by the scanners --
-
-    def _batch_rmq(self, si: SuffixIndex, l: np.ndarray, r: np.ndarray) -> np.ndarray:
-        g = self._log_np[r - l + 1]
-        t = si._table_np
-        return np.minimum(t[g, l], t[g, r - (1 << g) + 1])
-
-    def _batch_lce(self, si: SuffixIndex, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """LCE of suffixes at 1-based positions p, q of si's sequence."""
-        eq = p == q
-        r1 = si.rank[p - 1]
-        r2 = si.rank[q - 1]
-        lo = np.minimum(r1, r2) + 1
-        hi = np.maximum(r1, r2)
-        lo = np.where(eq, 0, lo)
-        hi = np.maximum(lo, np.where(eq, 0, hi))
-        res = self._batch_rmq(si, lo, hi)
-        return np.where(eq, self.n - p + 1, res)
 
     def lce_forward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return self._batch_lce(self.fwd, p, q)
+        return self.fwd.lce_batch(p, q)
 
     def lce_backward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         n = self.n
-        return self._batch_lce(self.bwd, n - p + 1, n - q + 1)
+        return self.bwd.lce_batch(n - p + 1, n - q + 1)
 
 
 def build_lce(text: Text) -> LceIndex:
@@ -154,35 +156,20 @@ def build_lce(text: Text) -> LceIndex:
 
 def lce_forward(idx: LceIndex, p: int, q: int) -> int:
     """Length of the longest common prefix of concat[p..] and concat[q..] (1-based)."""
-    if p == q:
-        return idx.n - p + 1
-    rank = idx.fwd._rank_l
-    r1 = rank[p - 1]
-    r2 = rank[q - 1]
-    if r1 > r2:
-        r1, r2 = r2, r1
-    return idx.fwd.rmq(r1 + 1, r2)
+    return idx.fwd.lce(p, q)
 
 
 def lce_backward(idx: LceIndex, p: int, q: int) -> int:
     """Length of the longest common suffix of concat[..p] and concat[..q] (1-based)."""
-    if p == q:
-        return p
     n = idx.n
-    rp, rq = n - p + 1, n - q + 1
-    rank = idx.bwd._rank_l
-    r1 = rank[rp - 1]
-    r2 = rank[rq - 1]
-    if r1 > r2:
-        r1, r2 = r2, r1
-    return idx.bwd.rmq(r1 + 1, r2)
+    return idx.bwd.lce(n - p + 1, n - q + 1)
 
 
 def lcf0(idx: LceIndex) -> tuple[int, int, int]:
     """Exact longest common substring length with a witness.
 
     Classical suffix-array method: the optimum is the maximum LCP between
-    adjacent suffixes drawn from the two different sequences.  The witness is
+    adjacent suffixes drawn one from s1 and one from s2.  The witness is
     the lexicographically smallest (i1, i2) pair over all optimal matches,
     found by scanning maximal suffix-array runs whose internal LCP stays at
     the optimum.

@@ -89,21 +89,18 @@ def _content_cmp(lce: LceIndex, pa: int, pb: int, j: int,
     """Compare two keyword strings with identical delete tuples, run by run."""
     if pa == pb:
         return 0
-    concat = lce.text.concat
-    rank = lce.fwd._rank_l
-    rmq = lce.fwd.rmq
+    symbols = lce.symbols
+    ext_at = lce.fwd.lce
     prev = 0
     for d in (*deletes, j + 1):
         seg_len = d - prev - 1
         if seg_len > 0:
             oa = pa + prev
             ob = pb + prev
-            r1 = rank[oa - 1]
-            r2 = rank[ob - 1]
-            ext = rmq(r1 + 1, r2) if r1 < r2 else rmq(r2 + 1, r1)
+            ext = ext_at(oa, ob)
             if ext < seg_len:
-                ca = concat[oa - 1 + ext]
-                cb = concat[ob - 1 + ext]
+                ca = symbols[oa - 1 + ext]
+                cb = symbols[ob - 1 + ext]
                 return -1 if ca < cb else 1
         prev = d
     return 0
@@ -189,28 +186,32 @@ def _piece_ranges(n1: int, j: int, h: int) -> list[tuple[int, int]]:
 
 
 def _scan_piece(text: Text, lce: LceIndex, piece, j, k, mem_budget_words, stats):
+    """The smallest-(i1, i2) length-j match whose s1 window starts in the piece."""
     idx = build_index(text, lce, piece, j, k, mem_budget_words, stats)
     if not idx.entries:
         return None
+    best = None
     for q2 in range(1, text.n2 - j + 2):
         for kw in enumerate_neighborhood(2, q2, j, k):
             if stats is not None:
                 stats.keywords_generated += 1
             hit = query_index(idx, lce, kw)
-            if hit is not None:
-                return make_span(text, j, hit.src_start, q2)
-    return None
+            # q2 ascends, so only a smaller i1 improves on an earlier hit
+            if hit is not None and (best is None or hit.src_start < best[0]):
+                best = (hit.src_start, q2)
+    return None if best is None else make_span(text, j, *best)
 
 
 def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int, h: int,
                            mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
                            threads: int = 1,
                            stats: NeighborhoodStats | None = None) -> MatchSpan | None:
-    """A span of length exactly j with <= k mismatches, or None.
+    """The smallest-(i1, i2) span of length j with <= k mismatches, or None.
 
     s1 is cut into h pieces overlapping by j symbols so every length-j
-    window of s1 lies inside exactly one piece; each piece is indexed in
-    turn and every keyword generated from s2 is looked up in it.
+    window of s1 lies inside a piece; each piece is indexed in turn and
+    every keyword generated from s2 is looked up in it.  Pieces hold
+    ascending i1 ranges, so the first piece with a match holds the smallest.
     """
     if j < 1:
         raise ValueError("match length must be >= 1")
@@ -269,7 +270,8 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
     witness at the largest known-true j and narrows to the first false one.
     Probing starts next to the lower bound and grows exponentially before
     bisecting, which keeps index sizes near what the answer itself requires;
-    an index that would not fit the budget raises ResourceLimitError.
+    an index that would not fit the budget raises ResourceLimitError.  The
+    witness is the smallest (i1, i2) among the optimal windows.
     """
     n1, n2 = text.n1, text.n2
     if min(n1, n2) == 0:
@@ -312,4 +314,7 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
         else:
             best = span
             lo = mid
+    if lo == ell0 and k > 0:
+        # lcf0's seed is the smallest exact match, not the smallest within k
+        best = probe(ell0)
     return best

@@ -246,3 +246,22 @@ def test_import_klcf_leaves_the_cli_unloaded(pair):
                          env=env, capture_output=True, text=True)
     assert res.returncode == 0 and res.stderr == ""
     assert "length=4" in res.stdout
+
+
+@pytest.mark.parametrize("case", ["missing file", "header-only fasta"])
+def test_bad_input_file_exits_64_without_traceback(tmp_path, case):
+    env = {**os.environ, "PYTHONPATH": str(Path(klcf.__file__).parents[1])}
+    other = tmp_path / "o.fa"
+    other.write_text(">x\nAC\n")
+    if case == "missing file":
+        argv = [str(tmp_path / "nothere.txt"), str(other)]
+    else:
+        empty = tmp_path / "e.fa"
+        empty.write_text(">only header\n")
+        argv = ["--format", "fasta", str(empty), str(other)]
+    res = subprocess.run([sys.executable, "-m", "klcf.cli", "--k", "1", *argv],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr

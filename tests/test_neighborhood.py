@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from klcf.core import ResourceLimitError, Text, klcf_oracle, verify_match
+from klcf.core import (MatchSpan, ResourceLimitError, Text, klcf_oracle,
+                       verify_match)
 from klcf.lce import build_lce
 from klcf.neighborhood import (Keyword, build_index, enumerate_neighborhood,
                                exists_match_of_length, keyword_order,
@@ -167,8 +168,27 @@ def test_klcf_neighborhood_equals_oracle(rng):
                         rng.choice([2, 4, 20]))
         k = rng.randrange(0, 3)
         span = klcf_neighborhood(t, lce=build_lce(t), k=k)
-        assert span.length == klcf_oracle(t, k).length
+        assert span == klcf_oracle(t, k)
         assert verify_match(t, span, k)
+
+
+def test_klcf_neighborhood_witness_is_smallest_not_first_hit():
+    # the length-3 windows within one mismatch are (2, 1) and (1, 2); the
+    # scan over s2 meets (2, 1) first, at q2 = 1
+    t = Text.from_strings("bcab", "caca")
+    lce = build_lce(t)
+    for h in (1, 2, 4):
+        assert klcf_neighborhood(t, lce, 1, h=h) == MatchSpan(3, 1, 2, (0,))
+    assert klcf_oracle(t, 1) == MatchSpan(3, 1, 2, (0,))
+
+
+def test_klcf_neighborhood_witness_at_ell0_is_not_the_exact_seed():
+    # l1 = l0 = 2: lcf0's exact seed "ab" is at (3, 1), but "ac" against
+    # "ab" at (1, 1) is a smaller optimal window with one mismatch
+    t = Text.from_strings("acab", "abbb")
+    lce = build_lce(t)
+    assert klcf_neighborhood(t, lce, 1) == MatchSpan(2, 1, 1, (1,))
+    assert klcf_oracle(t, 1) == MatchSpan(2, 1, 1, (1,))
 
 
 def test_klcf_neighborhood_medium_instance():
