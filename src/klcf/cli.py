@@ -192,19 +192,20 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                                     mem_budget_words=cfg.mem_budget_words,
                                     threads=cfg.threads)
                 results = []
+                answers = set()  # (length, i1, i2) of every solved run
                 for algo in algos:
                     for rep in range(repeats):
                         t0 = time.perf_counter()
                         try:
                             span, work = _dispatch(run_cfg, algo, text, lce)
                             ellk = span.length
+                            answers.add((span.length, span.i1, span.i2))
                         except ResourceLimitError:
                             ellk, work = -1, 0
                         dt = (time.perf_counter() - t0) * 1000.0
                         results.append(BenchRecord(n, sigma, k, inst_seed, algo,
                                                    ell0, ellk, dt, work, 1))
-                lengths = {r.ellk for r in results if r.ellk >= 0}
-                agree = 1 if len(lengths) <= 1 else 0
+                agree = 1 if len(answers) <= 1 else 0
                 for record in results:
                     record.agree = agree if record.ellk >= 0 else 0
                     print(record.tsv_row(), file=out)

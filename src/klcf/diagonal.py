@@ -10,6 +10,11 @@ Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
 mismatches is bounded by two mismatches (or the diagonal's ends) with at
 most k mismatches between them, so the longest one on a diagonal starts
 right after some mismatch and ends right before the (k+1)-th one after it.
+In front of it sits an exact block filter, the word-packing idea of the
+tabulation algorithm and of bit-parallel mismatch counting (Baeza-Yates and
+Gonnet, CACM 1992): mismatch bits are packed 8 to a byte, counted per block
+with ``np.bitwise_count``, and only the bytes a block count cannot rule out
+reach the sliding window.
 """
 
 from __future__ import annotations
@@ -59,33 +64,132 @@ def argmin_pair(a: np.ndarray, b: np.ndarray) -> int:
     return int(ties[np.argmin(b[ties])])
 
 
-def _best_in_batch(diff: np.ndarray, length: np.ndarray, k: int, floor: int):
-    """(length, rows, offsets) of the longest windows in a batch of diagonals,
-    or (length, None, None) when the longest is shorter than ``floor``.
+def _block_width(floor: int) -> int:
+    """Block width g of the filter for windows of at least ``floor`` cells,
+    0 when the filter cannot prune (floor < 5).
 
-    Row r of ``diff`` flags the virtual mismatch before the diagonal
-    (column 0), its mismatching cells (column 1 + t for offset t < length[r],
-    nothing after them) and k+1 virtual mismatches at the end of the row.
-    The virtual end marks are moved to the diagonal's end, so a window that
-    runs into them stops there.
+    Such a window holds r = (floor - g + 1) // g whole blocks, and the
+    coarsest g that still leaves a few of them prunes the most per block.
     """
-    rows, width = diff.shape
-    pos = np.flatnonzero(diff)  # row-major: by row, then by column
-    ends = np.searchsorted(pos, np.arange(1, rows + 1) * width)
-    marks = (ends[:, None] - np.arange(1, k + 2)).ravel()
-    pos[marks] = np.repeat(np.arange(rows) * width + 1 + length, k + 1)
-    span = pos[k + 1:] - pos[:len(pos) - k - 1] - 1
-    # a window after an end mark would run into the next row
-    span[marks[marks < len(span)]] = -1
+    for g, least in ((8, 39), (4, 11), (2, 5)):
+        if floor >= least:
+            return g
+    return 0
+
+
+def _kept_segments(packed: np.ndarray, k: int, floor: int):
+    """(row, first byte, end byte) int64 arrays of the byte runs of a packed
+    batch that may hold part of a window of at least ``floor`` cells with at
+    most k mismatches, or None when the filter keeps too much to pay off.
+
+    Any such window holds r consecutive whole g-cell blocks whose mismatch
+    counts sum to at most k, and every whole block of it lies in such a
+    run: a block is kept when a passing run covers it, and so is one block
+    on each side for the window's partial ends.  The run sums are built by
+    doubling and their coverage is merged from the passing starts alone,
+    so the filter costs O(bytes) whatever r is.
+    """
+    g = _block_width(floor)
+    if not g:
+        return None
+    rows, nbytes = packed.shape
+    per = 8 // g
+    nb = nbytes * per
+    r = (floor - g + 1) // g
+    if nb < r:
+        empty = np.empty(0, np.int64)
+        return empty, empty, empty
+    # per-block counts, wide enough for r blocks' sums (r*g can pass 255)
+    counts = np.empty((rows, nbytes, per), np.min_scalar_type(r * g))
+    for i in range(per):
+        counts[:, :, i] = np.bitwise_count((packed >> (8 - g - g * i)) & ((1 << g) - 1))
+    counts = counts.reshape(rows, nb)
+    # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling
+    out = nb - r + 1
+    sums = np.zeros((rows, out), counts.dtype)
+    size, done = 1, 0
+    while True:
+        if r & size:
+            sums += counts[:, done:done + out]
+            done += size
+        if 2 * size > r:
+            break
+        counts = counts[:, :-size] + counts[:, size:]
+        size *= 2
+    hits = np.flatnonzero(sums <= k)
+    # every passing start keeps its own block
+    if 2 * len(hits) > rows * nb:
+        return None
+    row, j = np.divmod(hits, out)
+    lo = np.maximum(j - 1, 0) // per
+    hi = (np.minimum(j + r + 1, nb) + per - 1) // per
+    # the starts are sorted by row, then block, so are both ends of a row's
+    # intervals: one starts a new run unless it meets its predecessor's end
+    first = np.ones(len(hits), bool)
+    first[1:] = (row[1:] != row[:-1]) | (lo[1:] > hi[:-1])
+    last = np.ones(len(hits), bool)
+    last[:-1] = first[1:]
+    row, lo, hi = row[first], lo[first], hi[last]
+    if 2 * int((hi - lo).sum()) > rows * nbytes:
+        return None
+    return row, lo, hi
+
+
+def _best_in_batch(packed: np.ndarray, length: np.ndarray, k: int, floor: int,
+                   segments):
+    """(length, rows, offsets) of the longest windows of at least ``floor``
+    cells in a packed batch of diagonals, or None when there is none.
+
+    ``packed`` holds one row of mismatch bits per diagonal, past its end
+    set too; ``segments`` (row, first byte, end byte) limits the search to
+    those byte runs, all of every row when None.  The runs are laid end to
+    end, each after a separator of at least k+1 set bits, so no window
+    reaches from one into the next, and one more separator closes the
+    last.  A window starts after a set bit and ends before the (k+1)-th set
+    bit after it; windows that start in a separator or past a diagonal's
+    end are dropped, and windows that run into either are clipped there.
+    """
+    rows, nbytes = packed.shape
+    if segments is None:
+        row = np.arange(rows)
+        lo = np.zeros(rows, np.int64)
+        hi = np.full(rows, nbytes, np.int64)
+    else:
+        row, lo, hi = segments
+        if len(row) == 0:
+            return None
+    sep = (k + 8) // 8  # separator bytes
+    size = hi - lo
+    data = sep * np.arange(1, len(row) + 1) + np.cumsum(size) - size
+    compact = np.full(int(data[-1] + size[-1]) + sep, 255, np.uint8)
+    if segments is None:
+        compact[:rows * (sep + nbytes)].reshape(rows, -1)[:, sep:] = packed
+    else:
+        off = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
+        compact[np.repeat(data, size) + off] = packed[np.repeat(row, size),
+                                                      np.repeat(lo, size) + off]
+    pos = np.flatnonzero(np.unpackbits(compact).view(bool))
+    raw = pos[k + 1:] - pos[:len(pos) - k - 1] - 1
+    # a window runs at most k cells into a separator or past its diagonal's
+    # end, and one that starts in a separator is no longer than the window
+    # from the run's first cell, so the best is at least raw.max() - k
+    cand = np.flatnonzero(raw >= max(floor, int(raw.max()) - k))
+    start = pos[cand] + 1
+    seg = np.maximum(np.searchsorted(data * 8, start, side="right") - 1, 0)
+    first = data[seg] * 8
+    # the run's last cell on the diagonal, in compact bits, plus one
+    end = first + np.minimum(size[seg] * 8, length[row[seg]] - lo[seg] * 8)
+    span = np.minimum(pos[cand + k + 1], end) - start
+    span[(start < first) | (start >= end)] = -1  # in a separator, or past the end
+    if len(span) == 0 or int(span.max()) < floor:
+        return None
     best = int(span.max())
-    if best < floor:
-        return best, None, None
-    first = pos[np.flatnonzero(span == best)]
-    row = first // width
-    return best, row, first - row * width
+    win = np.flatnonzero(span == best)
+    return best, row[seg[win]], lo[seg[win]] * 8 + start[win] - first[win]
 
 
-def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS) -> MatchSpan:
+def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
+                       floor: int = 0) -> MatchSpan:
     """Exact optimum and its lexicographically smallest witness, by
     scanning every diagonal.
 
@@ -95,7 +199,13 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS) -> MatchSpa
     slide s2 past s1, so each batch is one strided view of a padded
     sequence compared with a prefix of the other.  Both halves are walked
     from the longest diagonal outwards, so a batch's first row is its
-    widest.  O(n1 n2) time, O(budget + n1 + n2) memory.
+    widest.  Each batch's mismatch bits are packed 8 to a byte and a block
+    filter (``_kept_segments``) passes on only the bytes that may hold a
+    window as long as L = max(best so far, floor); the exact sliding window
+    runs on those.  ``floor`` is the length of a window known to exist, or
+    0; windows of length L are kept, so the answer is exact whatever floor
+    at most the optimum is given.  O(n1 n2) time, O(budget + n1 + n2)
+    memory.
     """
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
@@ -109,22 +219,23 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS) -> MatchSpa
     # one past the last, step)
     halves = ((s1, s2, st1, n1 - 1, -1, -1), (s2, s1, st2, n1, n1 + n2 - 1, 1))
     for slide, fixed, starts, g, g_end, step in halves:
-        # padded so every row of a batch's view is in bounds
-        padded = np.concatenate([slide, np.full(len(fixed), -1, dtype)])
+        # padded so every row of a batch's view is in bounds; the two pads
+        # differ, so every cell past a diagonal's end is a mismatch
+        padded = np.concatenate([slide, np.full(len(fixed) + 8, -1, dtype)])
+        fixed = np.concatenate([fixed, np.full(8, -2, dtype)])
         while g != g_end:
-            w = int(length[g])
-            rows = min(max(1, budget // (w + k + 2)), abs(g_end - g))
+            w = -(-int(length[g]) // 8) * 8  # whole bytes
+            # a row's bits and at most k + 8 separator bits in the exact stage
+            rows = min(max(1, budget // (w + k + 8)), abs(g_end - g))
             batch = np.arange(g, g + step * rows, step)
             x0 = int(starts[g]) - 1
             view = np.lib.stride_tricks.sliding_window_view(padded, w)[x0:x0 + rows]
-            diff = np.ones((rows, w + k + 2), dtype=bool)
-            cells = diff[:, 1:w + 1]
-            np.not_equal(view, fixed[:w], out=cells)
-            lens = length[batch]
-            if lens[-1] < w:
-                cells &= np.arange(w) < lens[:, None]
-            mx, row, t = _best_in_batch(diff, lens, k, max(best.length, 1))
-            if row is not None:
+            packed = np.packbits(view != fixed[:w], axis=1)
+            least = max(best.length, floor, 1)
+            found = _best_in_batch(packed, length[batch], k, least,
+                                   _kept_segments(packed, k, least))
+            if found is not None:
+                mx, row, t = found
                 i1 = st1[batch[row]] + t
                 i2 = st2[batch[row]] + t
                 h = argmin_pair(i1, i2)

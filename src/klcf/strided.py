@@ -23,10 +23,12 @@ from .lce import LceIndex, lcf0
 PASS_CELLS = 1 << 16
 # R: cost of one extension of a pass cell (a forward and a backward batched
 # LCE query) in cells of the exhaustive scan.  Measured on a 2-core Xeon
-# with Python 3.11 and numpy 2.4: an extension costs 100-180 ns, a scanned
-# cell 5-8 ns, so R is 12 (sigma 20, k 1, n 1024) to 22-27 (DNA, k 4, from
-# n 3072 x 3072 to 263168 x 150).  A wrong R costs time, never exactness.
-SCAN_CELLS_PER_EXTENSION = 20
+# with Python 3.11 and numpy 2.4: an extension costs 100-175 ns, a cell of
+# the block-filtered scan 0.7-2.8 ns, so R is 35 (sigma 20, k 1, n 1024),
+# 63 (DNA, k 4, n 3072), 120 (DNA reads, 263168 x 150, k 4) and 170-190
+# (DNA, k 4, n 8192, random or 1 %-mutated).  A wrong R costs time, never
+# exactness.
+SCAN_CELLS_PER_EXTENSION = 100
 
 
 @dataclass
@@ -176,7 +178,8 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     (k+1) * SCAN_CELLS_PER_EXTENSION * cells(h), against the n1*n2 cells of
     the exhaustive scan; once the passes cost at least as much, the scan
     replaces every remaining pass (rent until renting costs the purchase
-    price).  Either way the answer is exact, with the smallest witness.
+    price), with the longest window known so far as the floor of its block
+    filter.  Either way the answer is exact, with the smallest witness.
     """
     if stats is None:
         stats = ScanStats()
@@ -193,12 +196,15 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     # n2)) without being the smallest witness, so a pass or the scan runs
     h = min((k + 1) * ell0 + k, n1, n2)
     lengths = diagonals(n1, n2)[2]
+    # the seed's diagonal holds a window of ell0 + k cells, if it is that long
+    seed = min(ell0 + k, min(w1, w2) + min(n1 - w1, n2 - w2))
     spent = 0
     while True:
         cost = (k + 1) * SCAN_CELLS_PER_EXTENSION * int((lengths // h).sum())
         if spent + cost >= n1 * n2:
             stats.scan_cells += n1 * n2
-            return better_span(best, klcf_diagonal_scan(text, k))
+            floor = max(best.length, seed)
+            return better_span(best, klcf_diagonal_scan(text, k, floor=floor))
         spent += cost
         stats.passes += 1
         stats.pass_strides.append(h)

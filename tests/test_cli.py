@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import klcf
+from klcf import cli
 from klcf.cli import (RunConfig, bench, generate_instance, load_inputs, main,
                       run, select_algorithm)
-from klcf.core import klcf_oracle, verify_match
+from klcf.core import MatchSpan, klcf_oracle, verify_match
 from klcf.lce import build_lce
 
 
@@ -193,6 +194,24 @@ def test_bench_tsv_shape():
     assert all(r[8] == "1" for r in rows)
     # repeats of the same cell share the instance, so ell0 agrees too
     assert len({r[4] for r in rows}) == 1
+
+
+def test_bench_agree_compares_witnesses(monkeypatch):
+    """Equal lengths with a different witness do not agree."""
+    dispatch = cli._dispatch
+
+    def shifted(cfg, algo, text, lce):
+        span, work = dispatch(cfg, algo, text, lce)
+        if algo == "strided":
+            span = MatchSpan(span.length, span.i1 + 1, span.i2)
+        return span, work
+
+    monkeypatch.setattr(cli, "_dispatch", shifted)
+    buf = io.StringIO()
+    bench([24], [4], [1], ["naive", "strided"], seed=3, out=buf)
+    rows = [ln.split("\t") for ln in buf.getvalue().strip().splitlines()[1:]]
+    assert len({r[5] for r in rows}) == 1
+    assert [r[8] for r in rows] == ["0", "0"]
 
 
 def test_bench_empty_ranges():

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from klcf import diagonal
 from klcf.core import MatchSpan, Text, klcf_oracle
 from klcf.diagonal import argmin_pair, batches, diagonals, klcf_diagonal_scan
 from klcf.lce import build_lce
@@ -62,15 +64,28 @@ def test_argmin_pair_is_lexicographic_past_any_key_width(rng):
         assert (a[g], b[g]) == min(zip(a.tolist(), b.tolist()))
 
 
+def _seed_floor(t: Text, k: int) -> int:
+    """min(l0 + k, length of the seed's diagonal): the floor strided passes."""
+    seed = klcf_oracle(t, 0)
+    if seed.length == 0:
+        return 0
+    i1, i2 = seed.i1, seed.i2
+    return min(seed.length + k, min(i1, i2) + min(t.n1 - i1, t.n2 - i2))
+
+
 @pytest.mark.parametrize("budget", [1, 7, 64, 1 << 20])
 def test_scan_equals_oracle_with_witness(rng, budget):
     # a budget below one diagonal's width puts every diagonal in a batch of
-    # its own; the others cut batches at varying rows
-    for _ in range(150):
-        t = random_text(rng, rng.randrange(0, 45), rng.randrange(0, 45),
+    # its own; the others cut batches at varying rows.  The longer pairs
+    # reach the block filter's granularities, with and without a floor.
+    for i in range(150):
+        n = 45 if i % 3 else 160
+        t = random_text(rng, rng.randrange(0, n), rng.randrange(0, n),
                         rng.choice([1, 2, 4, 20, 128]))
         k = rng.randrange(0, 7)
-        assert klcf_diagonal_scan(t, k, budget) == klcf_oracle(t, k)
+        want = klcf_oracle(t, k)
+        for floor in (0, _seed_floor(t, k)):
+            assert klcf_diagonal_scan(t, k, budget, floor) == want, (t.s1, t.s2, k, floor)
 
 
 @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
@@ -128,3 +143,215 @@ def test_strided_witness_on_both_paths(rng):
             elif stats.passes:
                 seen["passes"] += 1
     assert all(seen.values()), seen
+
+
+def _planted(rng, n, length, k, sigma=20, copies=1):
+    """Random pair with ``copies`` copies in s2 of one window of s1, each
+    with k substitutions at the same offsets."""
+    s1 = [rng.randrange(sigma) for _ in range(n)]
+    s2 = [rng.randrange(sigma) for _ in range(n)]
+    a = rng.randrange(n - length + 1)
+    window = s1[a:a + length]
+    for t in rng.sample(range(length), min(k, length)):
+        window[t] = (window[t] + 1) % sigma
+    for _ in range(copies):
+        b = rng.randrange(n - length + 1)
+        s2[b:b + length] = window
+    return Text.from_symbols(s1, s2)
+
+
+@pytest.mark.parametrize("target", [4, 5, 10, 11, 38, 39])
+def test_scan_at_each_block_width_boundary(target):
+    """L = 4/5, 10/11 and 38/39 switch the filter off, to g = 2, to g = 4
+    and to g = 8; the optimum sits on the boundary, twice where copies
+    tie, and the floor is the optimum, one less, or the seed's."""
+    rng = random.Random(target)
+    seen = 0
+    while seen < 12:
+        k = rng.choice([0, 1, 2, 4])
+        t = _planted(rng, 90, target, k, copies=rng.choice([1, 2]))
+        want = klcf_oracle(t, k)
+        if want.length != target:
+            continue
+        seen += 1
+        for floor in (0, target - 1, target, _seed_floor(t, k)):
+            for budget in (64, 1 << 20):
+                assert klcf_diagonal_scan(t, k, budget, floor) == want, (k, floor)
+
+
+def test_window_stops_at_a_diagonal_end_inside_its_last_byte(rng):
+    """Cells past a diagonal's end fill its last packed byte as mismatches;
+    they end a window without spending its budget (a 12-cell diagonal once
+    gave a 14-cell window)."""
+    for _ in range(60):
+        s2 = [rng.randrange(4) for _ in range(12)]
+        s1 = [rng.randrange(4) for _ in range(rng.randrange(12, 30))]
+        at = rng.randrange(len(s1) - 11)
+        s1[at:at + 12] = s2
+        s1 += [rng.randrange(4) for _ in range(36 - len(s1))]
+        for t in rng.sample(range(12), 2):
+            s1[at + t] = (s1[at + t] + 1) % 4
+        text = Text.from_symbols(s1, s2)
+        for k in (1, 2, 3):
+            want = klcf_oracle(text, k)
+            assert want.length <= 12
+            for floor in (0, _seed_floor(text, k)):
+                assert klcf_diagonal_scan(text, k, 1 << 20, floor) == want
+
+
+def _brute_in_segments(bits, lens, k, segments):
+    """Longest windows with <= k set bits inside one of the byte runs,
+    clipped to the diagonal: (length, sorted (row, offset) list)."""
+    best, found = 0, []
+    for row, lo, hi in zip(*segments):
+        cells = range(8 * lo, min(8 * hi, lens[row]))
+        for a in cells:
+            mism = 0
+            for b in range(a, cells.stop):
+                mism += int(bits[row, b])
+                if mism > k:
+                    break
+                if b + 1 - a > best:
+                    best, found = b + 1 - a, []
+                if b + 1 - a == best:
+                    found.append((row, a))
+    return best, sorted(set(found))
+
+
+def test_windows_never_cross_a_separator(rng):
+    """Runs are laid end to end with k+1 set bits between them: a window
+    that starts in a separator is dropped, one that runs into it clipped."""
+    # two one-byte runs with no mismatch, at k = 8: a separator of only k
+    # set bits lets the first run's window reach into the second
+    packed = np.array([[0, 12, 2, 132, 0, 255]], np.uint8)
+    runs = (np.array([0, 0]), np.array([0, 4]), np.array([1, 5]))
+    got = diagonal._best_in_batch(packed, np.array([40]), 8, 1, runs)
+    assert got[0] == 8 and got[2].tolist() == [0, 32]
+    for _ in range(300):
+        rows, nbytes = rng.randrange(1, 4), rng.randrange(1, 6)
+        k = rng.choice([0, 1, 2, 3, 5, 7, 8, 9, 11, 16])
+        bits = np.array([[rng.random() < rng.choice([0.05, 0.3, 0.7])
+                          for _ in range(8 * nbytes)] for _ in range(rows)])
+        lens = np.array([rng.randrange(1, 8 * nbytes + 1) for _ in range(rows)])
+        bits |= np.arange(8 * nbytes) >= lens[:, None]  # past the end
+        runs = []
+        for row in range(rows):
+            cuts = sorted(rng.sample(range(nbytes + 1), 4 if nbytes > 2 and rng.random() < 0.5 else 2))
+            runs += [(row, a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+        segments = tuple(np.array(col, np.int64) for col in zip(*runs)) if runs \
+            else (np.empty(0, np.int64),) * 3
+        best, found = _brute_in_segments(bits, lens, k, segments)
+        got = diagonal._best_in_batch(np.packbits(bits, axis=1), lens, k, 1, segments)
+        if best == 0:
+            assert got is None
+            continue
+        assert got is not None and got[0] == best
+        assert sorted(zip(got[1].tolist(), got[2].tolist())) == found
+
+
+def _kept_reference(packed, k, floor):
+    """Byte mask of the filter, from each start's r-block sum in Python
+    integers, or None when more than half the bytes are kept."""
+    g = diagonal._block_width(floor)
+    r = (floor - g + 1) // g
+    rows, nbytes = packed.shape
+    bits = np.unpackbits(packed, axis=1).astype(int)
+    counts = bits.reshape(rows, -1, g).sum(axis=2)
+    nb = counts.shape[1]
+    keep = np.zeros((rows, nbytes), bool)
+    for row in range(rows):
+        for j in range(nb - r + 1):
+            if int(counts[row, j:j + r].sum()) <= k:
+                lo, hi = max(j - 1, 0), min(j + r + 1, nb)
+                keep[row, lo * g // 8:-(-hi * g // 8)] = True
+    return None if 2 * keep.sum() > keep.size else keep
+
+
+def _mask(segments, shape):
+    keep = np.zeros(shape, bool)
+    for row, lo, hi in zip(*segments):
+        keep[row, lo:hi] = True
+    return keep
+
+
+def test_run_sums_wider_than_a_byte(rng):
+    """r*g >= 256 needs sums wider than uint8: at floor 303 (g = 8, r = 37)
+    a run of 296 cells with 257 mismatches must not wrap to 1 and pass."""
+    for floor, k, density in ((303, 3, 0.87), (303, 1, 0.87), (40, 4, 0.3),
+                              (20, 2, 0.3), (7, 1, 0.2), (5, 0, 0.2)):
+        for _ in range(8):
+            rows, nbytes = rng.randrange(1, 4), rng.randrange(1, 70)
+            bits = np.array([[rng.random() < density for _ in range(8 * nbytes)]
+                             for _ in range(rows)])
+            packed = np.packbits(bits, axis=1)
+            want = _kept_reference(packed, k, floor)
+            got = diagonal._kept_segments(packed, k, floor)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and (_mask(got, packed.shape) == want).all()
+    # a 300-symbol exact match: l0 + k = 303, so the scan's filter runs at r*g = 296
+    s1 = [rng.randrange(4) for _ in range(700)]
+    s2 = [rng.randrange(4) for _ in range(700)]
+    s2[250:550] = s1[100:400]
+    t = Text.from_symbols(s1, s2)
+    assert _seed_floor(t, 3) >= 303
+    assert klcf_diagonal_scan(t, 3, floor=_seed_floor(t, 3)) == klcf_oracle(t, 3)
+
+
+def test_coverage_costs_bytes_not_runs():
+    """Coverage is merged from the passing starts, never expanded over r
+    blocks each: 4 rows of 2^18 cells whose first 40 % match, at r = 4096
+    byte blocks, would expand 36k starts into 150M block indexes."""
+    packed = np.full((4, 1 << 15), 255, np.uint8)
+    packed[:, :13107] = 0
+    floor = 8 * 4096 + 7
+    tracemalloc.start()
+    try:
+        got = diagonal._kept_segments(packed, 2, floor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [a.tolist() for a in got] == [[0, 1, 2, 3], [0] * 4, [13108] * 4]
+    assert peak < 64 * packed.size
+
+
+def test_batch_that_cannot_be_pruned_falls_back(monkeypatch):
+    """Identical unary strings keep every byte, so every batch runs the
+    exact window over whole rows; the answer is still exact."""
+    calls = []
+    kept = diagonal._kept_segments
+
+    def spy(packed, k, floor):
+        got = kept(packed, k, floor)
+        calls.append((floor, got is None))
+        return got
+
+    monkeypatch.setattr(diagonal, "_kept_segments", spy)
+    t = Text.from_symbols([0] * 200, [0] * 200)
+    for floor in (0, _seed_floor(t, 3)):
+        assert klcf_diagonal_scan(t, 3, 1 << 12, floor) == klcf_oracle(t, 3)
+    assert any(floor >= 5 and fell for floor, fell in calls)
+
+
+def test_filter_engages_on_random_dna(monkeypatch):
+    """Random sigma = 4, k = 4, n = 3072: strided hands the search to the
+    scan with its floor, and fewer than 5 % of the cells reach the exact
+    window stage."""
+    reached = []
+    exact = diagonal._best_in_batch
+
+    def counted(packed, length, k, floor, segments):
+        kept = packed.size if segments is None else int((segments[2] - segments[1]).sum())
+        reached.append(8 * kept)
+        return exact(packed, length, k, floor, segments)
+
+    monkeypatch.setattr(diagonal, "_best_in_batch", counted)
+    r = np.random.default_rng(7)
+    t = Text.from_symbols(r.integers(0, 4, 3072).tolist(), r.integers(0, 4, 3072).tolist())
+    stats = ScanStats()
+    span = klcf_strided(t, build_lce(t), 4, stats=stats)
+    assert stats.passes == 0 and stats.scan_cells == t.n1 * t.n2
+    assert sum(reached) < 0.05 * t.n1 * t.n2, sum(reached) / (t.n1 * t.n2)
+    monkeypatch.undo()
+    assert span == klcf_diagonal_scan(t, 4)
