@@ -1,9 +1,19 @@
 """Constant-time longest-common-extension queries over a suffix array.
 
-One index is built over the sentinel-separated concatenation and one over
-its reverse, giving forward and backward extensions for any pair of
-positions.  Construction is O(n log n) (prefix doubling + Kasai + sparse
-table); every query is two rank lookups and one range-minimum probe.
+The forward index over the sentinel-separated concatenation is built
+eagerly, because ``lcf0`` reads its suffix array and LCP array.  The
+backward index, over the reversed concatenation, is built by the first
+backward query: paths that never extend backwards (``lcf0`` alone, the
+diagonal scan, tabulation, neighborhood, strided with no pass) never pay
+for it.
+
+Construction is O(n log n) numpy.  Prefix doubling sorts one int64 key
+per round and keeps each round's ranks as int32; the LCP of every pair
+of adjacent suffixes then comes from descending those rounds at once, as
+in Manber and Myers (SIAM J. Comput. 1993): the pair agrees on 2^t more
+symbols wherever the round-t ranks at its current offsets are equal.  A
+sparse table over the LCP array answers every query with two rank
+lookups and one range-minimum probe.
 """
 
 from __future__ import annotations
@@ -13,54 +23,53 @@ import numpy as np
 from .core import Text
 from .diagonal import argmin_pair
 
+# Ranks are stored as int32, and each doubling round sorts the key
+# rank * (n + 1) + next + 1 < n^2 + 2n, exact in int64 for n < 2^31.
+MAX_SYMBOLS = (1 << 31) - 1
 
-def _suffix_array(symbols: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling (numpy lexsort does the heavy work)."""
+
+def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix array and LCP array (lcp[i] = LCP of the suffixes at sa[i-1]
+    and sa[i], lcp[0] = 0), both int64, by prefix doubling.
+
+    ``rounds[t][i]`` ranks the suffix at i by its first 2^t symbols (equal
+    ranks mean equal prefixes of that length); ``rounds[t][n]`` is -1, so
+    an offset that runs off the end never matches.
+    """
     n = len(symbols)
+    if n > MAX_SYMBOLS:
+        raise ValueError(f"LCE index supports at most {MAX_SYMBOLS} symbols, got {n}")
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    rank = np.unique(symbols, return_inverse=True)[1].astype(np.int64)
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    rank = np.empty(n + 1, np.int32)
+    rank[:n] = np.unique(symbols, return_inverse=True)[1]
+    rank[n] = -1
+    rounds = []
     h = 1
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
+        rounds.append(rank)
+        key = rank[:n].astype(np.int64)
+        key *= n + 1
         if h < n:
-            key2[:n - h] = rank[h:]
-        sa = np.lexsort((key2, rank))
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        changed[1:] = (rank[sa[1:]] != rank[sa[:-1]]) | (key2[sa[1:]] != key2[sa[:-1]])
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[sa] = np.cumsum(changed)
-        rank = new_rank
-        if rank[sa[-1]] == n - 1:
-            return sa
+            key[:n - h] += rank[h:n]
+            key[:n - h] += 1
+        sa = np.argsort(key)
+        key = key[sa]
+        rank = np.empty(n + 1, np.int32)
+        rank[n] = -1
+        sorted_rank = np.zeros(n, np.int32)
+        np.cumsum(key[1:] != key[:-1], out=sorted_rank[1:])
+        rank[sa] = sorted_rank
+        if sorted_rank[-1] == n - 1:  # every suffix has its own rank
+            break
         h *= 2
-
-
-def _lcp_array(seq: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """Kasai LCP array: lcp[i] = LCP of suffixes sa[i-1] and sa[i], lcp[0] = 0."""
-    n = len(sa)
-    lcp = [0] * n
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    rank = [0] * n
-    sa_l = sa.tolist()
-    for i, p in enumerate(sa_l):
-        rank[p] = i
-    s = seq.tolist()
-    k = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            k = 0
-            continue
-        j = sa_l[r - 1]
-        while i + k < n and j + k < n and s[i + k] == s[j + k]:
-            k += 1
-        lcp[r] = k
-        if k:
-            k -= 1
-    return np.asarray(lcp, dtype=np.int64)
+    # each adjacent pair differs within its first 2^len(rounds) symbols
+    lcp = np.zeros(n, np.int64)
+    p, q, ext = sa[:-1], sa[1:], lcp[1:]
+    for t in range(len(rounds) - 1, -1, -1):
+        ranks = rounds.pop()
+        ext += (ranks[p + ext] == ranks[q + ext]).astype(np.int64) << t
+    return sa, lcp
 
 
 class SuffixIndex:
@@ -71,35 +80,31 @@ class SuffixIndex:
     return Python ints without copying the arrays into lists.
     """
 
-    __slots__ = ("sa", "rank", "table", "floor_log2", "_rank_view",
+    __slots__ = ("sa", "lcp", "rank", "table", "floor_log2", "_rank_view",
                  "_row_views", "_log2_view")
 
     def __init__(self, symbols: np.ndarray):
-        symbols = np.asarray(symbols, dtype=np.int64)
-        self.sa = _suffix_array(symbols)
+        self.sa, lcp = _suffix_array_lcp(symbols)
         n = len(self.sa)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[self.sa] = np.arange(n)
         # rows are padded so the levels stack into one matrix
         levels = max(1, n.bit_length())
         table = np.full((levels, max(n, 1)), np.int64(1 << 60))
-        table[0, :n] = _lcp_array(symbols, self.sa)
+        table[0, :n] = lcp
+        del lcp
         for g in range(1, levels):
             half = 1 << (g - 1)
             m = n - 2 * half + 1
             np.minimum(table[g - 1, :m], table[g - 1, half:half + m],
                        out=table[g, :m])
         self.table = table
+        self.lcp = table[0, :n]  # lcp[i] = LCP of the suffixes at sa[i-1], sa[i]
         # floor(log2(x)) for x in [0, n], exact below 2^53; entry 0 is unused
         self.floor_log2 = np.frexp(np.arange(n + 1))[1].astype(np.int64) - 1
         self._rank_view = memoryview(self.rank)
         self._row_views = [memoryview(row) for row in table]
         self._log2_view = memoryview(self.floor_log2)
-
-    @property
-    def lcp(self) -> np.ndarray:
-        """lcp[i] = LCP of the suffixes at sa[i-1] and sa[i]; lcp[0] = 0."""
-        return self.table[0, :len(self.sa)]
 
     def lce(self, a: int, b: int) -> int:
         """Longest common prefix of the suffixes at 1-based positions a, b."""
@@ -139,18 +144,21 @@ class LceIndex:
         self.n = len(text.concat)
         self.symbols = memoryview(text.concat)  # scalar reads give Python ints
         self.fwd = SuffixIndex(text.concat)
-        self.bwd = SuffixIndex(text.concat[::-1])
+        self.bwd = None  # built by the first backward query
 
     def lce_forward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.fwd.lce_batch(p, q)
 
     def lce_backward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        if self.bwd is None:
+            self.bwd = SuffixIndex(self.text.concat[::-1])
         n = self.n
         return self.bwd.lce_batch(n - p + 1, n - q + 1)
 
 
 def build_lce(text: Text) -> LceIndex:
-    """Build the two suffix indexes for a text."""
+    """Build the forward suffix index for a text; the backward one follows
+    on the first backward query."""
     return LceIndex(text)
 
 
@@ -161,6 +169,8 @@ def lce_forward(idx: LceIndex, p: int, q: int) -> int:
 
 def lce_backward(idx: LceIndex, p: int, q: int) -> int:
     """Length of the longest common suffix of concat[..p] and concat[..q] (1-based)."""
+    if idx.bwd is None:
+        idx.bwd = SuffixIndex(idx.text.concat[::-1])
     n = idx.n
     return idx.bwd.lce(n - p + 1, n - q + 1)
 
