@@ -11,7 +11,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .core import (MatchSpan, ResourceLimitError, Text, generate_instance,
 from .diagonal import klcf_diagonal_scan
 from .lce import build_lce, lcf0
 from .neighborhood import (DEFAULT_MEM_BUDGET_WORDS, NeighborhoodStats,
-                           default_piece_count, klcf_neighborhood)
+                           klcf_neighborhood)
 from .strided import ScanStats, klcf_strided
 from .tabulation import DEFAULT_BLOCK_BITS, TabulationStats, klcf_tabulation
 
@@ -43,7 +42,6 @@ class RunConfig:
     mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS
     seed: int = 0
     output_format: str = "text"
-    threads: int = 1
 
 
 @dataclass
@@ -67,25 +65,17 @@ class BenchRecord:
 
 def select_algorithm(cfg: RunConfig, n1: int, n2: int, sigma: int,
                      ell0: int, k: int) -> str:
-    """Resolve algo=auto to neighborhood or strided.
+    """Resolve algo=auto: strided, on every input.
 
-    Neighborhood is picked when its linear-space guard
-    k*((k+1)*(ell0+1))^(k+1/2) <= sqrt(max(n1, n2)) holds and the keyword
-    budget admits the largest index the search might build; everything else
-    goes to the strided scan.  Tabulation stays opt-in.
+    Strided already prices its own passes against the block-filtered
+    exhaustive scan (ski rental), so it is the cost model.  The paper's
+    neighborhood guard k*((k+1)*(ell0+1))^(k+1/2) <= sqrt(n) picked
+    neighborhood only where strided measured 358-813x faster (random pairs,
+    sigma 20 and 64, k = 1, n = 1024-8192), so neighborhood and tabulation
+    stay opt-in through --algo.  The arguments are the quantities known
+    after lcf0; bench/trace_run.py replays the call with them.
     """
-    if k == 0:
-        return "strided"
-    guard = k * ((k + 1) * (ell0 + 1)) ** (k + 0.5)
-    if guard > max(n1, n2, 1) ** 0.5:
-        return "strided"
-    h = default_piece_count(n1, n2, ell0, k)
-    j_max = min(min(n1, n2), (k + 1) * ell0 + k) + 1
-    piece_starts = -(-n1 // h)
-    worst = piece_starts * comb(j_max, k) * (k + 2)
-    if worst > cfg.mem_budget_words:
-        return "strided"
-    return "neighborhood"
+    return "strided"
 
 
 def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
@@ -96,7 +86,7 @@ def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
         stats = NeighborhoodStats()
         span = klcf_neighborhood(text, lce, cfg.k, h=cfg.pieces,
                                  mem_budget_words=cfg.mem_budget_words,
-                                 threads=cfg.threads, stats=stats)
+                                 stats=stats)
         return span, stats.keywords_generated
     if algo == "strided":
         stats = ScanStats()
@@ -189,8 +179,7 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                 ell0, _, _ = lcf0(lce)
                 run_cfg = RunConfig(k=k, block_bits=cfg.block_bits,
                                     pieces=cfg.pieces,
-                                    mem_budget_words=cfg.mem_budget_words,
-                                    threads=cfg.threads)
+                                    mem_budget_words=cfg.mem_budget_words)
                 results = []
                 answers = set()  # (length, i1, i2) of every solved run
                 for algo in algos:
@@ -232,7 +221,6 @@ def _solve_parser() -> _Parser:
     p.add_argument("--pieces", type=int, default=None)
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET_WORDS)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("file1")
     p.add_argument("file2")
     return p
@@ -247,13 +235,10 @@ def _main_solve(argv) -> int:
         p.error("--block-bits must be in [1, 16]")
     if args.pieces is not None and args.pieces < 1:
         p.error("--pieces must be >= 1")
-    if args.threads < 1:
-        p.error("--threads must be >= 1")
     cfg = RunConfig(k=args.k, algo=args.algo, input_format=args.format,
                     block_bits=args.block_bits, pieces=args.pieces,
                     mem_budget_words=args.mem_budget,
-                    output_format="json" if args.json else "text",
-                    threads=args.threads)
+                    output_format="json" if args.json else "text")
     return run(cfg, args.file1, args.file2)
 
 

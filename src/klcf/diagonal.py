@@ -25,6 +25,9 @@ from .core import MatchSpan, Text, better_span, make_span
 
 # cells compared per batch of the exhaustive scan
 SCAN_CELLS = 1 << 20
+# cells compared and packed at a time within a batch, so the comparison's
+# one-byte-per-cell result never spans a whole batch
+PACK_CELLS = 1 << 17
 
 
 def diagonals(n1: int, n2: int, lo: int = 0, hi: int | None = None):
@@ -106,11 +109,18 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     counts = counts.reshape(rows, nb)
     # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling
     out = nb - r + 1
-    sums = np.zeros((rows, out), counts.dtype)
+    sums = None
     size, done = 1, 0
     while True:
         if r & size:
-            sums += counts[:, done:done + out]
+            part = counts[:, done:done + out]
+            # the first part is used as is, not added to a zero-filled array;
+            # the doubling below builds each new counts array afresh, so
+            # adding into this view later harms nothing
+            if sums is None:
+                sums = part
+            else:
+                sums += part
             done += size
         if 2 * size > r:
             break
@@ -199,9 +209,10 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
     slide s2 past s1, so each batch is one strided view of a padded
     sequence compared with a prefix of the other.  Both halves are walked
     from the longest diagonal outwards, so a batch's first row is its
-    widest.  Each batch's mismatch bits are packed 8 to a byte and a block
-    filter (``_kept_segments``) passes on only the bytes that may hold a
-    window as long as L = max(best so far, floor); the exact sliding window
+    widest.  Each batch's mismatch bits are compared and packed 8 to a
+    byte ``PACK_CELLS`` cells at a time, and a block filter
+    (``_kept_segments``) passes on only the bytes that may hold a window as
+    long as L = max(best so far, floor); the exact sliding window
     runs on those.  ``floor`` is the length of a window known to exist, or
     0; windows of length L are kept, so the answer is exact whatever floor
     at most the optimum is given.  O(n1 n2) time, O(budget + n1 + n2)
@@ -230,7 +241,14 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
             batch = np.arange(g, g + step * rows, step)
             x0 = int(starts[g]) - 1
             view = np.lib.stride_tricks.sliding_window_view(padded, w)[x0:x0 + rows]
-            packed = np.packbits(view != fixed[:w], axis=1)
+            # w is whole bytes, so packed rows lie back to back, and one
+            # flat packbits per chunk beats a per-row one on narrow batches
+            packed = np.empty(rows * w // 8, np.uint8)
+            chunk = max(1, PACK_CELLS // w)
+            for r0 in range(0, rows, chunk):
+                packed[r0 * w // 8:(r0 + chunk) * w // 8] = np.packbits(
+                    view[r0:r0 + chunk] != fixed[:w])
+            packed = packed.reshape(rows, w // 8)
             least = max(best.length, floor, 1)
             found = _best_in_batch(packed, length[batch], k, least,
                                    _kept_segments(packed, k, least))

@@ -12,7 +12,6 @@ delete tuple, and comparisons run segment-by-segment with O(k) LCE queries.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import combinations
@@ -204,7 +203,6 @@ def _scan_piece(text: Text, lce: LceIndex, piece, j, k, mem_budget_words, stats)
 
 def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int, h: int,
                            mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
-                           threads: int = 1,
                            stats: NeighborhoodStats | None = None) -> MatchSpan | None:
     """The smallest-(i1, i2) span of length j with <= k mismatches, or None.
 
@@ -223,30 +221,7 @@ def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int, h: int,
     if j <= k:
         # any alignment fits the budget
         return make_span(text, j, 1, 1)
-    pieces = _piece_ranges(n1, j, h)
-    if threads > 1 and len(pieces) > 1:
-        # workers get private counters, merged in piece order; results are
-        # consumed in piece order too, so hits and budget errors surface
-        # exactly as in the sequential scan
-        piece_stats = [NeighborhoodStats() if stats is not None else None
-                       for _ in pieces]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_scan_piece, text, lce, piece, j, k,
-                                   mem_budget_words, ps)
-                       for piece, ps in zip(pieces, piece_stats)]
-            try:
-                for f, ps in zip(futures, piece_stats):
-                    span = f.result()
-                    if stats is not None:
-                        stats.keywords_generated += ps.keywords_generated
-                        stats.indexes_built += ps.indexes_built
-                    if span is not None:
-                        return span
-            finally:
-                for f in futures:
-                    f.cancel()
-        return None
-    for piece in pieces:
+    for piece in _piece_ranges(n1, j, h):
         span = _scan_piece(text, lce, piece, j, k, mem_budget_words, stats)
         if span is not None:
             return span
@@ -262,7 +237,6 @@ def default_piece_count(n1: int, n2: int, ell0: int, k: int) -> int:
 def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
                       h: int | None = None,
                       mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
-                      threads: int = 1,
                       stats: NeighborhoodStats | None = None) -> MatchSpan:
     """Exact optimum by searching the smallest j with no length-j match.
 
@@ -292,7 +266,7 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
     def probe(j: int) -> MatchSpan | None:
         stats.probes.append(j)
         return exists_match_of_length(text, lce, j, k, h, mem_budget_words,
-                                      threads, stats)
+                                      stats)
 
     # gallop upward from the lower bound
     lo, hi = lower, upper + 1  # P(lo) true with witness `best`; P(hi) false

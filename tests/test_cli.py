@@ -66,11 +66,22 @@ def test_load_fasta_errors(tmp_path):
         load_inputs(str(notfasta), str(other), "fasta")
 
 
-def test_select_algorithm_guard():
-    cfg = RunConfig(k=1)
-    assert select_algorithm(cfg, 10 ** 6, 10 ** 6, 4, 2, 1) == "neighborhood"
-    assert select_algorithm(RunConfig(k=3), 10 ** 4, 10 ** 4, 4, 50, 3) == "strided"
+def test_auto_routes_to_strided(tmp_path, capsys):
+    # the case the paper's neighborhood guard used to send to neighborhood
+    assert select_algorithm(RunConfig(k=1), 10 ** 6, 10 ** 6, 4, 2, 1) == "strided"
     assert select_algorithm(RunConfig(k=0), 100, 100, 4, 5, 0) == "strided"
+    text = generate_instance("random", 256, 20, 1, seed=0)
+    files = [str(tmp_path / "a"), str(tmp_path / "b")]
+    for path, side in zip(files, (text.s1, text.s2)):
+        cli._write_sequence(path, side, text.alphabet, text.sigma)
+    payloads = {}
+    for algo in ("auto", "neighborhood"):
+        assert run(RunConfig(k=1, algo=algo, output_format="json"), *files) == 0
+        payloads[algo] = json.loads(capsys.readouterr().out)
+    auto, nb = payloads["auto"], payloads["neighborhood"]
+    assert auto["algo"] == "strided"
+    for key in ("length", "pos1", "pos2", "mismatches"):
+        assert auto[key] == nb[key]
 
 
 def test_run_text_output(pair, capsys):
@@ -137,6 +148,12 @@ def test_main_usage_error_exit_64(pair, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
+
+
+def test_threads_flag_is_a_usage_error(pair, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--k", "1", "--threads", "2", *pair])
+    assert exc.value.code == 64
 
 
 def test_main_solve_smoke(pair, capsys):
@@ -265,6 +282,14 @@ def test_import_klcf_leaves_the_cli_unloaded(pair):
                          env=env, capture_output=True, text=True)
     assert res.returncode == 0 and res.stderr == ""
     assert "length=4" in res.stdout
+
+
+def test_import_cli_leaves_concurrent_futures_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(klcf.__file__).parents[1])}
+    probe = "import sys, klcf.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("case", ["missing file", "header-only fasta"])

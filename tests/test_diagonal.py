@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from klcf import diagonal
-from klcf.core import MatchSpan, Text, klcf_oracle
+from klcf.core import MatchSpan, Text, generate_instance, klcf_oracle
 from klcf.diagonal import argmin_pair, batches, diagonals, klcf_diagonal_scan
 from klcf.lce import build_lce
 from klcf.strided import ScanStats, klcf_strided
@@ -355,3 +355,29 @@ def test_filter_engages_on_random_dna(monkeypatch):
     assert sum(reached) < 0.05 * t.n1 * t.n2, sum(reached) / (t.n1 * t.n2)
     monkeypatch.undo()
     assert span == klcf_diagonal_scan(t, 4)
+
+
+@pytest.mark.parametrize("kind, floor, bound", [("random", 5, 1.25),
+                                                ("planted", 39, 0.75)])
+def test_scan_peak_stays_near_the_packed_batch(monkeypatch, kind, floor, bound):
+    """sigma = 20, n = 1024, k = 1 at the default budget: no zero-filled run
+    sums (g = 2 at floor 5) and no one-byte-per-cell comparison (which
+    dominates at g = 8, floor 39) span a batch, so the scan's peak stays
+    near the packed batch's footprint per compared cell."""
+    cells = []
+    kept = diagonal._kept_segments
+
+    def spy(packed, k, floor):
+        cells.append(8 * packed.size)
+        return kept(packed, k, floor)
+
+    monkeypatch.setattr(diagonal, "_kept_segments", spy)
+    t = generate_instance(kind, 1024, 20, 1, 64, seed=0)
+    tracemalloc.start()
+    try:
+        span = klcf_diagonal_scan(t, 1, floor=floor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert span == klcf_oracle(t, 1)
+    assert peak < bound * max(cells), peak / max(cells)

@@ -212,11 +212,3 @@ def test_klcf_neighborhood_budget_propagates():
     lce = build_lce(t)
     with pytest.raises(ResourceLimitError):
         klcf_neighborhood(t, lce, 6, mem_budget_words=1 << 10)
-
-
-def test_klcf_neighborhood_threads_match_sequential(rng):
-    t = random_text(rng, 60, 60, 4)
-    lce = build_lce(t)
-    a = klcf_neighborhood(t, lce, 1, h=4, threads=1)
-    b = klcf_neighborhood(t, lce, 1, h=4, threads=3)
-    assert a == b
