@@ -38,7 +38,6 @@ class RunConfig:
     algo: str = "auto"
     input_format: str = "plain"
     block_bits: int = DEFAULT_BLOCK_BITS
-    pieces: int | None = None
     mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS
     seed: int = 0
     output_format: str = "text"
@@ -68,12 +67,12 @@ def select_algorithm(cfg: RunConfig, n1: int, n2: int, sigma: int,
     """Resolve algo=auto: strided, on every input.
 
     Strided already prices its own passes against the block-filtered
-    exhaustive scan (ski rental), so it is the cost model.  The paper's
-    neighborhood guard k*((k+1)*(ell0+1))^(k+1/2) <= sqrt(n) picked
-    neighborhood only where strided measured 358-813x faster (random pairs,
-    sigma 20 and 64, k = 1, n = 1024-8192), so neighborhood and tabulation
-    stay opt-in through --algo.  The arguments are the quantities known
-    after lcf0; bench/trace_run.py replays the call with them.
+    exhaustive scan (ski rental), so it is the cost model.  Neighborhood
+    and tabulation stay opt-in through --algo.  Neighborhood ties or beats
+    strided on random pairs with sigma 20 and 64, k = 1, n = 1024-8192
+    (up to 17x), but nothing prices its C(j, k) joins against strided's
+    passes yet.  The arguments are the quantities known after lcf0;
+    bench/trace_run.py replays the call with them.
     """
     return "strided"
 
@@ -84,7 +83,7 @@ def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
         return klcf_diagonal_scan(text, cfg.k), text.n1 * text.n2
     if algo == "neighborhood":
         stats = NeighborhoodStats()
-        span = klcf_neighborhood(text, lce, cfg.k, h=cfg.pieces,
+        span = klcf_neighborhood(text, lce, cfg.k,
                                  mem_budget_words=cfg.mem_budget_words,
                                  stats=stats)
         return span, stats.keywords_generated
@@ -178,7 +177,6 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                 lce = build_lce(text)
                 ell0, _, _ = lcf0(lce)
                 run_cfg = RunConfig(k=k, block_bits=cfg.block_bits,
-                                    pieces=cfg.pieces,
                                     mem_budget_words=cfg.mem_budget_words)
                 results = []
                 answers = set()  # (length, i1, i2) of every solved run
@@ -218,7 +216,6 @@ def _solve_parser() -> _Parser:
     p.add_argument("--algo", choices=ALGORITHMS, default="auto")
     p.add_argument("--format", choices=("plain", "fasta"), default="plain")
     p.add_argument("--block-bits", type=int, default=DEFAULT_BLOCK_BITS)
-    p.add_argument("--pieces", type=int, default=None)
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET_WORDS)
     p.add_argument("--json", action="store_true")
     p.add_argument("file1")
@@ -233,10 +230,10 @@ def _main_solve(argv) -> int:
         p.error("--k must be >= 0")
     if not 1 <= args.block_bits <= 16:
         p.error("--block-bits must be in [1, 16]")
-    if args.pieces is not None and args.pieces < 1:
-        p.error("--pieces must be >= 1")
+    if args.mem_budget < 1:
+        p.error("--mem-budget must be >= 1")
     cfg = RunConfig(k=args.k, algo=args.algo, input_format=args.format,
-                    block_bits=args.block_bits, pieces=args.pieces,
+                    block_bits=args.block_bits,
                     mem_budget_words=args.mem_budget,
                     output_format="json" if args.json else "text")
     return run(cfg, args.file1, args.file2)

@@ -135,14 +135,13 @@ class SuffixIndex:
 class LceIndex:
     """Forward and backward LCE queries for a Text's concatenation."""
 
-    __slots__ = ("text", "n1", "n2", "n", "symbols", "fwd", "bwd")
+    __slots__ = ("text", "n1", "n2", "n", "fwd", "bwd")
 
     def __init__(self, text: Text):
         self.text = text
         self.n1 = text.n1
         self.n2 = text.n2
         self.n = len(text.concat)
-        self.symbols = memoryview(text.concat)  # scalar reads give Python ints
         self.fwd = SuffixIndex(text.concat)
         self.bwd = None  # built by the first backward query
 

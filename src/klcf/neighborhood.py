@@ -1,31 +1,36 @@
 """Existence tests for fixed-length approximate matches via deletion keywords.
 
 Two equal-length substrings are within Hamming distance k exactly when
-deleting the same k positions from both leaves equal strings.  Indexing
-every k-deletion of every window of s1 therefore turns "is there a match of
-length j" into sorted-array lookups, and the optimum length is found by
-searching j over the interval allowed by the exact-match bounds.
+deleting the same k positions from both leaves equal strings.  For each
+delete tuple, every length-j window of both sequences becomes a row of at
+most k+1 class ids, one per non-empty run between deleted positions,
+packed into one int64 key, and one numpy sort joins the two sides.  The
+optimum length is found by searching j over the interval allowed by the
+exact-match bounds.
 
-Keywords are never materialised: each one is its source position plus the
-delete tuple, and comparisons run segment-by-segment with O(k) LCE queries.
+Class ids are read exactly from the forward suffix array (Manber and
+Myers, SIAM J. Comput. 1993): two runs of length L are equal strings
+exactly when no LCP value below L lies between their ranks, so the ids
+are ``cumsum(lcp < L)`` at those ranks, with no hashing and no
+confirmation pass.  A join holds O((k+1)(n1+n2)) words whatever C(j, k)
+is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
-from itertools import combinations
-from math import comb, sqrt
+from math import comb
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import (MatchSpan, ResourceLimitError, Text, klcf_bounds, make_span,
                    trivial_span)
+from .diagonal import argmin_pair
 from .lce import LceIndex, lcf0
 
-# Budget unit: one model word of keyword storage, i.e. N_keywords * (k + 2)
-# is charged against this.  Interpreter-level object overhead multiplies the
-# real footprint by roughly an order of magnitude, so the default admits
-# indexes up to a few million keywords; raise it explicitly for bigger runs.
+# Default cap on a probe's neighborhood, C(j, k) * (n1 - j + 1) * (k + 2)
+# model words at length j: it bounds the probe's time, not its memory.
 DEFAULT_MEM_BUDGET_WORDS = 1 << 24
 
 
@@ -39,25 +44,8 @@ class Keyword(NamedTuple):
 
 
 @dataclass
-class KeywordIndex:
-    """Sorted keywords of all length-j windows starting inside one piece of s1.
-
-    ``groups`` maps each delete tuple to its [lo, hi) slice of ``entries``
-    so lookups settle the primary key with one hash probe.
-    """
-
-    piece: tuple[int, int]
-    j: int
-    k: int
-    entries: list[Keyword]
-    count: int
-    groups: dict
-
-
-@dataclass
 class NeighborhoodStats:
     keywords_generated: int = 0
-    indexes_built: int = 0
     probes: list = field(default_factory=list)
 
 
@@ -79,163 +67,82 @@ def enumerate_neighborhood(seq_id: int, start: int, j: int, k: int):
         yield Keyword(seq_id, start, j, deletes)
 
 
-def _concat_pos(lce: LceIndex, kw: Keyword) -> int:
-    return kw.src_start if kw.src_seq == 1 else lce.n1 + 1 + kw.src_start
+def _sorted_runs(key: np.ndarray):
+    """(order, new): the permutation that sorts key, and where in sorted
+    order a new value starts."""
+    order = np.argsort(key)
+    ranked = key[order]
+    new = np.empty(len(key), bool)
+    new[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    return order, new
 
 
-def _content_cmp(lce: LceIndex, pa: int, pb: int, j: int,
-                 deletes: tuple[int, ...]) -> int:
-    """Compare two keyword strings with identical delete tuples, run by run."""
-    if pa == pb:
-        return 0
-    symbols = lce.symbols
-    ext_at = lce.fwd.lce
-    prev = 0
-    for d in (*deletes, j + 1):
-        seg_len = d - prev - 1
-        if seg_len > 0:
-            oa = pa + prev
-            ob = pb + prev
-            ext = ext_at(oa, ob)
-            if ext < seg_len:
-                ca = symbols[oa - 1 + ext]
-                cb = symbols[ob - 1 + ext]
-                return -1 if ca < cb else 1
-        prev = d
-    return 0
-
-
-def keyword_order(lce: LceIndex, a: Keyword, b: Keyword) -> int:
-    """Total order: delete tuple first, then keyword content; returns -1/0/1.
-
-    Content is only compared between equal delete tuples, where the k+1 runs
-    between deleted positions align exactly, so each run is settled by one
-    forward extension query.
-    """
-    if a.j != b.j or len(a.deletes) != len(b.deletes):
-        raise ValueError("keywords from different (j, k) regimes are not comparable")
-    if a.deletes != b.deletes:
-        return -1 if a.deletes < b.deletes else 1
-    return _content_cmp(lce, _concat_pos(lce, a), _concat_pos(lce, b),
-                        a.j, a.deletes)
-
-
-def build_index(text: Text, lce: LceIndex, piece: tuple[int, int], j: int, k: int,
-                mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
-                stats: NeighborhoodStats | None = None) -> KeywordIndex:
-    """Sorted keyword index of all length-j windows starting inside the piece."""
-    lo, hi = piece
-    start_lo = max(1, lo)
-    start_hi = min(hi - j + 1, text.n1 - j + 1)
-    nstarts = max(0, start_hi - start_lo + 1)
-    n_keywords = nstarts * comb(j, k)
-    if n_keywords * (k + 2) > mem_budget_words:
-        raise ResourceLimitError(
-            f"keyword index for piece {piece} at j={j}, k={k} needs about "
-            f"{n_keywords * (k + 2)} words (budget {mem_budget_words})")
-    # group by the primary key (delete tuple, ascending) and settle only the
-    # within-group order with content comparisons
-    entries: list[Keyword] = []
-    groups: dict = {}
-    starts = range(start_lo, start_hi + 1)
-    for deletes in combinations(range(1, j + 1), k):
-        group = [Keyword(1, q, j, deletes) for q in starts]
-        group.sort(key=cmp_to_key(
-            lambda a, b, _d=deletes: _content_cmp(lce, a.src_start, b.src_start, j, _d)))
-        groups[deletes] = (len(entries), len(entries) + len(group))
-        entries.extend(group)
-    if stats is not None:
-        stats.keywords_generated += len(entries)
-        stats.indexes_built += 1
-    return KeywordIndex(piece, j, k, entries, len(entries), groups)
-
-
-def query_index(idx: KeywordIndex, lce: LceIndex, kw: Keyword) -> Keyword | None:
-    """Leftmost index entry equal to kw under keyword_order, if any."""
-    if kw.j != idx.j or len(kw.deletes) != idx.k:
-        raise ValueError("query keyword does not match the index regime")
-    bounds = idx.groups.get(kw.deletes)
-    if bounds is None:
-        return None
-    lo, hi = bounds
-    entries = idx.entries
-    pk = _concat_pos(lce, kw)
-    j, deletes = kw.j, kw.deletes
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _content_cmp(lce, entries[mid].src_start, pk, j, deletes) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < bounds[1] and _content_cmp(lce, entries[lo].src_start, pk, j, deletes) == 0:
-        return entries[lo]
-    return None
-
-
-def _piece_ranges(n1: int, j: int, h: int) -> list[tuple[int, int]]:
-    """h pieces of nominal length ceil(n1/h) + j, successive overlap j."""
-    c = -(-n1 // h)
-    pieces = []
-    for p in range(h):
-        lo = p * c + 1
-        if lo > n1:
-            break
-        pieces.append((lo, min(lo + c + j - 1, n1)))
-    return pieces
-
-
-def _scan_piece(text: Text, lce: LceIndex, piece, j, k, mem_budget_words, stats):
-    """The smallest-(i1, i2) length-j match whose s1 window starts in the piece."""
-    idx = build_index(text, lce, piece, j, k, mem_budget_words, stats)
-    if not idx.entries:
-        return None
-    best = None
-    for q2 in range(1, text.n2 - j + 2):
-        for kw in enumerate_neighborhood(2, q2, j, k):
-            if stats is not None:
-                stats.keywords_generated += 1
-            hit = query_index(idx, lce, kw)
-            # q2 ascends, so only a smaller i1 improves on an earlier hit
-            if hit is not None and (best is None or hit.src_start < best[0]):
-                best = (hit.src_start, q2)
-    return None if best is None else make_span(text, j, *best)
-
-
-def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int, h: int,
+def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int,
                            mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
                            stats: NeighborhoodStats | None = None) -> MatchSpan | None:
     """The smallest-(i1, i2) span of length j with <= k mismatches, or None.
 
-    s1 is cut into h pieces overlapping by j symbols so every length-j
-    window of s1 lies inside a piece; each piece is indexed in turn and
-    every keyword generated from s2 is looked up in it.  Pieces hold
-    ascending i1 ranges, so the first piece with a match holds the smallest.
+    Raises ResourceLimitError when the probe's neighborhood,
+    C(j, k) * (n1 - j + 1) * (k + 2) words, exceeds ``mem_budget_words``;
+    the budget bounds how many keywords a probe enumerates, not the
+    memory it holds.
     """
     if j < 1:
         raise ValueError("match length must be >= 1")
-    if h < 1:
-        raise ValueError("piece count must be >= 1")
     n1, n2 = text.n1, text.n2
     if j > n1 or j > n2:
         return None
     if j <= k:
         # any alignment fits the budget
         return make_span(text, j, 1, 1)
-    for piece in _piece_ranges(n1, j, h):
-        span = _scan_piece(text, lce, piece, j, k, mem_budget_words, stats)
-        if span is not None:
-            return span
-    return None
-
-
-def default_piece_count(n1: int, n2: int, ell0: int, k: int) -> int:
-    """Piece count balancing index size against repeated queries."""
-    n = max(n1, n2)
-    return max(1, round(sqrt(n / ((k + 1) * (ell0 + 1)))))
+    m1, m2 = n1 - j + 1, n2 - j + 1
+    charge = comb(j, k) * m1 * (k + 2)
+    if charge > mem_budget_words:
+        raise ResourceLimitError(
+            f"deletion neighborhood at j={j}, k={k} needs about {charge} "
+            f"words (budget {mem_budget_words})")
+    if stats is not None:
+        stats.keywords_generated += comb(j, k) * (m1 + m2)
+    # 0-based concat starts of every window: s1's, then s2's
+    starts = np.concatenate([np.arange(m1), np.arange(n1 + 1, n1 + 1 + m2)])
+    big = np.int64(1 << 40)
+    p1 = np.where(starts < n1, starts + 1, big)
+    p2 = np.where(starts > n1, starts - n1, big)
+    lcp, rank = lce.fwd.lcp, lce.fwd.rank
+    width = len(lcp) + 1  # < 2^31 (lce.MAX_SYMBOLS), so width^2 fits int64
+    best = None
+    for deletes in _delete_tuples(1, j, k):
+        keys = []
+        prev = 0
+        for d in (*deletes, j + 1):
+            if d - prev > 1:
+                # equal strings of length d - prev - 1 share a class id
+                keys.append(np.cumsum(lcp < d - prev - 1)[rank[starts + prev]])
+            prev = d
+        # pack the row into one key, a run at a time; class ids and ranks
+        # among the rows are below `width`, so each packed pair is exact
+        key = keys[0]
+        for i, nxt in enumerate(keys[1:]):
+            if i:  # a packed pair: replace it by its rank among the rows
+                order, new = _sorted_runs(key)
+                key = np.empty_like(key)
+                key[order] = np.cumsum(new)
+            key = key * width + nxt
+        order, new = _sorted_runs(key)
+        heads = np.flatnonzero(new)
+        g1 = np.minimum.reduceat(p1[order], heads)
+        g2 = np.minimum.reduceat(p2[order], heads)
+        both = np.flatnonzero((g1 < big) & (g2 < big))
+        if len(both):
+            t = both[argmin_pair(g1[both], g2[both])]
+            pair = (int(g1[t]), int(g2[t]))
+            if best is None or pair < best:
+                best = pair
+    return None if best is None else make_span(text, j, *best)
 
 
 def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
-                      h: int | None = None,
                       mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
                       stats: NeighborhoodStats | None = None) -> MatchSpan:
     """Exact optimum by searching the smallest j with no length-j match.
@@ -243,9 +150,10 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
     The existence predicate is monotone, so the search keeps a verified
     witness at the largest known-true j and narrows to the first false one.
     Probing starts next to the lower bound and grows exponentially before
-    bisecting, which keeps index sizes near what the answer itself requires;
-    an index that would not fit the budget raises ResourceLimitError.  The
-    witness is the smallest (i1, i2) among the optimal windows.
+    bisecting, which keeps each probe's neighborhood near what the answer
+    itself requires; a probe whose neighborhood would not fit the budget
+    raises ResourceLimitError.  The witness is the smallest (i1, i2) among
+    the optimal windows.
     """
     n1, n2 = text.n1, text.n2
     if min(n1, n2) == 0:
@@ -254,8 +162,6 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
     if ell0 == 0:
         return trivial_span(text, k)
     lower, upper = klcf_bounds(ell0, k, n1, n2)
-    if h is None:
-        h = default_piece_count(n1, n2, ell0, k)
     if lower == ell0:
         best = MatchSpan(ell0, w1, w2, ())
     else:
@@ -265,8 +171,7 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
 
     def probe(j: int) -> MatchSpan | None:
         stats.probes.append(j)
-        return exists_match_of_length(text, lce, j, k, h, mem_budget_words,
-                                      stats)
+        return exists_match_of_length(text, lce, j, k, mem_budget_words, stats)
 
     # gallop upward from the lower bound
     lo, hi = lower, upper + 1  # P(lo) true with witness `best`; P(hi) false

@@ -25,7 +25,7 @@ from conftest import (naive_lce_backward, naive_lce_forward, random_text,
                       two_pointer_window)
 
 SWEEP_INSTANCES = 1000
-SWEEP_BUDGET_WORDS = 1 << 14  # keeps admitted keyword indexes test-sized
+SWEEP_BUDGET_WORDS = 1 << 16  # keeps admitted neighborhoods test-sized
 SIGMAS = (1, 2, 4, 20, 128)
 
 

@@ -156,6 +156,14 @@ def test_threads_flag_is_a_usage_error(pair, capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [["--pieces", "2"], ["--mem-budget", "0"],
+                                  ["--mem-budget", "-5"]])
+def test_neighborhood_flags_usage_errors(pair, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--k", "1", "--algo", "neighborhood", *argv, *pair])
+    assert exc.value.code == 64
+
+
 def test_main_solve_smoke(pair, capsys):
     assert main(["--k", "1", "--algo", "strided", *pair]) == 0
     assert "length=4" in capsys.readouterr().out

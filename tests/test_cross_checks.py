@@ -9,7 +9,7 @@ from klcf.strided import klcf_strided
 from klcf.tabulation import klcf_tabulation
 
 
-def _all_agree(t: Text, ks, budget=1 << 14):
+def _all_agree(t: Text, ks, budget=1 << 16):
     lce = build_lce(t)
     for k in ks:
         ref = klcf_oracle(t, k)

@@ -1,14 +1,14 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
 
-from klcf.core import (MatchSpan, ResourceLimitError, Text, klcf_oracle,
-                       verify_match)
-from klcf.lce import build_lce
-from klcf.neighborhood import (Keyword, build_index, enumerate_neighborhood,
-                               exists_match_of_length, keyword_order,
-                               klcf_neighborhood, query_index)
+from klcf.core import (MatchSpan, ResourceLimitError, Text, generate_instance,
+                       klcf_oracle, verify_match)
+from klcf.lce import build_lce, lcf0
+from klcf.neighborhood import (enumerate_neighborhood, exists_match_of_length,
+                               klcf_neighborhood)
 
 from conftest import random_text
 
@@ -54,97 +54,65 @@ def test_enumeration_rejects_k_above_j():
         list(enumerate_neighborhood(1, 1, 2, 3))
 
 
-def test_keyword_order_is_total_and_matches_materialization(rng):
-    t = random_text(rng, 30, 30, 2)
-    lce = build_lce(t)
-    j, k = 6, 2
-    kws = []
-    for seq_id, n in ((1, t.n1), (2, t.n2)):
-        for start in range(1, n - j + 2):
-            kws.extend(enumerate_neighborhood(seq_id, start, j, k))
-    sample = rng.sample(kws, 60)
-    for a in sample[:25]:
-        for b in sample[:25]:
-            got = keyword_order(lce, a, b)
-            want_a = (a.deletes, _materialize(t, a))
-            want_b = (b.deletes, _materialize(t, b))
-            want = -1 if want_a < want_b else (0 if want_a == want_b else 1)
-            assert got == want
-            assert keyword_order(lce, b, a) == -got
-    # transitivity spot check
-    for _ in range(300):
-        a, b, c = rng.sample(kws, 3)
-        if keyword_order(lce, a, b) <= 0 and keyword_order(lce, b, c) <= 0:
-            assert keyword_order(lce, a, c) <= 0
-
-
-def test_keyword_order_rejects_mixed_regimes():
-    t = Text.from_strings("abcabc", "abcabc")
-    lce = build_lce(t)
-    a = Keyword(1, 1, 4, (1,))
-    b = Keyword(1, 1, 5, (1,))
-    with pytest.raises(ValueError):
-        keyword_order(lce, a, b)
-
-
-def test_build_index_sorted_and_complete(rng):
-    t = random_text(rng, 24, 24, 2)
-    lce = build_lce(t)
-    j, k = 5, 2
-    idx = build_index(t, lce, (1, t.n1), j, k)
-    assert idx.count == (t.n1 - j + 1) * comb(j, k)
-    for a, b in zip(idx.entries, idx.entries[1:]):
-        assert keyword_order(lce, a, b) <= 0
-
-
 def test_build_index_budget_error():
     t = Text.from_strings("abcabcabcabc", "abcabcabcabc")
     lce = build_lce(t)
     with pytest.raises(ResourceLimitError):
-        build_index(t, lce, (1, t.n1), 6, 2, mem_budget_words=10)
+        exists_match_of_length(t, lce, 6, 2, mem_budget_words=10)
+
+
+def test_probe_budget_boundary():
+    rng = random.Random(11)
+    t = random_text(rng, 40, 33, 3)
+    lce = build_lce(t)
+    for j, k in ((6, 2), (9, 1), (5, 0)):
+        charge = comb(j, k) * (t.n1 - j + 1) * (k + 2)
+        exists_match_of_length(t, lce, j, k, mem_budget_words=charge)
+        with pytest.raises(ResourceLimitError):
+            exists_match_of_length(t, lce, j, k, mem_budget_words=charge - 1)
 
 
 def test_query_hit_and_miss():
+    # deleting (1, 2) from both windows leaves "bac" = "bac"
     t = Text.from_strings("abbac", "xbbac")
     lce = build_lce(t)
-    idx = build_index(t, lce, (1, t.n1), 5, 2)
-    # deleting (1, 2) from both windows leaves "bac" = "bac"
-    hit = query_index(idx, lce, Keyword(2, 1, 5, (1, 2)))
-    assert hit is not None and hit.src_start == 1
-    # deleting (4, 5) leaves "abb" vs "xbb"
-    assert query_index(idx, lce, Keyword(2, 1, 5, (4, 5))) is None
-    with pytest.raises(ValueError):
-        query_index(idx, lce, Keyword(2, 1, 4, (1, 2)))
-
-
-def test_query_empty_index_misses():
-    t = Text.from_strings("ab", "ab")
+    assert exists_match_of_length(t, lce, 5, 2) == MatchSpan(5, 1, 1, (0,))
+    # two mismatches "ab"/"xy" cannot be deleted with one position
+    t = Text.from_strings("abbac", "xybac")
     lce = build_lce(t)
-    idx = build_index(t, lce, (1, 2), 2, 1)  # piece long enough for one start
-    assert idx.count == 2
-    short = build_index(t, lce, (2, 2), 2, 1)  # clamped piece: no starts
-    assert short.count == 0
-    assert query_index(short, lce, Keyword(2, 1, 2, (1,))) is None
+    assert exists_match_of_length(t, lce, 5, 2) is not None
+    assert exists_match_of_length(t, lce, 5, 1) is None
 
 
 def test_exists_match_examples():
     t = Text.from_strings("abba", "aaba")
     lce = build_lce(t)
-    span = exists_match_of_length(t, lce, 4, 1, 1)
+    span = exists_match_of_length(t, lce, 4, 1)
     assert span is not None and span.length == 4 and (span.i1, span.i2) == (1, 1)
-    assert exists_match_of_length(t, lce, 5, 1, 1) is None
-    assert exists_match_of_length(t, lce, 2, 1, 2) is not None
+    assert exists_match_of_length(t, lce, 5, 1) is None
+    assert exists_match_of_length(t, lce, 2, 1) is not None
 
 
 def test_exists_match_trivial_when_j_at_most_k():
     t = Text.from_strings("abc", "xyz")
     lce = build_lce(t)
-    span = exists_match_of_length(t, lce, 2, 3, 1)
+    span = exists_match_of_length(t, lce, 2, 3)
     assert span is not None and span.length == 2
     assert verify_match(t, span, 3)
 
 
-def test_exists_match_monotone_and_piece_invariant(rng):
+def _smallest_pair(text, j, k):
+    """Brute force: the smallest (i1, i2) of a length-j window pair with at
+    most k mismatches, or None."""
+    s1, s2 = text.s1.tolist(), text.s2.tolist()
+    for i1 in range(text.n1 - j + 1):
+        for i2 in range(text.n2 - j + 1):
+            if sum(a != b for a, b in zip(s1[i1:i1 + j], s2[i2:i2 + j])) <= k:
+                return i1 + 1, i2 + 1
+    return None
+
+
+def test_exists_match_is_monotone(rng):
     for _ in range(25):
         t = random_text(rng, rng.randrange(4, 28), rng.randrange(4, 28), 2)
         lce = build_lce(t)
@@ -152,14 +120,40 @@ def test_exists_match_monotone_and_piece_invariant(rng):
         ellk = klcf_oracle(t, k).length
         results = []
         for j in range(1, min(t.n1, t.n2) + 1):
-            spans = [exists_match_of_length(t, lce, j, k, h) for h in (1, 2, 5)]
-            assert len({s is None for s in spans}) == 1  # h never changes the verdict
-            results.append(spans[0] is not None)
-            for s in spans:
-                if s is not None:
-                    assert s.length == j and verify_match(t, s, k)
+            span = exists_match_of_length(t, lce, j, k)
+            results.append(span is not None)
+            if span is not None:
+                assert span.length == j and verify_match(t, span, k)
         # true for j <= ellk, false beyond
         assert results == [j <= ellk for j in range(1, min(t.n1, t.n2) + 1)]
+
+
+def test_exists_match_witness_is_smallest_at_every_length():
+    rng = random.Random(23)
+    for _ in range(60):
+        t = random_text(rng, rng.randrange(1, 30), rng.randrange(1, 30),
+                        rng.choice([2, 3, 8]))
+        lce = build_lce(t)
+        k = rng.randrange(0, 4)
+        for j in range(1, klcf_oracle(t, k).length + 1):
+            span = exists_match_of_length(t, lce, j, k)
+            assert (span.i1, span.i2) == _smallest_pair(t, j, k), (j, k)
+
+
+def test_exists_match_peak_memory_is_linear_in_the_text():
+    k = 3
+    t = generate_instance("random", 1024, 4, k, seed=5)
+    lce = build_lce(t)
+    j = lcf0(lce)[0] + k
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        exists_match_of_length(t, lce, j, k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (k + 2) * 8 * len(t.concat)
 
 
 def test_klcf_neighborhood_equals_oracle(rng):
@@ -177,8 +171,7 @@ def test_klcf_neighborhood_witness_is_smallest_not_first_hit():
     # scan over s2 meets (2, 1) first, at q2 = 1
     t = Text.from_strings("bcab", "caca")
     lce = build_lce(t)
-    for h in (1, 2, 4):
-        assert klcf_neighborhood(t, lce, 1, h=h) == MatchSpan(3, 1, 2, (0,))
+    assert klcf_neighborhood(t, lce, 1) == MatchSpan(3, 1, 2, (0,))
     assert klcf_oracle(t, 1) == MatchSpan(3, 1, 2, (0,))
 
 
