@@ -3,8 +3,9 @@
 A reference sliding-window oracle plus three exact solvers: a deletion-
 neighborhood join, strided diagonal scanning over an LCE index
 (finished by an exhaustive chunked diagonal scan when that is cheaper),
-and a bit-parallel tabulation scan.  All report the optimum length with a
-verifiable witness.
+and a tabulation scan, whose lookup tables read the exhaustive scan's
+packed mismatch bits.  All report the optimum length with a verifiable
+witness.
 """
 
 from .core import (MatchSpan, ResourceLimitError, Text, generate_instance,
@@ -16,8 +17,8 @@ from .neighborhood import (Keyword, enumerate_neighborhood,
 from .strided import (ScanStats, klcf_strided, longest_through_cell,
                       scan_pass)
 from .tabulation import (LutL1, LutL2, MismatchBlocks, PackedText, build_l1,
-                         build_l2, build_mismatch_blocks, klcf_tabulation,
-                         longest_window_lut, mismatch_word, pack, unpack)
+                         build_l2, klcf_tabulation, longest_window_lut, pack,
+                         unpack)
 
 __all__ = [
     "MatchSpan", "ResourceLimitError", "Text", "klcf_bounds", "klcf_oracle",
@@ -25,8 +26,7 @@ __all__ = [
     "lcf0", "Keyword", "enumerate_neighborhood", "exists_match_of_length",
     "klcf_neighborhood", "ScanStats", "klcf_strided", "longest_through_cell",
     "scan_pass", "LutL1", "LutL2", "MismatchBlocks", "PackedText", "build_l1",
-    "build_l2", "build_mismatch_blocks", "klcf_tabulation",
-    "longest_window_lut", "mismatch_word", "pack", "unpack",
+    "build_l2", "klcf_tabulation", "longest_window_lut", "pack", "unpack",
     "generate_instance", "load_inputs", "klcf_diagonal_scan",
 ]
 

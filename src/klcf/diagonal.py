@@ -3,7 +3,9 @@
 Diagonal g (0-based) of the n1 x n2 alignment matrix pairs s1 and s2 at
 alignment a = i2 - i1 = g - (n1 - 1), so g runs over n1 + n2 - 1 values
 from the bottom-left corner to the top-right one.  Every scanner in the
-package walks diagonals in that order through ``diagonals``.
+package walks diagonals in that order through ``diagonals``, and
+``packed_batches`` gives their mismatch bits, packed, in batches of a
+bounded number of cells to both the exhaustive scan and tabulation.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
@@ -198,48 +200,40 @@ def _best_in_batch(packed: np.ndarray, length: np.ndarray, k: int, floor: int,
     return best, row[seg[win]], lo[seg[win]] * 8 + start[win] - first[win]
 
 
-def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
-                       floor: int = 0) -> MatchSpan:
-    """Exact optimum and its lexicographically smallest witness, by
-    scanning every diagonal.
+def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
+    """Yield (batch, packed) for every diagonal of ``text``, a batch of
+    them at a time: ``batch`` holds the diagonals' indices and ``packed``
+    one row of their mismatch bits each, 8 to a byte.
 
-    Diagonals are compared in batches of rows of a dense matrix of at most
-    ``budget`` cells (a single diagonal longer than that gets a batch of
-    its own).  Diagonals with i2 <= i1 slide s1 past s2 and the others
-    slide s2 past s1, so each batch is one strided view of a padded
-    sequence compared with a prefix of the other.  Both halves are walked
-    from the longest diagonal outwards, so a batch's first row is its
-    widest.  Each batch's mismatch bits are compared and packed 8 to a
-    byte ``PACK_CELLS`` cells at a time, and a block filter
-    (``_kept_segments``) passes on only the bytes that may hold a window as
-    long as L = max(best so far, floor); the exact sliding window
-    runs on those.  ``floor`` is the length of a window known to exist, or
-    0; windows of length L are kept, so the answer is exact whatever floor
-    at most the optimum is given.  O(n1 n2) time, O(budget + n1 + n2)
-    memory.
+    A batch is the rows of a dense matrix of at most ``budget`` cells (a
+    single diagonal longer than that gets a batch of its own), less k + 8
+    separator bits a row for the scan's exact stage.  Diagonals with
+    i2 <= i1 slide s1 past s2 and the others slide s2 past s1, so each
+    batch is one strided view of a padded sequence compared with a prefix
+    of the other.  Both halves are walked from the longest diagonal
+    outwards, so a batch's first row is its widest and sets the row width;
+    every bit past a diagonal's end is set.  The comparison is packed
+    ``PACK_CELLS`` cells at a time.  Nothing is yielded when a sequence is
+    empty.
     """
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
-        return MatchSpan(0, 1, 1, ())
+        return
     dtype = np.int16 if text.sigma < 1 << 15 else np.int64
     s1 = text.s1.astype(dtype)
     s2 = text.s2.astype(dtype)
-    st1, st2, length = diagonals(n1, n2)
-    best = MatchSpan(0, 1, 1)
-    # (sliding side, fixed side, starts on the sliding side, first diagonal,
-    # one past the last, step)
-    halves = ((s1, s2, st1, n1 - 1, -1, -1), (s2, s1, st2, n1, n1 + n2 - 1, 1))
-    for slide, fixed, starts, g, g_end, step in halves:
+    # (sliding side, fixed side, first diagonal, one past the last, step)
+    halves = ((s1, s2, n1 - 1, -1, -1), (s2, s1, n1, n1 + n2 - 1, 1))
+    for slide, fixed, g, g_end, step in halves:
         # padded so every row of a batch's view is in bounds; the two pads
         # differ, so every cell past a diagonal's end is a mismatch
         padded = np.concatenate([slide, np.full(len(fixed) + 8, -1, dtype)])
         fixed = np.concatenate([fixed, np.full(8, -2, dtype)])
         while g != g_end:
-            w = -(-int(length[g]) // 8) * 8  # whole bytes
-            # a row's bits and at most k + 8 separator bits in the exact stage
+            st1, st2, length = diagonals(n1, n2, g, g + 1)
+            w = -(-int(length[0]) // 8) * 8  # whole bytes
             rows = min(max(1, budget // (w + k + 8)), abs(g_end - g))
-            batch = np.arange(g, g + step * rows, step)
-            x0 = int(starts[g]) - 1
+            x0 = int(max(st1[0], st2[0])) - 1  # the fixed side starts at 1
             view = np.lib.stride_tricks.sliding_window_view(padded, w)[x0:x0 + rows]
             # w is whole bytes, so packed rows lie back to back, and one
             # flat packbits per chunk beats a per-row one on narrow batches
@@ -248,17 +242,33 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
             for r0 in range(0, rows, chunk):
                 packed[r0 * w // 8:(r0 + chunk) * w // 8] = np.packbits(
                     view[r0:r0 + chunk] != fixed[:w])
-            packed = packed.reshape(rows, w // 8)
-            least = max(best.length, floor, 1)
-            found = _best_in_batch(packed, length[batch], k, least,
-                                   _kept_segments(packed, k, least))
-            if found is not None:
-                mx, row, t = found
-                i1 = st1[batch[row]] + t
-                i2 = st2[batch[row]] + t
-                h = argmin_pair(i1, i2)
-                best = better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
+            yield np.arange(g, g + step * rows, step), packed.reshape(rows, w // 8)
             g += step * rows
-    if best.length == 0:
-        return MatchSpan(0, 1, 1, ())
+
+
+def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
+                       floor: int = 0) -> MatchSpan:
+    """Exact optimum and its lexicographically smallest witness, by
+    scanning every diagonal.
+
+    The mismatch bits come from ``packed_batches`` with this ``budget``.
+    On each batch a block filter (``_kept_segments``) passes on only the
+    bytes that may hold a window as long as L = max(best so far, floor);
+    the exact sliding window runs on those.  ``floor`` is the length of a
+    window known to exist, or 0; windows of length L are kept, so the
+    answer is exact whatever floor at most the optimum is given.
+    O(n1 n2) time, O(budget + n1 + n2) memory.
+    """
+    st1, st2, length = diagonals(text.n1, text.n2)
+    best = MatchSpan(0, 1, 1)
+    for batch, packed in packed_batches(text, k, budget):
+        least = max(best.length, floor, 1)
+        found = _best_in_batch(packed, length[batch], k, least,
+                               _kept_segments(packed, k, least))
+        if found is not None:
+            mx, row, t = found
+            i1 = st1[batch[row]] + t
+            i2 = st2[batch[row]] + t
+            h = argmin_pair(i1, i2)
+            best = better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
     return make_span(text, best.length, best.i1, best.i2)

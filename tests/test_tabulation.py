@@ -1,12 +1,14 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from klcf.core import ResourceLimitError, Text, klcf_oracle, verify_match
-from klcf.tabulation import (MismatchBlocks, TabulationStats, build_l1,
-                             build_l2, build_mismatch_blocks, klcf_tabulation,
-                             longest_window_lut, mismatch_word, pack, unpack)
+from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
+from klcf.diagonal import diagonals, packed_batches
+from klcf.tabulation import (MismatchBlocks, TabulationStats, _row_blocks,
+                             build_l1, build_l2, klcf_tabulation,
+                             longest_window_lut, pack, unpack)
 
 from conftest import random_text, two_pointer_window
 
@@ -42,43 +44,6 @@ def test_pack_sigma_one():
     p = pack(t)
     assert p.f == 1
     assert unpack(p)[0].tolist() == [0, 0, 0]
-
-
-# -- word-level mismatch detection -------------------------------------------
-
-def _fields(x, f, spw):
-    return [(x >> (i * f)) & ((1 << f) - 1) for i in range(spw)]
-
-
-def test_mismatch_word_examples():
-    assert mismatch_word(12345, 12345, 4) == 0
-    # f=2: fields (0,1,1,0) vs (0,0,1,0) differ in field index 1
-    x = (1 << 2) | (1 << 4)
-    y = (1 << 4)
-    assert mismatch_word(x, y, 2) == 1 << 3  # high bit of the second field
-    a, b = 0b1011, 0b0110
-    assert mismatch_word(a, b, 1) == a ^ b
-
-
-def test_mismatch_word_matches_fieldwise(rng):
-    # 25k random pairs per field width, checked against per-field extraction
-    for f in (1, 2, 4, 8):
-        spw = 64 // f
-        high_mask = sum(1 << (i * f + f - 1) for i in range(spw))
-        xs = np.array([rng.getrandbits(spw * f) for _ in range(25_000)],
-                      dtype=np.uint64)
-        ys = np.array([rng.getrandbits(spw * f) for _ in range(25_000)],
-                      dtype=np.uint64)
-        got = np.array([mismatch_word(int(x), int(y), f)
-                        for x, y in zip(xs, ys)], dtype=np.uint64)
-        fmask = np.uint64((1 << f) - 1)
-        want = np.zeros_like(got)
-        for i in range(spw):
-            sh = np.uint64(i * f)
-            diff = ((xs >> sh) & fmask) != ((ys >> sh) & fmask)
-            want |= diff.astype(np.uint64) << np.uint64(i * f + f - 1)
-        assert (got == want).all()
-        assert (got & np.uint64(~high_mask & (1 << 64) - 1)).max() == 0
 
 
 # -- lookup tables -----------------------------------------------------------
@@ -160,47 +125,37 @@ def test_lut_guards():
 
 # -- mismatch blocks ----------------------------------------------------------
 
-def test_blocks_example():
-    t = Text.from_strings("abba", "aaba")
-    mb = build_mismatch_blocks(pack(t), 0, 8)
-    assert mb.total_bits == 4
-    assert mb.blocks.tolist() == [0b0010]  # only position 2 differs
-
-
-def test_blocks_identical_strings():
-    t = Text.from_strings("zzzz", "zzzz")
-    for d in range(-3, 4):
-        mb = build_mismatch_blocks(pack(t), d, 4)
-        assert all(v == 0 for v in mb.blocks.tolist())
+def _direct_bits(t, g):
+    """Mismatch bits of diagonal g by direct comparison."""
+    st1, st2, length = diagonals(t.n1, t.n2, g, g + 1)
+    a = t.s1[st1[0] - 1:st1[0] - 1 + length[0]]
+    return (a != t.s2[st2[0] - 1:st2[0] - 1 + length[0]]).astype(int).tolist()
 
 
 def test_blocks_match_direct_comparison(rng):
-    for _ in range(30):
-        t = random_text(rng, rng.randrange(1, 50), rng.randrange(1, 50),
-                        rng.choice([2, 3, 5, 17, 80]))
-        p = pack(t)
-        b = rng.choice([4, 8, 13])
-        for d in range(-(t.n1 - 1), t.n2):
-            mb = build_mismatch_blocks(p, d, b)
-            st1 = 1 - d if d < 0 else 1
-            st2 = st1 + d
-            want = [int(x != y) for x, y in
-                    zip(t.s1[st1 - 1:], t.s2[st2 - 1:])]
-            got = []
-            for i in range(mb.total_bits):
-                got.append(int(mb.blocks[i // b]) >> (i % b) & 1)
-            assert got == want
-            # padding bits stay zero
-            tail = len(mb.blocks) * b - mb.total_bits
-            if tail:
-                assert int(mb.blocks[-1]) >> (b - tail + (b - tail == 0)) >= 0
-                assert int(mb.blocks[-1]) < (1 << (b - tail)) or tail == 0
-
-
-def test_blocks_alignment_out_of_range():
-    t = Text.from_strings("ab", "ab")
-    with pytest.raises(ValueError):
-        build_mismatch_blocks(pack(t), 5, 8)
+    texts = [Text.from_strings("abba", "aaba"), Text.from_strings("zzzz", "zzzz")]
+    texts += [random_text(rng, rng.randrange(1, 50), rng.randrange(1, 50),
+                          rng.choice([2, 3, 5, 17, 80])) for _ in range(30)]
+    shorter = 0
+    for t in texts:
+        b = rng.choice([1, 4, 8, 13])
+        k = rng.randrange(0, 4)
+        _, _, length = diagonals(t.n1, t.n2)
+        seen = []
+        for batch, packed in packed_batches(t, k, rng.choice([64, 1 << 20])):
+            blocks, m, boff = _row_blocks(packed, length[batch], b)
+            assert m.tolist() == (-(-length[batch] // b)).tolist()
+            assert len(blocks) == int(m.sum())
+            for r, g in enumerate(batch.tolist()):
+                want = _direct_bits(t, g)
+                got = [int(blocks[boff[r] + i // b]) >> (i % b) & 1
+                       for i in range(m[r] * b)]
+                assert got[:len(want)] == want
+                assert all(got[len(want):])  # past the end, bits are set
+                shorter += -(-len(want) // 8) < packed.shape[1]
+            seen += batch.tolist()
+        assert sorted(seen) == list(range(t.n1 + t.n2 - 1))
+    assert shorter  # rows a byte or more narrower than their batch were checked
 
 
 # -- window scan --------------------------------------------------------------
@@ -260,36 +215,29 @@ def test_tabulation_examples():
 
 
 def test_tabulation_equals_oracle(rng):
-    for _ in range(120):
-        t = random_text(rng, rng.randrange(0, 70), rng.randrange(0, 70),
-                        rng.choice([1, 2, 4, 20, 128]))
-        k = rng.randrange(0, 9)
-        b = rng.choice([4, 8])
-        span = klcf_tabulation(t, k, b=b)
-        assert span.length == klcf_oracle(t, k).length
-        assert verify_match(t, span, k)
-
-
-def test_tabulation_batching_invariant(rng):
-    t = random_text(rng, 90, 110, 4)
-    full = klcf_tabulation(t, 3)
-    tiny_batches = klcf_tabulation(t, 3, batch_bits=256)
-    assert full == tiny_batches
+    """Whole spans, at every block width and batch budget; the fixed
+    90 x 110 pair runs at every budget, from one diagonal a batch up."""
+    cases = [(random_text(rng, rng.randrange(0, 70), rng.randrange(0, 70),
+                          rng.choice([1, 2, 4, 20, 128])),
+              rng.randrange(0, 9), rng.choice([1, 2, 3, 4, 5, 8]),
+              rng.choice([1, 7, 64, 1 << 20])) for _ in range(120)]
+    fixed = random_text(rng, 90, 110, 4)
+    cases += [(fixed, 3, 8, budget) for budget in (1, 7, 64, 256, 1 << 20)]
+    for t, k, b, budget in cases:
+        assert klcf_tabulation(t, k, b=b, budget=budget) == klcf_oracle(t, k)
 
 
 def test_tabulation_agrees_with_per_diagonal_scan(rng):
-    # the batched driver must reproduce a plain loop of per-diagonal window
-    # scans over build_mismatch_blocks output
-    from klcf.tabulation import build_l1 as _l1b, build_l2 as _l2b
-    l1, l2 = _l1b(8), _l2b(8)
+    # the batched solver must reproduce a plain loop of per-diagonal window
+    # scans over blocks built from a direct comparison
+    l1, l2 = build_l1(8), build_l2(8)
     for _ in range(20):
         t = random_text(rng, rng.randrange(1, 50), rng.randrange(1, 50),
                         rng.choice([2, 4, 20]))
         k = rng.randrange(0, 5)
-        p = pack(t)
         best = 0
-        for d in range(-(t.n1 - 1), t.n2):
-            mb = build_mismatch_blocks(p, d, 8)
+        for g in range(t.n1 + t.n2 - 1):
+            mb = _mb_from_bits(_direct_bits(t, g), 8)
             start, end = longest_window_lut(mb, k, l1, l2)
             best = max(best, end - start + 1)
         assert best == klcf_tabulation(t, k).length
@@ -307,8 +255,6 @@ def test_tabulation_other_word_widths(rng):
         p = pack(t, w)
         u1, u2 = unpack(p)
         assert u1.tolist() == t.s1.tolist() and u2.tolist() == t.s2.tolist()
-        for k in (0, 3):
-            assert klcf_tabulation(t, k, w=w).length == klcf_oracle(t, k).length
     with pytest.raises(ValueError):
         pack(Text.from_symbols(range(17), range(17)), 4)  # 5-bit symbols need w >= 5
 
@@ -322,3 +268,19 @@ def test_tabulation_stats_counters(rng):
     # per-diagonal budget: m blocks of L1 plus (m-1)(k+1) of L2
     m_max = -(-64 // 8)
     assert stats.max_diag_queries <= 2 * m_max * (3 + 1)
+
+
+def test_tabulation_peak_memory_is_bounded():
+    """Batches of the scan's budget keep the peak flat: random DNA at
+    n = 3072, k = 4, stays under 64 MB (246 MB with the word-packed xor
+    batches of 2^23 cells)."""
+    klcf_tabulation(Text.from_strings("ab", "ab"), 4)  # build the tables
+    t = generate_instance("random", 3072, 4, 4, seed=1)
+    tracemalloc.start()
+    try:
+        span = klcf_tabulation(t, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert span.length > 0
+    assert peak < 64 << 20
