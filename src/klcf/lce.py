@@ -1,19 +1,22 @@
 """Constant-time longest-common-extension queries over a suffix array.
 
-The forward index over the sentinel-separated concatenation is built
-eagerly, because ``lcf0`` reads its suffix array and LCP array.  The
-backward index, over the reversed concatenation, is built by the first
-backward query: paths that never extend backwards (``lcf0`` alone, the
-diagonal scan, tabulation, neighborhood, strided with no pass) never pay
-for it.
+The forward index over the sentinel-separated concatenation keeps its
+suffix array, LCP array and inverse ranks eagerly, each as int32, because
+``lcf0`` and neighborhood read them.  Its sparse table is built by the
+first forward query.  The backward index, over the reversed
+concatenation, is built whole by the first backward query.  Paths that
+make no LCE query (``lcf0`` alone, the diagonal scan, tabulation,
+neighborhood, strided with no pass) hold 12 bytes per symbol and never
+pay for a table.
 
 Construction is O(n log n) numpy.  Prefix doubling sorts one int64 key
-per round and keeps each round's ranks as int32; the LCP of every pair
-of adjacent suffixes then comes from descending those rounds at once, as
-in Manber and Myers (SIAM J. Comput. 1993): the pair agrees on 2^t more
-symbols wherever the round-t ranks at its current offsets are equal.  A
-sparse table over the LCP array answers every query with two rank
-lookups and one range-minimum probe.
+per round and keeps each round's ranks as int32; the last round's ranks
+are the inverse suffix array.  The LCP of every pair of adjacent
+suffixes then comes from descending those rounds at once, as in Manber
+and Myers (SIAM J. Comput. 1993): the pair agrees on 2^t more symbols
+wherever the round-t ranks at its current offsets are equal.  A sparse
+table over the LCP array answers every query with two rank lookups and
+one range-minimum probe.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from .diagonal import argmin_pair
 MAX_SYMBOLS = (1 << 31) - 1
 
 
-def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and LCP array (lcp[i] = LCP of the suffixes at sa[i-1]
-    and sa[i], lcp[0] = 0), both int64, by prefix doubling.
+def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+    """Suffix array, LCP array (lcp[i] = LCP of the suffixes at sa[i-1]
+    and sa[i], lcp[0] = 0) and ranks (rank[sa[i]] = i), all int32, by
+    prefix doubling.
 
     ``rounds[t][i]`` ranks the suffix at i by its first 2^t symbols (equal
     ranks mean equal prefixes of that length); ``rounds[t][n]`` is -1, so
@@ -40,7 +45,7 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n > MAX_SYMBOLS:
         raise ValueError(f"LCE index supports at most {MAX_SYMBOLS} symbols, got {n}")
     if n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
+        return (np.empty(0, np.int32),) * 3
     rank = np.empty(n + 1, np.int32)
     rank[:n] = np.unique(symbols, return_inverse=True)[1]
     rank[n] = -1
@@ -63,51 +68,61 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if sorted_rank[-1] == n - 1:  # every suffix has its own rank
             break
         h *= 2
+    del key, sorted_rank
+    sa = sa.astype(np.int32)
     # each adjacent pair differs within its first 2^len(rounds) symbols
-    lcp = np.zeros(n, np.int64)
+    lcp = np.zeros(n, np.int32)
     p, q, ext = sa[:-1], sa[1:], lcp[1:]
     for t in range(len(rounds) - 1, -1, -1):
         ranks = rounds.pop()
-        ext += (ranks[p + ext] == ranks[q + ext]).astype(np.int64) << t
-    return sa, lcp
+        ext += (ranks[p + ext] == ranks[q + ext]).astype(np.int32) << t
+    return sa, lcp, rank[:n]
 
 
 class SuffixIndex:
-    """Suffix array, inverse ranks and a sparse-table RMQ over the LCP array.
+    """Suffix array, LCP array and inverse ranks, plus a sparse-table RMQ
+    over the LCP array.
 
-    ``table[g, i]`` is min(lcp[i .. i + 2^g - 1]); row 0 is the LCP array
-    itself.  Scalar queries read the same buffers through memoryviews, which
-    return Python ints without copying the arrays into lists.
+    ``sa``, ``lcp`` and ``rank`` are int32 and built eagerly: 12 bytes per
+    symbol.  ``table`` and ``floor_log2`` are None until the first query
+    builds them.  ``table[g, i]`` is min(lcp[i .. i + 2^g - 1]), int32, one
+    row per level; row 0 is the LCP array itself, which ``lcp`` then views,
+    so the table adds (levels - 1) * 4 bytes per symbol and ``floor_log2``
+    4 more.  Scalar queries read the same buffers through memoryviews,
+    which return Python ints without copying the arrays into lists.
     """
 
     __slots__ = ("sa", "lcp", "rank", "table", "floor_log2", "_rank_view",
                  "_row_views", "_log2_view")
 
     def __init__(self, symbols: np.ndarray):
-        self.sa, lcp = _suffix_array_lcp(symbols)
+        self.sa, self.lcp, self.rank = _suffix_array_lcp(symbols)
+        self.table = None  # built by the first query
+
+    def _build_table(self) -> None:
         n = len(self.sa)
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[self.sa] = np.arange(n)
         # rows are padded so the levels stack into one matrix
         levels = max(1, n.bit_length())
-        table = np.full((levels, max(n, 1)), np.int64(1 << 60))
-        table[0, :n] = lcp
-        del lcp
+        table = np.full((levels, max(n, 1)), np.iinfo(np.int32).max, np.int32)
+        table[0, :n] = self.lcp
+        self.lcp = table[0, :n]
         for g in range(1, levels):
             half = 1 << (g - 1)
             m = n - 2 * half + 1
             np.minimum(table[g - 1, :m], table[g - 1, half:half + m],
                        out=table[g, :m])
-        self.table = table
-        self.lcp = table[0, :n]  # lcp[i] = LCP of the suffixes at sa[i-1], sa[i]
         # floor(log2(x)) for x in [0, n], exact below 2^53; entry 0 is unused
-        self.floor_log2 = np.frexp(np.arange(n + 1))[1].astype(np.int64) - 1
+        self.floor_log2 = np.frexp(np.arange(n + 1))[1]
+        self.floor_log2 -= 1
         self._rank_view = memoryview(self.rank)
         self._row_views = [memoryview(row) for row in table]
         self._log2_view = memoryview(self.floor_log2)
+        self.table = table
 
     def lce(self, a: int, b: int) -> int:
         """Longest common prefix of the suffixes at 1-based positions a, b."""
+        if self.table is None:
+            self._build_table()
         if a == b:
             return len(self.sa) - a + 1
         r1 = self._rank_view[a - 1]
@@ -122,6 +137,8 @@ class SuffixIndex:
 
     def lce_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """lce(p[i], q[i]) for every i."""
+        if self.table is None:
+            self._build_table()
         r1 = self.rank[p - 1]
         r2 = self.rank[q - 1]
         same = r1 == r2
@@ -129,7 +146,7 @@ class SuffixIndex:
         hi = np.maximum(r1, r2)
         g = self.floor_log2[hi - lo + 1]
         res = np.minimum(self.table[g, lo], self.table[g, hi - (1 << g) + 1])
-        return np.where(same, len(self.sa) - p + 1, res)
+        return np.where(same, len(self.sa) - p + 1, res)  # int64, as p is
 
 
 class LceIndex:
@@ -156,8 +173,9 @@ class LceIndex:
 
 
 def build_lce(text: Text) -> LceIndex:
-    """Build the forward suffix index for a text; the backward one follows
-    on the first backward query."""
+    """Build the forward suffix array, LCP array and ranks for a text; the
+    forward sparse table follows on the first forward query, the backward
+    index on the first backward query."""
     return LceIndex(text)
 
 

@@ -277,8 +277,11 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
     c_in = np.arange(nb, dtype=np.int64) - boff[dia]
     last = boff + m - 1
     popc = _popcount_table(b)[blocks]
-    pref = np.zeros(nb + 1, dtype=np.int64)
-    np.cumsum(popc, out=pref[1:])
+    # pref[e] counts the set bits before block e; block nb, past the end,
+    # holds every bit index from the last one on
+    pref = np.zeros(nb + 2, dtype=np.int64)
+    np.cumsum(popc, out=pref[1:-1])
+    pref[-1] = np.iinfo(np.int64).max
     ldia = length[dia]
     best = None
 
@@ -310,9 +313,18 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
         lim = last[dsel]
         ldr = ldia[t1]
         c_l = c_in[t1]
+        # nxt[e] is the first block from e on with a set bit, or nb
+        nxt = np.full(nb + 2, nb)
+        nxt[:nb] = np.where(popc > 0, np.arange(nb), nb)
+        nxt[:nb] = np.minimum.accumulate(nxt[nb - 1::-1])[::-1]
+        del dia, c_in, ldia, popc, st, en  # full-batch arrays L2 does not read
+        # at step p, at is the block that holds set bit base + p (0-based),
+        # the largest e with pref[e] <= base + p, or nb past the last bit
+        at = nxt[t1 + 1]
         for p in range(k + 1):
-            e = np.searchsorted(pref, base + p, side="right") - 1
-            e = np.minimum(e, lim)
+            if p:
+                at = np.where(pref[at + 1] > base + p, at, nxt[at + 1])
+            e = np.minimum(at, lim)
             q = pref[e] - base
             kp = np.minimum(k - q, 2 * b)
             st = c_l * b + l2.start[kp, lv, blocks[e]].astype(np.int64)

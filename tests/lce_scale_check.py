@@ -21,7 +21,9 @@ from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
 
 SIDE = 1 << 19
 QUERIES = 1000
-LIMIT_MB = 582  # one direction of the Kasai-era index peaked at this; both must fit
+# both directions, with int32 arrays and each sparse table built by its
+# first query, peaked at 305 MB; the int64 tables built eagerly, at 497
+LIMIT_MB = 400
 
 
 def peak_rss_mb() -> float:

@@ -3,8 +3,11 @@
 import random
 import tracemalloc
 
-from klcf.core import Text
-from klcf.lce import build_lce, lce_backward, lce_forward
+import numpy as np
+
+from klcf.core import Text, generate_instance
+from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
+from klcf.strided import ScanStats, klcf_strided
 
 
 def _text():
@@ -51,3 +54,51 @@ def test_build_lce_alone_holds_the_forward_direction_only():
     assert lce.bwd is None
     levels = lce.n.bit_length()
     assert per_symbol <= (levels + 4) * 8, per_symbol
+
+
+def test_build_lce_and_lcf0_hold_sa_lcp_and_rank_only():
+    # three int32 arrays, 12 bytes per symbol, plus slack; no sparse table
+    text = _text()
+
+    def build_and_lcf0():
+        lce = build_lce(text)
+        lcf0(lce)
+        return lce
+
+    lce, per_symbol = _held_per_symbol(build_and_lcf0)
+    assert lce.fwd.table is None and lce.bwd is None
+    assert lce.fwd.sa.dtype == lce.fwd.lcp.dtype == lce.fwd.rank.dtype == np.int32
+    assert per_symbol <= 16, per_symbol
+
+
+def test_strided_without_a_pass_builds_no_sparse_table():
+    text = generate_instance("random", 3072, 4, 4, seed=1)
+    lce = build_lce(text)
+    lcf0(lce)
+    stats = ScanStats()
+    klcf_strided(text, lce, 4, stats=stats)
+    assert stats.passes == 0
+    assert lce.fwd.table is None
+    assert lce.bwd is None
+
+
+def test_first_forward_query_builds_the_table():
+    text = _text()
+    lce = build_lce(text)
+    assert lce.fwd.table is None
+    s = np.asarray(text.concat).tolist()
+
+    def scan(p, q):  # common prefix of the 1-based suffixes, directly
+        t = 0
+        while max(p, q) - 1 + t < len(s) and s[p - 1 + t] == s[q - 1 + t]:
+            t += 1
+        return t
+
+    assert lce_forward(lce, 3, text.n1 + 8) == scan(3, text.n1 + 8)
+    assert lce.fwd.table is not None and lce.fwd.table.dtype == np.int32
+    assert np.shares_memory(lce.fwd.lcp, lce.fwd.table)  # no second LCP copy
+    assert lce.bwd is None
+    rng = random.Random(9)
+    for _ in range(200):
+        p, q = rng.randrange(1, lce.n + 1), rng.randrange(1, lce.n + 1)
+        assert lce_forward(lce, p, q) == scan(p, q)
