@@ -58,7 +58,20 @@ class Text:
 
     @classmethod
     def from_symbols(cls, s1, s2) -> "Text":
-        """Build a Text from two iterables of integers, densifying them."""
+        """Build a Text from two iterables of integers, densifying them.
+
+        Two ``bytes`` objects, as ``load_inputs`` reads, are densified
+        through a 256-entry code table instead of a sort.
+        """
+        if isinstance(s1, bytes) and isinstance(s2, bytes):
+            a1 = np.frombuffer(s1, np.uint8)
+            a2 = np.frombuffer(s2, np.uint8)
+            present = np.zeros(256, bool)
+            present[a1] = True
+            present[a2] = True
+            code = np.cumsum(present) - 1  # byte -> dense value
+            alphabet = np.flatnonzero(present)
+            return cls(code[a1], code[a2], len(alphabet), alphabet)
         a1 = np.asarray(list(s1), dtype=np.int64)
         a2 = np.asarray(list(s2), dtype=np.int64)
         alphabet = np.unique(np.concatenate([a1, a2]))

@@ -3,9 +3,11 @@
 Diagonal g (0-based) of the n1 x n2 alignment matrix pairs s1 and s2 at
 alignment a = i2 - i1 = g - (n1 - 1), so g runs over n1 + n2 - 1 values
 from the bottom-left corner to the top-right one.  Every scanner in the
-package walks diagonals in that order through ``diagonals``, and
-``packed_batches`` gives their mismatch bits, packed, in batches of a
-bounded number of cells to both the exhaustive scan and tabulation.
+package walks diagonals in that order, a batch at a time, and builds the
+batch's starts and lengths with ``geometry``; no scanner holds them for
+every diagonal at once.  ``packed_batches`` gives their mismatch bits,
+packed, in batches of a bounded number of cells to both the exhaustive
+scan and tabulation.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
@@ -21,6 +23,8 @@ reach the sliding window.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, make_span
@@ -32,28 +36,56 @@ SCAN_CELLS = 1 << 20
 PACK_CELLS = 1 << 17
 
 
-def diagonals(n1: int, n2: int, lo: int = 0, hi: int | None = None):
-    """(st1, st2, length) int64 arrays for diagonals lo .. hi-1.
+def geometry(n1: int, n2: int, g: np.ndarray):
+    """(st1, st2, length) int64 arrays for the diagonals with indices g.
 
     st1 and st2 are the 1-based starts of the diagonal in s1 and s2.
     """
-    if hi is None:
-        hi = n1 + n2 - 1
-    a = np.arange(lo - (n1 - 1), hi - (n1 - 1), dtype=np.int64)
+    a = g - (n1 - 1)
     st1 = np.where(a < 0, 1 - a, 1)
     st2 = st1 + a
     length = np.minimum(n1 - st1, n2 - st2) + 1
     return st1, st2, length
 
 
-def batches(weights: np.ndarray, budget: int):
-    """Consecutive (lo, hi) ranges of items whose weights sum to at most
-    budget; an item heavier than the budget gets a range of its own."""
-    cum = np.cumsum(weights)
-    lo, count = 0, len(weights)
+def diagonals(n1: int, n2: int, lo: int = 0, hi: int | None = None):
+    """``geometry`` of diagonals lo .. hi-1, all of them by default."""
+    if hi is None:
+        hi = n1 + n2 - 1
+    return geometry(n1, n2, np.arange(lo, hi, dtype=np.int64))
+
+
+def _floor_sum(m: int, c: int, h: int) -> int:
+    """Sum of min(x, c) // h over x = 1 .. m."""
+    t = min(m, c)
+    u, v = divmod(t, h)
+    return h * u * (u - 1) // 2 + u * (v + 1) + (m - t) * (c // h)
+
+
+def pass_cells(n1: int, n2: int, h: int, g: int | None = None) -> int:
+    """Sum of length // h over diagonals 0 .. g-1 (all of them by default):
+    the cells a pass with stride h visits there, in closed form.
+
+    Diagonal g is min(g + 1, n2) long below n1 and min(n1, n1 + n2 - 1 - g)
+    long from n1 on.
+    """
+    if g is None:
+        g = n1 + n2 - 1
+    total = _floor_sum(min(g, n1), n2, h)
+    if g > n1:
+        total += _floor_sum(n2 - 1, n1, h) - _floor_sum(n1 + n2 - 1 - g, n1, h)
+    return total
+
+
+def batches(weight_before, count: int, budget: int):
+    """Consecutive (lo, hi) ranges of the items 0 .. count-1 whose weights
+    sum to at most budget; an item heavier than the budget gets a range of
+    its own.  ``weight_before(g)`` is the total weight of items 0 .. g-1."""
+    lo = 0
     while lo < count:
-        base = int(cum[lo - 1]) if lo else 0
-        hi = int(np.searchsorted(cum, base + budget, side="right"))
+        target = weight_before(lo) + budget
+        hi = bisect.bisect_right(range(count + 1), target, lo + 1,
+                                 key=weight_before) - 1
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
@@ -259,16 +291,16 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
     answer is exact whatever floor at most the optimum is given.
     O(n1 n2) time, O(budget + n1 + n2) memory.
     """
-    st1, st2, length = diagonals(text.n1, text.n2)
     best = MatchSpan(0, 1, 1)
     for batch, packed in packed_batches(text, k, budget):
+        st1, st2, length = geometry(text.n1, text.n2, batch)
         least = max(best.length, floor, 1)
-        found = _best_in_batch(packed, length[batch], k, least,
+        found = _best_in_batch(packed, length, k, least,
                                _kept_segments(packed, k, least))
         if found is not None:
             mx, row, t = found
-            i1 = st1[batch[row]] + t
-            i2 = st2[batch[row]] + t
+            i1 = st1[row] + t
+            i2 = st2[row] + t
             h = argmin_pair(i1, i2)
             best = better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
     return make_span(text, best.length, best.i1, best.i2)

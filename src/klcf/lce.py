@@ -9,14 +9,20 @@ make no LCE query (``lcf0`` alone, the diagonal scan, tabulation,
 neighborhood, strided with no pass) hold 12 bytes per symbol and never
 pay for a table.
 
-Construction is O(n log n) numpy.  Prefix doubling sorts one int64 key
-per round and keeps each round's ranks as int32; the last round's ranks
-are the inverse suffix array.  The LCP of every pair of adjacent
-suffixes then comes from descending those rounds at once, as in Manber
-and Myers (SIAM J. Comput. 1993): the pair agrees on 2^t more symbols
-wherever the round-t ranks at its current offsets are equal.  A sparse
-table over the LCP array answers every query with two rank lookups and
-one range-minimum probe.
+Construction is O(n log n) numpy.  The first q symbols of every suffix
+are packed into one int64 key (q = 16 on DNA, 8 on protein), and one
+sort of those keys groups the suffixes by their q-grams.  Each later
+round doubles the compared length and re-sorts only the suffixes whose
+groups are still tied (Larsson and Sadakane, TCS 2007), keeping its
+ranks as int32; the last round's ranks are the inverse suffix array.
+Two adjacent suffixes with different q-grams get their LCP from the xor
+of their keys.  A pair with equal q-grams descends the kept rounds, as
+in Manber and Myers (SIAM J. Comput. 1993), then finishes on the
+q-grams at its offsets.  On random DNA the build peaks at about 24 bytes
+per symbol, at the first sort, and keeps 12; on a unary text, which
+keeps about log2(n / q) rounds, it peaks near 85.  A sparse table over
+the LCP array answers every query with two rank lookups and one
+range-minimum probe.
 """
 
 from __future__ import annotations
@@ -26,56 +32,148 @@ import numpy as np
 from .core import Text
 from .diagonal import argmin_pair
 
-# Ranks are stored as int32, and each doubling round sorts the key
-# rank * (n + 1) + next + 1 < n^2 + 2n, exact in int64 for n < 2^31.
+# Ranks are stored as int32, and each refinement round sorts the key
+# rank * (n + 1) + next < n^2 + n, exact in int64 for n < 2^31.
 MAX_SYMBOLS = (1 << 31) - 1
+# The first sort packs q symbols of f bits each into one int64 key, with
+# q * f at most GRAM_BITS, so a key and the xor of two are exact float64s.
+GRAM_BITS = 52
+# keys packed, or adjacent pairs' LCPs computed, at a time, so that no
+# temporary of those steps spans the text
+CHUNK = 1 << 14
+
+
+def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(key, q, f): key[i] packs the q symbols from i, each shifted to
+    [1, 2^f) and f bits wide, the first in the high bits; 0 pads past the
+    end, and key[n] = 0.
+
+    f is the bit length of the largest shifted symbol and q the largest
+    power of two with q * f <= GRAM_BITS.  Symbols are shifted by their
+    minimum, or densified first when their range is at least n wide.
+    """
+    n = len(symbols)
+    key = np.zeros(n + 1, np.int64)
+    lo, hi = int(symbols.min()), int(symbols.max())
+    if hi - lo < n:
+        np.subtract(symbols, lo - 1, out=key[:n], dtype=np.int64)
+        top = hi - lo + 1
+    else:
+        alphabet, key[:n] = np.unique(symbols, return_inverse=True)
+        key[:n] += 1
+        top = len(alphabet)
+    f = top.bit_length()
+    q = 1 << (GRAM_BITS // f).bit_length() - 1
+    # doubling, in place: once every key is shifted left by w symbols,
+    # key[i + w] >> w f is the old key[i + w], and fills key[i]'s low bits;
+    # ascending chunks read each such key before its own fill
+    w = 1
+    while w < q:
+        key <<= w * f
+        for a in range(0, n + 1 - w, CHUNK):
+            b = min(a + CHUNK, n + 1 - w)
+            key[a:b] |= key[a + w:b + w] >> w * f
+        w *= 2
+    return key, q, f
+
+
+def _gram_lcp(key: np.ndarray, p: np.ndarray, r: np.ndarray, q: int,
+              f: int) -> np.ndarray:
+    """LCP of the packed q-grams at positions p and r, q where they are
+    equal: the xor's leading set bit falls in the first differing symbol's
+    f-bit field, and np.frexp gives its bit length exactly."""
+    return (q * f - np.frexp(key[p] ^ key[r])[1]) // f
 
 
 def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                     np.ndarray]:
     """Suffix array, LCP array (lcp[i] = LCP of the suffixes at sa[i-1]
-    and sa[i], lcp[0] = 0) and ranks (rank[sa[i]] = i), all int32, by
-    prefix doubling.
+    and sa[i], lcp[0] = 0) and ranks (rank[sa[i]] = i), all int32.
 
-    ``rounds[t][i]`` ranks the suffix at i by its first 2^t symbols (equal
-    ranks mean equal prefixes of that length); ``rounds[t][n]`` is -1, so
-    an offset that runs off the end never matches.
+    One sort of the packed q-grams (``_gram_keys``) groups the suffixes by
+    their first q symbols.  A suffix's rank is the SA index of its group's
+    first suffix, so ranks keep the order and become the inverse suffix
+    array once every group is a singleton.  From h = q, each round sorts
+    only the suffixes of groups still tied, by (rank[i], rank[i + h]),
+    and doubles h (Larsson and Sadakane, TCS 2007).  ``rounds[t][i]``
+    ranks the suffix at i by its first q * 2^t symbols; ``rounds[t][n]``
+    is -1, so an offset that runs off the end never matches.
+
+    Adjacent suffixes of two groups differ within their q-grams, so their
+    LCP comes from the xor of the keys after the first sort.  A pair in
+    one group descends the kept rounds as in Manber and Myers (SIAM J.
+    Comput. 1993), by q * 2^t symbols wherever its round-t ranks are
+    equal, and finishes on the q-grams at its offsets.
     """
     n = len(symbols)
     if n > MAX_SYMBOLS:
         raise ValueError(f"LCE index supports at most {MAX_SYMBOLS} symbols, got {n}")
     if n == 0:
         return (np.empty(0, np.int32),) * 3
+    key, q, f = _gram_keys(symbols)
+    sa = np.argsort(key[:n]).astype(np.int32)
+    lcp = np.empty(n, np.int32)
+    lcp[0] = 0
+    for a in range(1, n, CHUNK):
+        b = min(a + CHUNK, n)
+        lcp[a:b] = _gram_lcp(key, sa[a - 1:b - 1], sa[a:b], q, f)
+    del key  # rebuilt for the last step, once the rounds are done
+    # tied[i]: sa[i] has the q-gram of sa[i-1]
+    tied = lcp == q
+    start = np.arange(n, dtype=np.int32)
+    start[tied] = 0
+    np.maximum.accumulate(start, out=start)
     rank = np.empty(n + 1, np.int32)
-    rank[:n] = np.unique(symbols, return_inverse=True)[1]
     rank[n] = -1
-    rounds = []
-    h = 1
-    while True:
+    rank[sa] = start
+    tied[:-1] |= tied[1:]  # now: sa[i] shares its group
+    # the tied suffixes' SA indices, group starts and positions; positions
+    # are int64, which numpy indexes with no conversion
+    pos = np.flatnonzero(tied).astype(np.int32)
+    del tied
+    grp = start[pos]
+    del start
+    sub = sa[pos].astype(np.int64)
+    rounds = [rank]
+    h = q
+    while len(pos):
+        # a settled suffix may be shorter than h; clipping reads rank[n]
+        ranked = np.multiply(grp, n + 1, dtype=np.int64)
+        ranked += np.take(rank[h:], sub, mode="clip")
+        order = np.argsort(ranked)
+        ranked = ranked[order]
+        sub = sub[order]
+        del order
+        new = np.empty(len(pos), bool)
+        new[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        del ranked
+        grp = np.where(new, pos, 0)
+        np.maximum.accumulate(grp, out=grp)
+        rank = rank.copy()
+        rank[sub] = grp
         rounds.append(rank)
-        key = rank[:n].astype(np.int64)
-        key *= n + 1
-        if h < n:
-            key[:n - h] += rank[h:n]
-            key[:n - h] += 1
-        sa = np.argsort(key)
-        key = key[sa]
-        rank = np.empty(n + 1, np.int32)
-        rank[n] = -1
-        sorted_rank = np.zeros(n, np.int32)
-        np.cumsum(key[1:] != key[:-1], out=sorted_rank[1:])
-        rank[sa] = sorted_rank
-        if sorted_rank[-1] == n - 1:  # every suffix has its own rank
-            break
         h *= 2
-    del key, sorted_rank
-    sa = sa.astype(np.int32)
-    # each adjacent pair differs within its first 2^len(rounds) symbols
-    lcp = np.zeros(n, np.int32)
-    p, q, ext = sa[:-1], sa[1:], lcp[1:]
-    for t in range(len(rounds) - 1, -1, -1):
-        ranks = rounds.pop()
-        ext += (ranks[p + ext] == ranks[q + ext]).astype(np.int32) << t
+        new[:-1] &= new[1:]  # now: a group of its own, settled
+        # settled suffixes leave once they are a sixteenth of those sorted;
+        # until then they sort alone in their groups, which costs less than
+        # compacting every round on texts that settle a few at a time
+        if 16 * np.count_nonzero(new) >= len(pos):
+            sa[pos[new]] = sub[new]
+            np.logical_not(new, out=new)
+            pos, grp, sub = pos[new], grp[new], sub[new]
+    # pairs in one q-gram group: LCP >= q, left at q above
+    key = _gram_keys(symbols)[0]
+    for a in range(1, n, CHUNK):
+        i = a + np.flatnonzero(lcp[a:a + CHUNK] == q)
+        if len(i) == 0:
+            continue
+        p, r = sa[i - 1].astype(np.int64), sa[i].astype(np.int64)
+        ext = np.zeros(len(i), np.int32)
+        for t in range(len(rounds) - 2, -1, -1):
+            ranks = rounds[t]
+            ext += (ranks[p + ext] == ranks[r + ext]) * np.int32(q << t)
+        lcp[i] = ext + _gram_lcp(key, p + ext, r + ext, q, f)
     return sa, lcp, rank[:n]
 
 

@@ -12,11 +12,13 @@ to that scan as soon as the passes would outspend it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, make_span, trivial_span
-from .diagonal import argmin_pair, batches, diagonals, klcf_diagonal_scan
+from .diagonal import (argmin_pair, batches, diagonals, klcf_diagonal_scan,
+                       pass_cells)
 from .lce import LceIndex, lcf0
 
 # visited cells expanded per batch of a pass
@@ -147,7 +149,7 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
     if min(n1, n2) == 0:
         return MatchSpan(0, 1, 1, ())
     best = MatchSpan(0, 1, 1)
-    for lo, hi in batches(diagonals(n1, n2)[2] // h, PASS_CELLS):
+    for lo, hi in batches(partial(pass_cells, n1, n2, h), n1 + n2 - 1, PASS_CELLS):
         i1s, i2s = _pass_cells(n1, n2, h, lo, hi)
         if stats is not None:
             stats.cells_visited += len(i1s)
@@ -195,12 +197,11 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
     # n2)) without being the smallest witness, so a pass or the scan runs
     h = min((k + 1) * ell0 + k, n1, n2)
-    lengths = diagonals(n1, n2)[2]
     # the seed's diagonal holds a window of ell0 + k cells, if it is that long
     seed = min(ell0 + k, min(w1, w2) + min(n1 - w1, n2 - w2))
     spent = 0
     while True:
-        cost = (k + 1) * SCAN_CELLS_PER_EXTENSION * int((lengths // h).sum())
+        cost = (k + 1) * SCAN_CELLS_PER_EXTENSION * pass_cells(n1, n2, h)
         if spent + cost >= n1 * n2:
             stats.scan_cells += n1 * n2
             floor = max(best.length, seed)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (MatchSpan, ResourceLimitError, Text, better_span,
                    make_span)
-from .diagonal import SCAN_CELLS, argmin_pair, diagonals, packed_batches
+from .diagonal import SCAN_CELLS, argmin_pair, geometry, packed_batches
 
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
@@ -170,7 +170,14 @@ def build_l1(b: int) -> LutL1:
 
 
 def build_l2(b: int, max_table_bytes: int = L2_TABLE_BYTE_LIMIT) -> LutL2:
-    """Complete L2 table for all block pairs and budgets k' in [0, 2b]."""
+    """Complete L2 table for all block pairs and budgets k' in [0, 2b].
+
+    A window straddling the two blocks is a suffix of the first and a
+    prefix of the second, so the best one with at most k' set bits is the
+    longest suffix with at most a of them plus the longest prefix with at
+    most k' - a, over every split a; among the longest, the one with the
+    longest suffix has the smallest start.
+    """
     _check_block_bits(b)
     nv = 1 << b
     out_bytes = (2 * b + 1) * nv * nv * 3
@@ -178,30 +185,29 @@ def build_l2(b: int, max_table_bytes: int = L2_TABLE_BYTE_LIMIT) -> LutL2:
         raise ResourceLimitError(
             f"L2 table for b={b} needs {out_bytes} bytes (limit {max_table_bytes})")
     pc = _popcount_table(b)
-    v1 = np.repeat(np.arange(nv, dtype=np.int64), nv)
-    v2 = np.tile(np.arange(nv, dtype=np.int64), nv)
-    wins = []
-    for ln in range(2 * b, 0, -1):
-        for i in range(max(1, b - ln + 1), min(b + 1, 2 * b - ln + 1) + 1):
-            wins.append((i, i + ln - 1))
-    wins.append((b + 1, b))  # empty window
-    full = (1 << b) - 1
-    pw = np.empty((nv * nv, len(wins)), dtype=np.int16)
-    for t, (i, j) in enumerate(wins):
-        m1 = (full ^ ((1 << (i - 1)) - 1)) if i <= b else 0
-        m2 = (1 << (j - b)) - 1
-        pw[:, t] = pc[v1 & m1] + pc[v2 & m2]
-    wi = np.array([w[0] for w in wins], dtype=np.uint8)
-    wj = np.array([w[1] for w in wins], dtype=np.uint8)
+    vals = np.arange(nv, dtype=np.int64)
+    lens = np.arange(b + 1)
+    # set bits in the suffix (of the first block) and in the prefix (of the
+    # second) of each length, [length, value]
+    suf = pc[vals >> (b - lens[:, None])]
+    pre = pc[vals & ((1 << lens[:, None]) - 1)]
+    # longest suffix and prefix with at most a set bits, [a, value]
+    suf_len = (suf[None, 1:] <= lens[:, None, None]).sum(axis=1)
+    pre_len = (pre[None, 1:] <= lens[:, None, None]).sum(axis=1)
     start = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
     end = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
     ones = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
-    rows = np.arange(nv * nv)
     for kp in range(2 * b + 1):
-        sel = np.argmax(pw <= kp, axis=1)
-        start[kp] = wi[sel].reshape(nv, nv)
-        end[kp] = wj[sel].reshape(nv, nv)
-        ones[kp] = pw[rows, sel].astype(np.uint8).reshape(nv, nv)
+        # (length, suffix length) as one number, maximised over the splits
+        best = np.zeros((nv, nv), np.int64)
+        for a in range(max(0, kp - b), min(kp, b) + 1):
+            s = suf_len[a][:, None]
+            np.maximum(best, (s + pre_len[kp - a][None, :]) * (b + 1) + s,
+                       out=best)
+        s, total = best % (b + 1), best // (b + 1)
+        start[kp] = b + 1 - s
+        end[kp] = b + total - s
+        ones[kp] = suf[s, vals[:, None]] + pre[total - s, vals[None, :]]
     return LutL2(b, start, end, ones)
 
 
@@ -373,14 +379,13 @@ def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
     ``budget`` cells a batch."""
     l1 = _cached_l1(b)
     l2 = _cached_l2(b)
-    st1, st2, length = diagonals(text.n1, text.n2)
     best = MatchSpan(0, 1, 1)
     for batch, packed in packed_batches(text, k, budget):
-        blocks, m, boff = _row_blocks(packed, length[batch], b)
+        st1, st2, length = geometry(text.n1, text.n2, batch)
+        blocks, m, boff = _row_blocks(packed, length, b)
         if stats is not None:
             stats.word_ops += packed.size
-        res = _scan_flat(blocks, m, boff, length[batch], st1[batch], st2[batch],
-                         b, k, l1, l2, stats)
+        res = _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2, stats)
         if res is not None:
             best = better_span(best, MatchSpan(*res))
     return make_span(text, best.length, best.i1, best.i2)

@@ -2,9 +2,10 @@
 
 Builds the forward index, runs lcf0, then sends 1,000 forward and 1,000
 backward queries (scalar and batched, so the backward index is built too)
-and checks each against a direct scan of the concatenation.  Exits 1 on a
-wrong answer, or when the process's peak resident memory (VmHWM) exceeds
-the limit.
+and checks each against a direct scan of the concatenation.  Prints the
+forward build's own time and tracemalloc peak apart from lcf0 and the
+queries.  Exits 1 on a wrong answer, or when the process's peak resident
+memory (VmHWM) exceeds the limit.
 
     PYTHONPATH=src python tests/lce_scale_check.py
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -50,8 +52,12 @@ def scan_forward(s: np.ndarray, p: int, q: int) -> int:
 def main() -> int:
     rng = np.random.default_rng(1)
     text = Text.from_symbols(rng.integers(0, 4, SIDE), rng.integers(0, 4, SIDE))
+    tracemalloc.start()
     t0 = time.perf_counter()
     idx = build_lce(text)
+    t_build = time.perf_counter()
+    build_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     ell0, i1, i2 = lcf0(idx)
     t1 = time.perf_counter()
     s = np.asarray(text.concat)
@@ -71,9 +77,11 @@ def main() -> int:
     witness_ok = ell0 > 0 and np.array_equal(text.s1[i1 - 1:i1 - 1 + ell0],
                                              text.s2[i2 - 1:i2 - 1 + ell0])
     peak = peak_rss_mb()
-    print(f"symbols={size} build+lcf0_s={t1 - t0:.2f} queries_s={t2 - t1:.2f} "
-          f"ell0={ell0} wrong={wrong} peak_rss_mb={peak:.0f} "
-          f"limit_mb={LIMIT_MB}")
+    print(f"symbols={size} build_s={t_build - t0:.2f} "
+          f"build_peak_mb={build_peak / 2**20:.0f} "
+          f"({build_peak / size:.1f} B/symbol) lcf0_s={t1 - t_build:.2f} "
+          f"queries_s={t2 - t1:.2f} ell0={ell0} wrong={wrong} "
+          f"peak_rss_mb={peak:.0f} limit_mb={LIMIT_MB}")
     if wrong or not witness_ok:
         print("error: LCE answers disagree with direct scans", file=sys.stderr)
         return 1

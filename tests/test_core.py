@@ -20,6 +20,18 @@ def test_text_densification_and_concat():
     assert t.concat[-1] == t.sigma + 1
 
 
+@pytest.mark.parametrize("s1, s2", [
+    (b"", b""), (b"ACGT", b""), (b"", b"zyx"), (b"GATTACA", b"TACGAT"),
+    (bytes(range(256)), b"\x00\xff\x80"), (b"aaaa", b"aaaa")])
+def test_byte_inputs_densify_as_integer_lists(s1, s2):
+    fast = Text.from_symbols(s1, s2)
+    plain = Text.from_symbols(list(s1), list(s2))
+    assert fast.sigma == plain.sigma
+    for name in ("s1", "s2", "alphabet", "concat"):
+        got, want = getattr(fast, name), getattr(plain, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+
 def test_text_empty_sides():
     t = Text.from_symbols([], [])
     assert t.n1 == t.n2 == 0 and t.sigma == 0

@@ -6,7 +6,8 @@ import pytest
 
 from klcf import diagonal
 from klcf.core import MatchSpan, Text, generate_instance, klcf_oracle
-from klcf.diagonal import argmin_pair, batches, diagonals, klcf_diagonal_scan
+from klcf.diagonal import (argmin_pair, batches, diagonals, geometry,
+                           klcf_diagonal_scan, pass_cells)
 from klcf.lce import build_lce
 from klcf.strided import ScanStats, klcf_strided
 
@@ -43,11 +44,30 @@ def test_diagonals_geometry():
                 assert sliced.tolist() == full[lo:lo + 2].tolist()
 
 
+def test_geometry_of_any_diagonals(rng):
+    for _ in range(50):
+        n1, n2 = rng.randrange(1, 30), rng.randrange(1, 30)
+        full = diagonals(n1, n2)
+        g = np.array([rng.randrange(n1 + n2 - 1) for _ in range(rng.randrange(1, 9))])
+        for got, want in zip(geometry(n1, n2, g), full):
+            assert got.tolist() == want[g].tolist()
+
+
+def test_pass_cells_sum_length_over_stride(rng):
+    for _ in range(300):
+        n1, n2, h = rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(1, 50)
+        counts = diagonals(n1, n2)[2] // h
+        for g in range(n1 + n2):
+            assert pass_cells(n1, n2, h, g) == int(counts[:g].sum()), (n1, n2, h, g)
+        assert pass_cells(n1, n2, h) == int(counts.sum())
+
+
 def test_batches_respect_the_budget(rng):
     for _ in range(200):
         w = np.array([rng.randrange(0, 9) for _ in range(rng.randrange(1, 40))])
         budget = rng.randrange(1, 20)
-        got = list(batches(w, budget))
+        before = np.concatenate([[0], np.cumsum(w)])
+        got = list(batches(lambda g: int(before[g]), len(w), budget))
         assert got[0][0] == 0 and got[-1][1] == len(w)
         for (lo, hi), (nlo, _) in zip(got, got[1:] + [(len(w), None)]):
             assert lo < hi == nlo

@@ -1,13 +1,15 @@
-"""Suffix array and LCP array by prefix doubling, and the backward index
-that only a backward query builds."""
+"""Suffix array and LCP array from a packed q-gram sort refined on tied
+groups, and the backward index that only a backward query builds."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from klcf import cli
+from klcf import cli, lce
 from klcf.cli import RunConfig, run
 from klcf.core import Text
-from klcf.lce import MAX_SYMBOLS, SuffixIndex, build_lce
+from klcf.lce import MAX_SYMBOLS, SuffixIndex, _gram_keys, build_lce
 from klcf.strided import ScanStats, klcf_strided, scan_pass
 
 
@@ -78,6 +80,66 @@ def test_random_dna_concatenation_is_sorted_with_exact_lcp():
         live = ext > t
         assert (padded[p[live] + t] == padded[q[live] + t]).all()
     assert (padded[p + ext] < padded[q + ext]).all()
+
+
+def _gram_cases(sigma, lengths, rng):
+    """Random and period-3 sequences over [0, sigma) holding 0 and
+    sigma - 1, so that the first sort packs the q their width allows."""
+    for n in lengths:
+        for seq in (rng.integers(0, sigma, n), np.resize(rng.integers(0, sigma, 3), n)):
+            seq = seq.tolist()
+            seq[0], seq[-1] = 0, sigma - 1
+            yield seq
+
+
+def _around(q, base=0):
+    return [base + n for n in (q - 1, q, q + 1, 2 * q - 1, 2 * q + 1) if base + n >= 2]
+
+
+@pytest.mark.parametrize("sigma, q", [(1, 32), (2, 16), (4, 16), (20, 8), (200, 4)])
+def test_first_sort_at_every_alphabet_width(sigma, q):
+    # at least sigma symbols long, so the alphabet is shifted, not densified
+    rng = np.random.default_rng(sigma)
+    for seq in _gram_cases(sigma, _around(q, sigma), rng):
+        assert _gram_keys(np.array(seq, dtype=np.int64))[1] == q
+        _check(seq)
+
+
+@pytest.mark.parametrize("q", [16, 8, 4, 2, 1])
+def test_first_sort_at_lengths_around_q(monkeypatch, q):
+    # two symbols take 2 bits each, so a budget of 2q bits packs q of them
+    monkeypatch.setattr(lce, "GRAM_BITS", 2 * q)
+    rng = np.random.default_rng(q)
+    for seq in _gram_cases(2, _around(q), rng):
+        assert _gram_keys(np.array(seq, dtype=np.int64))[1] == q
+        _check(seq)
+    _check([1] * (4 * q + 3))
+
+
+@pytest.mark.parametrize("n", [7, 15, 16, 17, 33, 64])
+def test_sparse_alphabet_is_densified_first(n):
+    # a value range at least n wide is replaced by the values' ranks
+    rng = np.random.default_rng(n)
+    values = rng.choice(10 ** 9, 5, replace=False) - 10 ** 8
+    _check(values[rng.integers(0, 5, n)].tolist())
+    _check(values[np.resize([0, 1, 1], n)].tolist())
+
+
+def test_forward_build_peak_on_random_dna():
+    # the packed key, argsort's int64 output and the int32 suffix array
+    # at the first sort; prefix doubling peaked near 49 bytes per symbol
+    rng = np.random.default_rng(19)
+    half = 1 << 16
+    text = Text.from_symbols(rng.integers(0, 4, half), rng.integers(0, 4, half))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        idx = build_lce(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert idx.fwd.table is None
+    assert peak <= 32 * idx.n, peak / idx.n
 
 
 def test_refuses_more_symbols_than_int32_ranks_hold():

@@ -114,6 +114,17 @@ def test_l2_exhaustive_small():
                     assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp)
 
 
+def test_l2_sampled_at_the_default_block_width():
+    l2 = build_l2(8)
+    rng = random.Random(8)
+    for _ in range(400):
+        v1, v2, kp = rng.randrange(256), rng.randrange(256), rng.randrange(17)
+        assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
+    for v1, v2 in ((0, 0), (255, 255), (1, 128), (128, 1)):
+        for kp in range(17):
+            assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
+
+
 def test_lut_guards():
     with pytest.raises(ResourceLimitError):
         build_l1(0)
