@@ -39,7 +39,6 @@ class RunConfig:
     input_format: str = "plain"
     block_bits: int = DEFAULT_BLOCK_BITS
     mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS
-    seed: int = 0
     output_format: str = "text"
 
 
@@ -111,8 +110,6 @@ def format_result(span: MatchSpan, ell0: int, algo: str, time_ms: float,
     }
     if fmt == "json":
         return json.dumps(payload)
-    if fmt == "tsv":
-        return "\t".join(str(v) for v in payload.values())
     return (f"length={span.length} pos1={span.i1} pos2={span.i2} "
             f"mismatches={list(span.mismatches)} ell0={ell0} algo={algo} "
             f"time_ms={payload['time_ms']}")

@@ -1,13 +1,13 @@
-"""Diagonal geometry, batching, and the exhaustive chunked diagonal scan.
+"""Diagonal geometry and the exhaustive chunked diagonal scan.
 
 Diagonal g (0-based) of the n1 x n2 alignment matrix pairs s1 and s2 at
 alignment a = i2 - i1 = g - (n1 - 1), so g runs over n1 + n2 - 1 values
-from the bottom-left corner to the top-right one.  Every scanner in the
-package walks diagonals in that order, a batch at a time, and builds the
-batch's starts and lengths with ``geometry``; no scanner holds them for
-every diagonal at once.  ``packed_batches`` gives their mismatch bits,
-packed, in batches of a bounded number of cells to both the exhaustive
-scan and tabulation.
+from the bottom-left corner to the top-right one.  The exhaustive scan and
+tabulation walk diagonals in that order, a batch at a time, and build the
+batch's starts and lengths with ``geometry``; neither holds them for every
+diagonal at once.  ``packed_batches`` gives both of them the packed
+mismatch bits of each batch, a bounded number of cells at a time.  Strided
+passes walk no diagonals: ``strided`` owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
@@ -22,8 +22,6 @@ reach the sliding window.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -53,42 +51,6 @@ def diagonals(n1: int, n2: int, lo: int = 0, hi: int | None = None):
     if hi is None:
         hi = n1 + n2 - 1
     return geometry(n1, n2, np.arange(lo, hi, dtype=np.int64))
-
-
-def _floor_sum(m: int, c: int, h: int) -> int:
-    """Sum of min(x, c) // h over x = 1 .. m."""
-    t = min(m, c)
-    u, v = divmod(t, h)
-    return h * u * (u - 1) // 2 + u * (v + 1) + (m - t) * (c // h)
-
-
-def pass_cells(n1: int, n2: int, h: int, g: int | None = None) -> int:
-    """Sum of length // h over diagonals 0 .. g-1 (all of them by default):
-    the cells a pass with stride h visits there, in closed form.
-
-    Diagonal g is min(g + 1, n2) long below n1 and min(n1, n1 + n2 - 1 - g)
-    long from n1 on.
-    """
-    if g is None:
-        g = n1 + n2 - 1
-    total = _floor_sum(min(g, n1), n2, h)
-    if g > n1:
-        total += _floor_sum(n2 - 1, n1, h) - _floor_sum(n1 + n2 - 1 - g, n1, h)
-    return total
-
-
-def batches(weight_before, count: int, budget: int):
-    """Consecutive (lo, hi) ranges of the items 0 .. count-1 whose weights
-    sum to at most budget; an item heavier than the budget gets a range of
-    its own.  ``weight_before(g)`` is the total weight of items 0 .. g-1."""
-    lo = 0
-    while lo < count:
-        target = weight_before(lo) + budget
-        hi = bisect.bisect_right(range(count + 1), target, lo + 1,
-                                 key=weight_before) - 1
-        hi = max(hi, lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def argmin_pair(a: np.ndarray, b: np.ndarray) -> int:

@@ -2,26 +2,25 @@
 
 Each visited cell is expanded into the longest window through it holding at
 most k mismatches, via O(k) extension queries forward and backward along
-the diagonal.  A pass with stride h cannot miss a match of length >= h, so
-halving the stride until the best found length reaches it yields the exact
-optimum in O(n^2 k / l_k) extension queries.  When l_k is small the last
-passes cost more than one exhaustive diagonal scan, so the solver switches
-to that scan as soon as the passes would outspend it.
+the diagonal.  A pass with stride h visits every h-th cell of each
+diagonal, so it cannot miss a match of length >= h, and halving the stride
+until the best found length reaches it yields the exact optimum in
+O(n^2 k / l_k) extension queries.  When l_k is small the last passes cost
+more than one exhaustive diagonal scan, so the solver switches to that
+scan as soon as the passes would outspend it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, make_span, trivial_span
-from .diagonal import (argmin_pair, batches, diagonals, klcf_diagonal_scan,
-                       pass_cells)
+from .diagonal import argmin_pair, klcf_diagonal_scan
 from .lce import LceIndex, lcf0
 
-# visited cells expanded per batch of a pass
+# visited cells expanded per chunk of a pass
 PASS_CELLS = 1 << 16
 # R: cost of one extension of a pass cell (a forward and a backward batched
 # LCE query) in cells of the exhaustive scan.  Measured on a 2-core Xeon
@@ -58,21 +57,33 @@ def longest_through_cell(text: Text, lce: LceIndex, i1: int, i2: int, k: int) ->
     return make_span(text, int(length[0]), i1 - back, i2 - back)
 
 
-def _pass_cells(n1: int, n2: int, h: int, lo: int = 0,
-                hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Visited cells of one pass on diagonals lo .. hi-1: the h-th, 2h-th,
-    ... cell of every diagonal."""
-    st1, st2, length = diagonals(n1, n2, lo, hi)
-    counts = length // h
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    diag = np.repeat(np.arange(len(counts)), counts)
-    base = np.zeros(len(counts), np.int64)
-    base[1:] = np.cumsum(counts)[:-1]
-    t = np.arange(total, dtype=np.int64) - base[diag]
-    off = t * h + (h - 1)  # 0-based offset of the (t+1)-th visited cell
-    return st1[diag] + off, st2[diag] + off
+def pass_cells(n1: int, n2: int, h: int) -> int:
+    """Cells a pass with stride h visits: n1 + n2 + 1 - 2m for each of the
+    M = min(n1, n2) // h multiples m of h, in closed form."""
+    M = min(n1, n2) // h
+    return M * (n1 + n2 + 1) - h * M * (M + 1)
+
+
+def _pass_cells(n1: int, n2: int, h: int, budget: int = PASS_CELLS):
+    """Visited cells of one pass, as (i1s, i2s) chunks of at most budget.
+
+    The h-th, 2h-th, ... cell of a diagonal is where min(i1, i2) reaches a
+    multiple m of h, so the pass visits one L-shape per m: row m from
+    column m on, (m, m .. n2), then column m below row m, (m+1 .. n1, m).
+    The chunks walk them in order of m.
+    """
+    m = np.arange(h, min(n1, n2) + 1, h, dtype=np.int64)
+    size = n1 + n2 + 1 - 2 * m
+    end = np.cumsum(size)
+    total = pass_cells(n1, n2, h)
+    for lo in range(0, total, budget):
+        pos = np.arange(lo, min(lo + budget, total), dtype=np.int64)
+        j = np.searchsorted(end, pos, side="right")
+        mj = m[j]
+        off = pos - (end[j] - size[j])  # offset along the L of mj
+        in_row = off <= n2 - mj
+        yield (np.where(in_row, mj, off + 2 * mj - n2),
+               np.where(in_row, mj + off, mj))
 
 
 def _longest(lens: np.ndarray, back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,20 +152,14 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
 
     If h <= l_k the optimum window covers at least one visited cell, so the
     pass returns a span of the optimum length.  Cells are expanded in
-    batches of diagonals holding at most PASS_CELLS visited cells.
+    chunks of at most PASS_CELLS from ``_pass_cells``.
     """
     if h < 1:
         raise ValueError("stride must be >= 1")
-    n1, n2 = text.n1, text.n2
-    if min(n1, n2) == 0:
-        return MatchSpan(0, 1, 1, ())
     best = MatchSpan(0, 1, 1)
-    for lo, hi in batches(partial(pass_cells, n1, n2, h), n1 + n2 - 1, PASS_CELLS):
-        i1s, i2s = _pass_cells(n1, n2, h, lo, hi)
+    for i1s, i2s in _pass_cells(text.n1, text.n2, h, PASS_CELLS):
         if stats is not None:
             stats.cells_visited += len(i1s)
-        if len(i1s) == 0:
-            continue
         length, back = _batch_longest(text, lce, i1s, i2s, k)
         mx = int(length.max())
         if mx <= 0 or mx < best.length:

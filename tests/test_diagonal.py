@@ -6,10 +6,9 @@ import pytest
 
 from klcf import diagonal
 from klcf.core import MatchSpan, Text, generate_instance, klcf_oracle
-from klcf.diagonal import (argmin_pair, batches, diagonals, geometry,
-                           klcf_diagonal_scan, pass_cells)
+from klcf.diagonal import argmin_pair, diagonals, geometry, klcf_diagonal_scan
 from klcf.lce import build_lce
-from klcf.strided import ScanStats, klcf_strided
+from klcf.strided import ScanStats, _pass_cells, klcf_strided, pass_cells
 
 from conftest import brute_klcf, random_text
 
@@ -57,21 +56,21 @@ def test_pass_cells_sum_length_over_stride(rng):
     for _ in range(300):
         n1, n2, h = rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(1, 50)
         counts = diagonals(n1, n2)[2] // h
-        for g in range(n1 + n2):
-            assert pass_cells(n1, n2, h, g) == int(counts[:g].sum()), (n1, n2, h, g)
-        assert pass_cells(n1, n2, h) == int(counts.sum())
+        assert pass_cells(n1, n2, h) == int(counts.sum()), (n1, n2, h)
 
 
-def test_batches_respect_the_budget(rng):
+@pytest.mark.parametrize("budget", [1, 3, 7])
+def test_pass_chunks_cover_the_multiples_of_the_stride(rng, budget):
     for _ in range(200):
-        w = np.array([rng.randrange(0, 9) for _ in range(rng.randrange(1, 40))])
-        budget = rng.randrange(1, 20)
-        before = np.concatenate([[0], np.cumsum(w)])
-        got = list(batches(lambda g: int(before[g]), len(w), budget))
-        assert got[0][0] == 0 and got[-1][1] == len(w)
-        for (lo, hi), (nlo, _) in zip(got, got[1:] + [(len(w), None)]):
-            assert lo < hi == nlo
-            assert w[lo:hi].sum() <= budget or hi == lo + 1
+        n1, n2, h = rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(1, 45)
+        chunks = list(_pass_cells(n1, n2, h, budget))
+        assert all(len(i1s) == len(i2s) <= budget for i1s, i2s in chunks)
+        got = [cell for i1s, i2s in chunks
+               for cell in zip(i1s.tolist(), i2s.tolist())]
+        want = {(i1, i2) for i1 in range(1, n1 + 1) for i2 in range(1, n2 + 1)
+                if min(i1, i2) % h == 0}
+        assert len(got) == len(set(got)) == pass_cells(n1, n2, h)
+        assert set(got) == want, (n1, n2, h)
 
 
 def test_argmin_pair_is_lexicographic_past_any_key_width(rng):

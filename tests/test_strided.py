@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
+from klcf import strided
 from klcf.core import Text, klcf_oracle, verify_match
+from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce
 from klcf.strided import (ScanStats, klcf_strided, longest_through_cell,
                           scan_pass, _batch_longest, _pass_cells)
@@ -78,7 +81,8 @@ def test_batch_matches_scalar(rng):
                         rng.choice([2, 4]))
         lce = build_lce(t)
         k = rng.randrange(0, 4)
-        i1s, i2s = _pass_cells(t.n1, t.n2, 1)
+        i1s, i2s = next(_pass_cells(t.n1, t.n2, 1))  # one chunk: every cell
+        assert len(i1s) == t.n1 * t.n2
         length, back = _batch_longest(t, lce, i1s, i2s, k)
         for idx in range(len(i1s)):
             span = longest_through_cell(t, lce, int(i1s[idx]), int(i2s[idx]), k)
@@ -89,12 +93,11 @@ def test_batch_matches_scalar(rng):
 
 def test_pass_cells_anchoring():
     # stride 4 must still visit the 4th cell of a length-4 diagonal
-    i1s, i2s = _pass_cells(4, 4, 4)
-    cells = set(zip(i1s.tolist(), i2s.tolist()))
-    assert (4, 4) in cells
+    cells = {cell for i1s, i2s in _pass_cells(4, 4, 4)
+             for cell in zip(i1s.tolist(), i2s.tolist())}
+    assert cells == {(4, 4)}
     # stride beyond every diagonal visits nothing
-    i1s, _ = _pass_cells(4, 4, 5)
-    assert len(i1s) == 0
+    assert list(_pass_cells(4, 4, 5)) == []
 
 
 def test_scan_pass_examples():
@@ -112,13 +115,30 @@ def test_scan_pass_never_misses_at_small_stride(rng):
                         rng.choice([2, 4]))
         lce = build_lce(t)
         k = rng.randrange(0, 3)
-        ellk = klcf_oracle(t, k).length
-        if ellk == 0:
+        want = klcf_oracle(t, k)
+        if want.length == 0:
             continue
-        for h in (1, max(1, ellk // 2), ellk):
-            span = scan_pass(t, lce, k, h)
-            assert span.length == ellk
-            assert verify_match(t, span, k)
+        for h in (1, max(1, want.length // 2), want.length):
+            assert scan_pass(t, lce, k, h) == want, (t.s1, t.s2, k, h)
+
+
+def test_passes_across_chunk_boundaries(rng, monkeypatch):
+    # five cells a chunk: the L-shapes of one pass, and the ties between
+    # witnesses, straddle many chunks
+    monkeypatch.setattr(strided, "PASS_CELLS", 5)
+    for _ in range(60):
+        t = random_text(rng, rng.randrange(1, 30), rng.randrange(1, 30),
+                        rng.choice([2, 4]))
+        lce = build_lce(t)
+        k = rng.randrange(0, 4)
+        want = klcf_oracle(t, k)
+        for h in {1, max(1, want.length // 2), max(1, want.length)}:
+            stats = ScanStats()
+            span = scan_pass(t, lce, k, h, stats)
+            assert stats.cells_visited == strided.pass_cells(t.n1, t.n2, h)
+            if h <= want.length:
+                assert span == want, (t.s1, t.s2, k, h)
+        assert klcf_strided(t, lce, k) == want
 
 
 def test_scan_pass_rejects_bad_stride():
@@ -143,9 +163,7 @@ def test_klcf_strided_equals_oracle(rng):
         t = random_text(rng, rng.randrange(0, 60), rng.randrange(0, 60),
                         rng.choice([1, 2, 4, 20, 128]))
         k = rng.randrange(0, 9)
-        span = klcf_strided(t, build_lce(t), k)
-        assert span.length == klcf_oracle(t, k).length
-        assert verify_match(t, span, k)
+        assert klcf_strided(t, build_lce(t), k) == klcf_oracle(t, k), (t.s1, t.s2, k)
 
 
 def test_klcf_strided_medium_instance():
@@ -153,6 +171,21 @@ def test_klcf_strided_medium_instance():
     t = random_text(rng, 128, 128, 2)
     span = klcf_strided(t, build_lce(t), 4)
     assert span.length == klcf_oracle(t, 4).length
+
+
+def test_passes_alone_solve_a_similar_pair():
+    # s2 is s1 with 1 % point mutations: the first passes find a window as
+    # long as their stride, so no exhaustive scan runs
+    r = np.random.default_rng(2)
+    s1 = r.integers(0, 4, 4096)
+    s2 = s1.copy()
+    idx = r.random(4096) < 0.01
+    s2[idx] = (s2[idx] + 1 + r.integers(0, 3, idx.sum())) % 4
+    t = Text.from_symbols(s1.tolist(), s2.tolist())
+    stats = ScanStats()
+    span = klcf_strided(t, build_lce(t), 4, stats=stats)
+    assert stats.passes >= 1 and stats.scan_cells == 0
+    assert span == klcf_diagonal_scan(t, 4)
 
 
 def test_work_counters(rng):
