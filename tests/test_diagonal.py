@@ -59,9 +59,8 @@ def test_pass_cells_sum_length_over_stride(rng):
         assert pass_cells(n1, n2, h) == int(counts.sum()), (n1, n2, h)
 
 
-@pytest.mark.parametrize("budget", [1, 3, 7])
-def test_pass_chunks_cover_the_multiples_of_the_stride(rng, budget):
-    for _ in range(200):
+def test_batches_respect_the_budget(rng):
+    for budget in [1, 3, 7] * 200:
         n1, n2, h = rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(1, 45)
         chunks = list(_pass_cells(n1, n2, h, budget))
         assert all(len(i1s) == len(i2s) <= budget for i1s, i2s in chunks)
