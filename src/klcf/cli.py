@@ -20,10 +20,11 @@ from .diagonal import klcf_diagonal_scan
 from .lce import build_lce, lcf0
 from .neighborhood import (DEFAULT_MEM_BUDGET_WORDS, NeighborhoodStats,
                            klcf_neighborhood)
+from .seeds import klcf_seeds
 from .strided import ScanStats, klcf_strided
 from .tabulation import DEFAULT_BLOCK_BITS, TabulationStats, klcf_tabulation
 
-ALGORITHMS = ("auto", "naive", "neighborhood", "strided", "tabulation")
+ALGORITHMS = ("auto", "naive", "neighborhood", "seeds", "strided", "tabulation")
 # the flag that shrinks what each solver's ResourceLimitError refused
 _RESOURCE_HINTS = {
     "neighborhood": "raise --mem-budget",
@@ -65,13 +66,16 @@ def select_algorithm(cfg: RunConfig, n1: int, n2: int, sigma: int,
                      ell0: int, k: int) -> str:
     """Resolve algo=auto: strided, on every input.
 
-    Strided already prices its own passes against the block-filtered
-    exhaustive scan (ski rental), so it is the cost model.  Neighborhood
-    and tabulation stay opt-in through --algo.  Neighborhood ties or beats
-    strided on random pairs with sigma 20 and 64, k = 1, n = 1024-8192
-    (up to 17x), but nothing prices its C(j, k) joins against strided's
-    passes yet.  The arguments are the quantities known after lcf0;
-    bench/trace_run.py replays the call with them.
+    Strided is the cost model: it prices its passes against the cheaper of
+    two purchases, the block-filtered exhaustive scan and seed-and-extend
+    (ski rental), so the priced choice between scan and seeds is made
+    inside it, and ``auto`` keeps naming strided, which
+    bench/trace_run.py's per-choice counters expect.  Seeds, neighborhood
+    and tabulation are also reachable through --algo; on random pairs
+    with sigma 20 and 64, k = 1, n = 1024-8192, where neighborhood used to
+    tie or beat strided, strided buys seeds and beats it.  The arguments
+    are the quantities known after lcf0; bench/trace_run.py replays the
+    call with them.
     """
     return "strided"
 
@@ -86,10 +90,14 @@ def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
                                  mem_budget_words=cfg.mem_budget_words,
                                  stats=stats)
         return span, stats.keywords_generated
+    if algo == "seeds":
+        stats = ScanStats()
+        span = klcf_seeds(text, lce, cfg.k, stats=stats)
+        return span, stats.seed_cells
     if algo == "strided":
         stats = ScanStats()
         span = klcf_strided(text, lce, cfg.k, stats=stats)
-        return span, stats.cells_visited + stats.scan_cells
+        return span, stats.cells_visited + stats.scan_cells + stats.seed_cells
     if algo == "tabulation":
         stats = TabulationStats()
         span = klcf_tabulation(text, cfg.k, b=cfg.block_bits, stats=stats)
@@ -238,7 +246,8 @@ def _main_solve(argv) -> int:
 
 def _main_gen(argv) -> int:
     p = _Parser(prog="klcf gen", description="generate a test instance")
-    p.add_argument("--kind", choices=("random", "planted"), default="random")
+    p.add_argument("--kind", choices=("random", "planted", "similar"),
+                   default="random")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", type=int, required=True)
     p.add_argument("--k", type=int, default=0)

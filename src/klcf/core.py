@@ -216,10 +216,19 @@ def load_inputs(path1: str, path2: str, fmt: str = "plain") -> Text:
     return Text.from_symbols(reader(path1), reader(path2))
 
 
+# share of s1's symbols a `similar` instance substitutes in s2
+SIMILAR_MUTATION_RATE = 0.01
+
+
 def generate_instance(kind: str, n: int, sigma: int, k: int, length: int = 0,
                       seed: int = 0) -> Text:
-    """Deterministic test instance; `planted` embeds a window pair of the
-    given length differing in exactly k chosen offsets."""
+    """Deterministic test instance.
+
+    `random` draws both sequences uniformly; `planted` embeds a window pair
+    of the given length differing in exactly k chosen offsets; `similar`
+    makes s2 a copy of s1 with each symbol substituted by a different one
+    with probability SIMILAR_MUTATION_RATE (k and length are unused).
+    """
     if n < 0 or sigma < 1:
         raise ValueError("need n >= 0 and sigma >= 1")
     rng = random.Random(seed)
@@ -235,6 +244,11 @@ def generate_instance(kind: str, n: int, sigma: int, k: int, length: int = 0,
         s2[i2:i2 + length] = s1[i1:i1 + length]
         for t in sorted(rng.sample(range(length), k)):
             s2[i2 + t] = (s1[i1 + t] + 1 + rng.randrange(sigma - 1)) % sigma
+    elif kind == "similar":
+        if sigma < 2:
+            raise ValueError("similar mutations need sigma >= 2")
+        s2 = [(c + 1 + rng.randrange(sigma - 1)) % sigma
+              if rng.random() < SIMILAR_MUTATION_RATE else c for c in s1]
     elif kind != "random":
         raise ValueError(f"unknown instance kind {kind!r}")
     return Text.from_symbols(s1, s2)

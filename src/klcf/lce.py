@@ -290,36 +290,57 @@ def lce_backward(idx: LceIndex, p: int, q: int) -> int:
     return idx.bwd.lce(n - p + 1, n - q + 1)
 
 
+def cross_runs(idx: LceIndex, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the forward SA ranges [lo, hi) of the maximal runs whose
+    adjacent LCPs are all >= t (t >= 1), that hold a suffix of s1 and one
+    of s2.  Every two suffixes of such a run share their first t symbols.
+
+    A separator suffix shares no symbol with its neighbours, so it is in no
+    run, and a run holds both sides exactly when two adjacent suffixes in
+    it come from different sides.  Only the SA indices with lcp >= t are
+    gathered, so a high threshold touches few.
+    """
+    sa, lcp, n1 = idx.fwd.sa, idx.fwd.lcp, idx.n1
+    inner = np.flatnonzero(lcp >= t)  # i: sa[i-1] and sa[i] share t symbols
+    if len(inner) == 0:
+        return inner, inner
+    first = np.empty(len(inner), bool)  # inner[j] opens a run
+    first[0] = True
+    np.not_equal(inner[1:], inner[:-1] + 1, out=first[1:])
+    opens = np.flatnonzero(first)
+    cross = (sa[inner] < n1) != (sa[inner - 1] < n1)
+    both = np.logical_or.reduceat(cross, opens)
+    lo = inner[opens] - 1
+    hi = np.append(inner[opens[1:] - 1], inner[-1]) + 1
+    return lo[both], hi[both]
+
+
 def lcf0(idx: LceIndex) -> tuple[int, int, int]:
     """Exact longest common substring length with a witness.
 
     Classical suffix-array method: the optimum is the maximum LCP between
     adjacent suffixes drawn one from s1 and one from s2.  The witness is
     the lexicographically smallest (i1, i2) pair over all optimal matches,
-    found by scanning maximal suffix-array runs whose internal LCP stays at
-    the optimum.
+    found in the SA runs whose internal LCP stays at the optimum
+    (``cross_runs``); only their suffixes are read.
     """
     n1, n2 = idx.n1, idx.n2
     if n1 == 0 or n2 == 0:
         return 0, 1, 1
-    sa = idx.fwd.sa
-    lcp = idx.fwd.lcp
-    pos = sa  # 0-based position in concat
-    in1 = pos < n1
-    in2 = (pos > n1) & (pos < n1 + 1 + n2)
-    cross = (in1[:-1] & in2[1:]) | (in2[:-1] & in1[1:])
-    if not cross.any():
-        return 0, 1, 1
-    best = int(lcp[1:][cross].max())
+    sa, lcp = idx.fwd.sa, idx.fwd.lcp
+    # a pair with a separator suffix crosses sides too, at LCP 0
+    in1 = sa < n1
+    best = int(np.max(lcp[1:], where=in1[1:] != in1[:-1], initial=0))
+    del in1
     if best == 0:
         return 0, 1, 1
+    lo, hi = cross_runs(idx, best)
+    size = hi - lo
+    offsets = np.cumsum(size) - size
+    members = np.arange(int(size.sum())) + np.repeat(lo - offsets, size)
+    pos = sa[members].astype(np.int64)
     big = np.int64(1 << 40)
-    p1 = np.where(in1, pos + 1, big)
-    p2 = np.where(in2, pos - n1, big)
-    # segment the SA into runs where consecutive LCP >= best
-    splits = np.flatnonzero(lcp < best)  # lcp[0] == 0 < best, so runs cover all
-    m1 = np.minimum.reduceat(p1, splits)
-    m2 = np.minimum.reduceat(p2, splits)
-    valid = np.flatnonzero((m1 < big) & (m2 < big))
-    t = valid[argmin_pair(m1[valid], m2[valid])]
+    m1 = np.minimum.reduceat(np.where(pos < n1, pos + 1, big), offsets)
+    m2 = np.minimum.reduceat(np.where(pos > n1, pos - n1, big), offsets)
+    t = argmin_pair(m1, m2)
     return best, int(m1[t]), int(m2[t])

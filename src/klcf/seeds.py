@@ -1,0 +1,229 @@
+"""Seed-and-extend: the exact optimum from the exact runs a long window holds.
+
+A window of length L >= B with at most k mismatches splits into at most
+k + 1 exact runs, so one of them is at least m = max(1, ceil((B-k)/(k+1)))
+long, the pigeonhole behind ``klcf_bounds``.  A longest window starts at a
+sequence start or right after a mismatch, so the maximal exact run holding
+that m-run starts inside it, at a left-maximal cross pair: a suffix of s1
+and one of s2 that share m symbols and are preceded by different symbols.
+A sequence start is preceded by a separator (s1's by the last symbol of the
+concatenation, s2's by the first separator) that no suffix of the other
+side shares, so starts need no case of their own.  The pairs are the cross
+pairs of the forward SA runs at threshold m (``cross_runs``) less those
+with equal preceding symbols, and ``seed_price`` counts them before any is
+enumerated: c1*c2 - sum_a c1[a]*c2[a] per run.
+
+``klcf_seeds`` enumerates the pairs in budgeted chunks and extends each by
+a direct compare of at most 2U - 1 cells of its diagonal, centred on the
+seed cell, with U = min(n1, n2, (k+1)*l0 + k) the longest a window can be.
+It keeps the longest window through the seed cell, ties to the smallest
+start.  Every optimal window of length >= B holds one pair's seed cell, so
+the longest windows found are optimal and the smallest witness is among
+them.  No LCE query is made, so neither the forward sparse table nor the
+backward index is built.  Cf. Charalampopoulos et al. (CPM 2018) for exact
+seeds of long matches, and Flouri, Giaquinta, Kobert and Ukkonen (IPL
+2015) for the window.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .core import MatchSpan, Text, better_span, make_span, trivial_span
+from .diagonal import SCAN_CELLS, argmin_pair
+from .lce import LceIndex, cross_runs, lcf0
+
+# suffixes grouped per batch of SA runs, and seed pairs extended per chunk
+# (fewer when their compared cells would pass SCAN_CELLS)
+SEED_BUDGET = 1 << 14
+
+
+def seed_floor(text: Text, k: int, ell0: int, w1: int, w2: int) -> int:
+    """B, a window length known to exist after ``lcf0`` gave (ell0, w1, w2):
+    the exact match, or ell0 + k cells of its diagonal if that is as long.
+
+    min(l0 + k, n1, n2) would not do: s1 = baaba, s2 = abbaab, k = 1 has
+    l0 = l1 = 4 < 5.
+    """
+    diagonal = min(w1, w2) + min(text.n1 - w1, text.n2 - w2)
+    return max(ell0, min(ell0 + k, diagonal))
+
+
+def run_length(floor: int, k: int) -> int:
+    """m: every window of at least ``floor`` cells with at most k
+    mismatches that holds a match holds an exact run of m cells."""
+    return max(1, -(-(floor - k) // (k + 1)))
+
+
+def _groups(text: Text, lce: LceIndex, m: int):
+    """Yield (key, pos, in1) per batch of the SA runs at threshold m that
+    hold both sides, at most SEED_BUDGET suffixes a batch (a larger run
+    makes a batch of its own).
+
+    pos holds the batch's suffixes as 0-based concat positions, in1 marks
+    those of s1, and key is (run in the batch) * (sigma + 2) + preceding
+    symbol, sorted ascending.
+    """
+    lo, hi = cross_runs(lce, m)
+    size = hi - lo
+    end = np.cumsum(size)
+    sa, concat = lce.fwd.sa, text.concat
+    width = text.sigma + 2  # preceding symbols, the two separators included
+    a = 0
+    while a < len(lo):
+        b = max(a + 1, int(np.searchsorted(end, end[a] - size[a] + SEED_BUDGET,
+                                           side="right")))
+        sz = size[a:b]
+        off = np.cumsum(sz) - sz
+        members = np.arange(int(sz.sum())) + np.repeat(lo[a:b] - off, sz)
+        pos = sa[members].astype(np.int64)
+        # s1's first suffix reads concat[-1], the second separator
+        key = np.repeat(np.arange(b - a, dtype=np.int64) * width, sz)
+        key += concat[pos - 1]
+        order = np.argsort(key)
+        pos = pos[order]
+        yield key[order], pos, pos < text.n1
+        a = b
+
+
+def seed_price(text: Text, lce: LceIndex, m: int,
+               limit: float | None = None) -> int:
+    """Left-maximal cross pairs of the SA runs at threshold m, counted
+    without enumerating them: c1*c2 - sum_a c1[a]*c2[a] per run, over the
+    preceding symbol a.  Counting stops once the count passes ``limit``."""
+    width = text.sigma + 2
+    pairs = 0
+    for key, _, in1 in _groups(text, lce, m):
+        # c1[a] and c2[a] per (run, a), then c1 and c2 per run
+        cut = np.flatnonzero(np.diff(key, prepend=-1))
+        c1 = np.add.reduceat(in1, cut, dtype=np.int64)
+        c2 = np.diff(cut, append=len(key)) - c1
+        run = key[cut] // width
+        cut = np.flatnonzero(np.diff(run, prepend=-1))
+        pairs += int(np.add.reduceat(c1, cut) @ np.add.reduceat(c2, cut) - c1 @ c2)
+        if limit is not None and pairs > limit:
+            break
+    return pairs
+
+
+def _pairs(text: Text, lce: LceIndex, m: int, budget: int):
+    """Left-maximal cross pairs at threshold m as (p1, p2) chunks of at most
+    ``budget`` pairs, 0-based positions in s1 and s2."""
+    width = text.sigma + 2
+    for key, pos, in1 in _groups(text, lce, m):
+        key1, p1 = key[in1], pos[in1]
+        key2, p2 = key[~in1], pos[~in1] - (text.n1 + 1)
+        # p1[j] pairs with the s2 suffixes of its run, key2 in
+        # [run, run + width), but for those with its preceding symbol
+        run = key1 - key1 % width
+        src = np.concatenate([p1, p1])
+        start = np.concatenate([np.searchsorted(key2, run),
+                                np.searchsorted(key2, key1, side="right")])
+        size = np.concatenate([np.searchsorted(key2, key1),
+                               np.searchsorted(key2, run + width)]) - start
+        keep = size > 0
+        src, start, size = src[keep], start[keep], size[keep]
+        end = np.cumsum(size)
+        total = int(end[-1]) if len(end) else 0
+        for lo in range(0, total, budget):
+            at = np.arange(lo, min(lo + budget, total), dtype=np.int64)
+            j = np.searchsorted(end, at, side="right")
+            yield src[j], p2[start[j] + at - (end[j] - size[j])]
+
+
+def _extend(view1, view2, n1: int, n2: int, k: int, u: int,
+            p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matching seed cell (p1, p2), 0-based: the length of the longest
+    window through it with at most k mismatches, and its start's offset
+    from the cell (<= 0), ties to the smallest start.
+
+    ``view1[p]`` is s1[p-u+1 .. p+u-1], padded past both ends, and likewise
+    ``view2``.  The longest window through the cell with t mismatches
+    before it starts right after the (t+1)-th mismatch before it and ends
+    right before the (k-t+1)-th after it, never past its diagonal's ends.
+    """
+    w = 2 * u - 1
+    c = u - 1  # the seed cell's column
+    rows = len(p1)
+    flat = np.empty(rows * w + 1, bool)
+    flat[-1] = True  # a sentinel past the last row
+    mism = flat[:-1].reshape(rows, w)
+    np.not_equal(view1[p1], view2[p2], out=mism)
+    nz = np.flatnonzero(flat)
+    # each row's mismatches in nz, and the first one after the cell
+    before_n = np.count_nonzero(mism[:, :c], axis=1)
+    after_n = np.count_nonzero(mism[:, c:], axis=1)
+    row_hi = np.cumsum(before_n + after_n)
+    mid = row_hi - after_n
+    row_lo = mid - before_n
+    base = np.arange(rows, dtype=np.int64) * w
+    j = np.arange(k + 1)[:, None]
+    after = mid + j
+    right = np.where(after < row_hi, nz[np.minimum(after, len(nz) - 1)] - base, w)
+    before = mid - 1 - j
+    left = np.where(before >= row_lo, nz[np.maximum(before, 0)] - base, -1)
+    lo_col = c - np.minimum(np.minimum(p1, p2), c)
+    hi_col = c + np.minimum(np.minimum(n1 - 1 - p1, n2 - 1 - p2), c)
+    # row t: t mismatches before the cell, k - t after it
+    start = np.maximum(left + 1, lo_col)
+    length = np.minimum(right[::-1] - 1, hi_col) - start + 1
+    best = length.max(axis=0)
+    first = np.where(length == best, start, w).min(axis=0)
+    return best, first - c
+
+
+def _padded_view(seq: np.ndarray, u: int, fill: int, dtype):
+    pad = np.full(u - 1, fill, dtype)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, seq.astype(dtype), pad]), 2 * u - 1)
+
+
+def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
+                stats=None) -> MatchSpan:
+    """The optimum, given that a window of ``floor`` >= 1 cells exists:
+    the longest window of at least floor cells through the seed cells of
+    the left-maximal pairs, or ``trivial_span``'s, which covers optima of at
+    most k (they need hold no exact run).  ``stats`` (a ``ScanStats``)
+    counts the pairs and their compared cells."""
+    n1, n2 = text.n1, text.n2
+    u = min(n1, n2, (k + 1) * ell0 + k)
+    w = 2 * u - 1
+    dtype = np.int16 if text.sigma < 1 << 15 else np.int64
+    view1 = _padded_view(text.s1, u, -1, dtype)
+    view2 = _padded_view(text.s2, u, -2, dtype)
+    budget = min(SEED_BUDGET, max(1, SCAN_CELLS // w))
+    best = trivial_span(text, k)
+    for p1, p2 in _pairs(text, lce, run_length(floor, k), budget):
+        if stats is not None:
+            stats.seed_pairs += len(p1)
+            stats.seed_cells += len(p1) * w
+        length, back = _extend(view1, view2, n1, n2, k, u, p1, p2)
+        mx = int(length.max())
+        if mx < max(best.length, floor):
+            continue
+        hits = np.flatnonzero(length == mx)
+        st1 = p1[hits] + 1 + back[hits]
+        st2 = p2[hits] + 1 + back[hits]
+        g = argmin_pair(st1, st2)
+        best = better_span(best, MatchSpan(mx, int(st1[g]), int(st2[g])))
+    return make_span(text, best.length, best.i1, best.i2)
+
+
+def klcf_seeds(text: Text, lce: LceIndex, k: int, floor: int = 0,
+               stats=None) -> MatchSpan:
+    """Exact optimum and its lexicographically smallest witness by
+    seed-and-extend.
+
+    ``floor`` is a window length known to exist, or 0; the larger of it and
+    ``seed_floor`` sets B.  The exact match settles k = 0.
+    """
+    if min(text.n1, text.n2) == 0:
+        return MatchSpan(0, 1, 1, ())
+    ell0, w1, w2 = lcf0(lce)
+    if ell0 == 0:
+        return trivial_span(text, k)
+    best = MatchSpan(ell0, w1, w2, ())
+    if k == 0:
+        return best
+    floor = max(floor, seed_floor(text, k, ell0, w1, w2))
+    return better_span(best, seed_search(text, lce, k, ell0, floor, stats))

@@ -6,8 +6,10 @@ the diagonal.  A pass with stride h visits every h-th cell of each
 diagonal, so it cannot miss a match of length >= h, and halving the stride
 until the best found length reaches it yields the exact optimum in
 O(n^2 k / l_k) extension queries.  When l_k is small the last passes cost
-more than one exhaustive diagonal scan, so the solver switches to that
-scan as soon as the passes would outspend it.
+more than finishing the search another way, so the solver rents passes
+only while they cost less than the cheaper of two purchases: one
+exhaustive diagonal scan, or seed-and-extend (``seeds``), priced by its
+left-maximal pair count before any pair is extended.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .core import MatchSpan, Text, better_span, make_span, trivial_span
 from .diagonal import argmin_pair, klcf_diagonal_scan
 from .lce import LceIndex, lcf0
+from .seeds import run_length, seed_floor, seed_price, seed_search
 
 # visited cells expanded per chunk of a pass
 PASS_CELLS = 1 << 16
@@ -30,6 +33,12 @@ PASS_CELLS = 1 << 16
 # (DNA, k 4, n 8192, random or 1 %-mutated).  A wrong R costs time, never
 # exactness.
 SCAN_CELLS_PER_EXTENSION = 100
+# cost of one cell a seed extension compares, in cells of the exhaustive
+# scan.  Same machine: 5-10 ns per compared cell once a chunk holds
+# thousands of pairs (DNA, k 4: random n 3072, 1 %-mutated n 32768 and
+# 131072) against 0.9-1.5 ns per scanned cell on those pairs.  A wrong
+# value costs time, never exactness.
+SEED_CELL_COST = 8
 
 
 @dataclass
@@ -38,13 +47,17 @@ class ScanStats:
 
     ``cells_visited`` counts the cells the passes expanded with LCE queries;
     ``scan_cells`` the cells of the exhaustive scan that finished the search
-    instead of further passes (0 when the passes settled it).
+    instead of further passes, and ``seed_pairs`` and ``seed_cells`` the
+    pairs seed-and-extend extended and the cells it compared when it
+    finished the search instead (all 0 when the passes settled it).
     """
 
     cells_visited: int = 0
     passes: int = 0
     pass_strides: list = field(default_factory=list)
     scan_cells: int = 0
+    seed_pairs: int = 0
+    seed_cells: int = 0
 
 
 def longest_through_cell(text: Text, lce: LceIndex, i1: int, i2: int, k: int) -> MatchSpan:
@@ -176,17 +189,20 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
 
 def klcf_strided(text: Text, lce: LceIndex, k: int,
                  stats: ScanStats | None = None) -> MatchSpan:
-    """Exact optimum by strided passes, finished by one exhaustive scan once
-    the passes stop paying off.
+    """Exact optimum by strided passes, finished by the exhaustive scan or
+    by seed-and-extend once the passes stop paying off.
 
-    Starts at h = min((k+1)*l0 + k, min(n1, n2)) and halves the stride until
-    a window at least as long as the stride is known.  Before each pass it
-    weighs, in scanned-cell units, the passes' work so far plus this pass,
-    (k+1) * SCAN_CELLS_PER_EXTENSION * cells(h), against the n1*n2 cells of
-    the exhaustive scan; once the passes cost at least as much, the scan
+    Starts at h = U = min((k+1)*l0 + k, min(n1, n2)) and halves the stride
+    until a window at least as long as the stride is known.  Two purchases
+    can replace the passes, priced in scanned cells: the exhaustive scan at
+    n1*n2, and seeds at pairs * (2U - 1) * SEED_CELL_COST, pairs being
+    ``seed_price`` at the floor B = max(l0, min(l0 + k, the seed's
+    diagonal)).  Before each pass it weighs the passes' work so far plus
+    this pass, (k+1) * SCAN_CELLS_PER_EXTENSION * cells(h), against the
+    cheaper purchase; once the passes cost at least as much, that purchase
     replaces every remaining pass (rent until renting costs the purchase
-    price), with the longest window known so far as the floor of its block
-    filter.  Either way the answer is exact, with the smallest witness.
+    price), with the longest window known so far as its floor.  Either way
+    the answer is exact, with the smallest witness.
     """
     if stats is None:
         stats = ScanStats()
@@ -200,17 +216,23 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     if k == 0:
         return best
     # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
-    # n2)) without being the smallest witness, so a pass or the scan runs
+    # n2)) without being the smallest witness, so a pass or a purchase runs
     h = min((k + 1) * ell0 + k, n1, n2)
-    # the seed's diagonal holds a window of ell0 + k cells, if it is that long
-    seed = min(ell0 + k, min(w1, w2) + min(n1 - w1, n2 - w2))
+    floor = seed_floor(text, k, ell0, w1, w2)
+    scan = n1 * n2
+    per_pair = (2 * h - 1) * SEED_CELL_COST
+    seeds = per_pair * seed_price(text, lce, run_length(floor, k), scan / per_pair)
     spent = 0
     while True:
         cost = (k + 1) * SCAN_CELLS_PER_EXTENSION * pass_cells(n1, n2, h)
-        if spent + cost >= n1 * n2:
-            stats.scan_cells += n1 * n2
-            floor = max(best.length, seed)
-            return better_span(best, klcf_diagonal_scan(text, k, floor=floor))
+        if spent + cost >= min(scan, seeds):
+            floor = max(best.length, floor)
+            if seeds < scan:
+                found = seed_search(text, lce, k, ell0, floor, stats)
+            else:
+                stats.scan_cells += scan
+                found = klcf_diagonal_scan(text, k, floor=floor)
+            return better_span(best, found)
         spent += cost
         stats.passes += 1
         stats.pass_strides.append(h)

@@ -17,6 +17,7 @@ from klcf.core import (ResourceLimitError, Text, generate_instance, klcf_bounds,
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
 from klcf.neighborhood import enumerate_neighborhood, klcf_neighborhood
+from klcf.seeds import klcf_seeds
 from klcf.strided import ScanStats, klcf_strided
 from klcf.tabulation import (MismatchBlocks, TabulationStats, build_l1,
                              build_l2, klcf_tabulation, longest_window_lut)
@@ -71,6 +72,7 @@ def sweep():
         ell0 = lcf0(lce)[0]
         spans = {
             "strided": klcf_strided(text, lce, k),
+            "seeds": klcf_seeds(text, lce, k),
             "tabulation": klcf_tabulation(text, k),
             "diagonal-scan": klcf_diagonal_scan(text, k),
         }
@@ -118,6 +120,7 @@ def test_criterion_2_planted_instances():
         lce = build_lce(text)
         spans = [
             klcf_strided(text, lce, k),
+            klcf_seeds(text, lce, k),
             klcf_tabulation(text, k),
             klcf_diagonal_scan(text, k),
         ]

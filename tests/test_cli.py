@@ -104,7 +104,7 @@ def test_run_json_output(pair, capsys):
 
 def test_run_all_algorithms_agree(pair, capsys):
     lengths = set()
-    for algo in ("naive", "neighborhood", "strided", "tabulation", "auto"):
+    for algo in ("naive", "neighborhood", "seeds", "strided", "tabulation", "auto"):
         assert run(RunConfig(k=1, algo=algo, output_format="json"), *pair) == 0
         lengths.add(json.loads(capsys.readouterr().out)["length"])
     assert lengths == {4}
@@ -186,6 +186,25 @@ def test_generate_instance_edge_cases():
         generate_instance("planted", 10, 1, 1, 5)   # mismatches need sigma >= 2
     with pytest.raises(ValueError):
         generate_instance("bogus", 10, 4, 0)
+
+
+def test_generate_similar():
+    text = generate_instance("similar", 5000, 4, 0, seed=3)
+    changed = int((text.s1 != text.s2).sum())
+    assert text.n1 == text.n2 == 5000 and 20 <= changed <= 80  # 1 % of 5000
+    again = generate_instance("similar", 5000, 4, 0, seed=3)
+    assert again.s2.tolist() == text.s2.tolist()
+    with pytest.raises(ValueError):
+        generate_instance("similar", 10, 1, 0)  # a substitution needs sigma >= 2
+
+
+def test_gen_similar_subcommand(tmp_path):
+    out1, out2 = tmp_path / "s1.txt", tmp_path / "s2.txt"
+    assert main(["gen", "--kind", "similar", "--n", "2000", "--sigma", "4",
+                 "--seed", "3", "--out1", str(out1), "--out2", str(out2)]) == 0
+    text = load_inputs(str(out1), str(out2))
+    assert text.n1 == text.n2 == 2000
+    assert 0 < int((text.s1 != text.s2).sum()) <= 40
 
 
 def test_generate_deterministic():

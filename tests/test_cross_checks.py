@@ -5,6 +5,7 @@ from itertools import product
 from klcf.core import ResourceLimitError, Text, klcf_oracle, verify_match
 from klcf.lce import build_lce
 from klcf.neighborhood import klcf_neighborhood
+from klcf.seeds import klcf_seeds
 from klcf.strided import klcf_strided
 from klcf.tabulation import klcf_tabulation
 
@@ -14,7 +15,8 @@ def _all_agree(t: Text, ks, budget=1 << 16):
     for k in ks:
         ref = klcf_oracle(t, k)
         assert verify_match(t, ref, k)
-        spans = [klcf_strided(t, lce, k), klcf_tabulation(t, k)]
+        spans = [klcf_strided(t, lce, k), klcf_seeds(t, lce, k),
+                 klcf_tabulation(t, k)]
         try:
             spans.append(klcf_neighborhood(t, lce, k, mem_budget_words=budget))
         except ResourceLimitError:

@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
-from klcf import diagonal
+from klcf import diagonal, strided
 from klcf.core import MatchSpan, Text, generate_instance, klcf_oracle
 from klcf.diagonal import argmin_pair, diagonals, geometry, klcf_diagonal_scan
 from klcf.lce import build_lce
@@ -140,26 +141,31 @@ def _similar(rng, n, rate):
     return Text.from_symbols(s1, s2)
 
 
-def test_strided_witness_on_both_paths(rng):
-    """Witnesses equal the oracle's whether the passes settle the optimum or
-    the exhaustive scan finishes the search; ScanStats tells which ran."""
-    seen = {"passes": 0, "scan": 0, "passes then scan": 0}
+def test_strided_witness_on_both_paths(rng, monkeypatch):
+    """Witnesses equal the oracle's whether the passes settle the optimum,
+    the exhaustive scan finishes the search or seeds do; ScanStats tells
+    which ran.  Each case runs at the default seed price, then with seeds
+    priced out, which leaves the passes and the scan to settle it."""
+    seen = {"passes": 0, "scan": 0, "passes then scan": 0, "seeds": 0}
     cases = [random_text(rng, rng.randrange(1, 60), rng.randrange(1, 60),
                          rng.choice([2, 4, 20])) for _ in range(60)]
     cases += [_similar(rng, rng.randrange(100, 400), 0.01) for _ in range(15)]
     cases += [_similar(rng, rng.randrange(150, 400), rate) for rate in (0.05, 0.1)
               for _ in range(10)]
-    for t in cases:
-        for k in (0, 2, 4):
-            stats = ScanStats()
-            span = klcf_strided(t, build_lce(t), k, stats=stats)
-            assert span == klcf_oracle(t, k), (t.s1, t.s2, k, stats)
-            assert stats.scan_cells in (0, t.n1 * t.n2)
-            assert stats.passes == len(stats.pass_strides)
-            if stats.scan_cells:
-                seen["passes then scan" if stats.passes else "scan"] += 1
-            elif stats.passes:
-                seen["passes"] += 1
+    for t, k, cost in product(cases, (0, 2, 4), (strided.SEED_CELL_COST, 1 << 40)):
+        monkeypatch.setattr(strided, "SEED_CELL_COST", cost)
+        stats = ScanStats()
+        span = klcf_strided(t, build_lce(t), k, stats=stats)
+        assert span == klcf_oracle(t, k), (t.s1, t.s2, k, stats)
+        assert stats.scan_cells in (0, t.n1 * t.n2)
+        assert stats.passes == len(stats.pass_strides)
+        assert not (stats.scan_cells and stats.seed_pairs)
+        if stats.seed_pairs:
+            seen["seeds"] += 1
+        elif stats.scan_cells:
+            seen["passes then scan" if stats.passes else "scan"] += 1
+        elif stats.passes:
+            seen["passes"] += 1
     assert all(seen.values()), seen
 
 

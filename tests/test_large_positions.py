@@ -16,6 +16,7 @@ from klcf.cli import main
 from klcf.core import Text, make_span, verify_match
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce
+from klcf.seeds import klcf_seeds
 from klcf.strided import klcf_strided, scan_pass
 from klcf.tabulation import klcf_tabulation
 
@@ -59,6 +60,7 @@ def test_every_solver_finds_the_planted_copy(planted):
     assert klcf_diagonal_scan(text, K) == want
     assert scan_pass(text, lce, K, READ) == want
     assert klcf_strided(text, lce, K) == want
+    assert klcf_seeds(text, lce, K) == want
     assert klcf_tabulation(text, K) == want
 
 

@@ -1,0 +1,169 @@
+import numpy as np
+import pytest
+
+from klcf import seeds, strided
+from klcf.core import Text, klcf_oracle
+from klcf.diagonal import klcf_diagonal_scan
+from klcf.lce import build_lce, cross_runs, lcf0
+from klcf.seeds import klcf_seeds, run_length, seed_floor, seed_price
+from klcf.strided import ScanStats, klcf_strided
+
+from conftest import random_text
+
+
+def _common_prefix(text, i1, i2):
+    """Common prefix of s1 from i1 and s2 from i2 (0-based), directly."""
+    t = 0
+    while (i1 + t < text.n1 and i2 + t < text.n2
+           and text.s1[i1 + t] == text.s2[i2 + t]):
+        t += 1
+    return t
+
+
+def _left_maximal_pairs(text, m):
+    """Every (i1, i2), 0-based, whose suffixes share m symbols and that is
+    left-maximal: a sequence start, or preceded by different symbols."""
+    return {(i1, i2) for i1 in range(text.n1) for i2 in range(text.n2)
+            if _common_prefix(text, i1, i2) >= m
+            and (i1 == 0 or i2 == 0 or text.s1[i1 - 1] != text.s2[i2 - 1])}
+
+
+def test_cross_runs_are_the_shared_prefix_classes(rng):
+    for _ in range(60):
+        t = random_text(rng, rng.randrange(1, 30), rng.randrange(1, 30),
+                        rng.choice([1, 2, 4]))
+        lce = build_lce(t)
+        sa = lce.fwd.sa.tolist()
+        for m in (1, 2, 3, 5):
+            lo, hi = cross_runs(lce, m)
+            got = {frozenset(sa[a:b]) for a, b in zip(lo.tolist(), hi.tolist())}
+            # the classes of suffixes sharing m symbols, held by both sides
+            classes = {}
+            for p in range(len(sa)):
+                prefix = tuple(t.concat[p:p + m].tolist())
+                if len(prefix) == m and max(prefix) < t.sigma:
+                    classes.setdefault(prefix, set()).add(p)
+            want = {frozenset(c) for c in classes.values()
+                    if min(c) < t.n1 < max(c)}
+            assert got == want, (t.s1, t.s2, m)
+
+
+def test_seed_price_counts_left_maximal_pairs(rng):
+    for _ in range(150):
+        t = random_text(rng, rng.randrange(0, 25), rng.randrange(0, 25),
+                        rng.choice([1, 2, 3, 4, 20]))
+        lce = build_lce(t)
+        for m in (1, 2, 3, 6):
+            pairs = _left_maximal_pairs(t, m)
+            assert seed_price(t, lce, m) == len(pairs), (t.s1, t.s2, m)
+            got = [(int(a), int(b)) for p1, p2 in seeds._pairs(t, lce, m, 5)
+                   for a, b in zip(p1, p2)]
+            assert len(got) == len(set(got)) and set(got) == pairs
+
+
+def test_seed_price_stops_past_its_limit():
+    t = Text.from_symbols([0, 1] * 30, [1, 0] * 30)
+    lce = build_lce(t)
+    full = seed_price(t, lce, 1)
+    assert full > 10
+    assert 10 < seed_price(t, lce, 1, limit=10) <= full
+
+
+def test_klcf_seeds_equals_oracle(rng):
+    for _ in range(400):
+        t = random_text(rng, rng.randrange(0, 50), rng.randrange(0, 50),
+                        rng.choice([1, 2, 3, 4, 20, 128]))
+        k = rng.randrange(0, 7)
+        lce = build_lce(t)
+        assert klcf_seeds(t, lce, k) == klcf_oracle(t, k), (t.s1, t.s2, k)
+        assert lce.fwd.table is None and lce.bwd is None
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_seed_chunk_boundaries(rng, monkeypatch, budget):
+    # runs, and the pairs of one s1 suffix, straddle chunks; a budget of 1
+    # also puts every run in a batch of its own
+    monkeypatch.setattr(seeds, "SEED_BUDGET", budget)
+    for _ in range(80):
+        t = random_text(rng, rng.randrange(1, 60), rng.randrange(1, 60),
+                        rng.choice([2, 4]))
+        k = rng.randrange(0, 5)
+        lce = build_lce(t)
+        stats = ScanStats()
+        assert klcf_seeds(t, lce, k, stats=stats) == klcf_oracle(t, k)
+        ell0, w1, w2 = lcf0(lce)
+        if ell0 and k:
+            m = run_length(seed_floor(t, k, ell0, w1, w2), k)
+            assert stats.seed_pairs == seed_price(t, lce, m)
+            # a batch holds at most the budget's suffixes, or one run
+            for key, _, _ in seeds._groups(t, lce, m):
+                runs = key // (t.sigma + 2)
+                assert len(key) <= budget or runs[0] == runs[-1]
+
+
+def test_strided_seed_arm_equals_oracle(rng, monkeypatch):
+    # seeds priced below any pass and the scan: strided buys them at once
+    monkeypatch.setattr(strided, "SEED_CELL_COST", 1e-9)
+    for s1, s2, k in [("ab", "ba", 2), ("abab", "bbbb", 3), ("baaba", "abbaab", 1)]:
+        t = Text.from_strings(s1, s2)
+        assert klcf_strided(t, build_lce(t), k) == klcf_oracle(t, k)
+    for _ in range(300):
+        t = random_text(rng, rng.randrange(0, 50), rng.randrange(0, 50),
+                        rng.choice([1, 2, 4, 20]))
+        k = rng.randrange(0, 6)
+        stats = ScanStats()
+        assert klcf_strided(t, build_lce(t), k, stats=stats) == klcf_oracle(t, k)
+        assert stats.passes == 0 and stats.scan_cells == 0
+        if k and lcf0(build_lce(t))[0]:
+            assert stats.seed_pairs > 0
+
+
+def test_floor_is_a_window_known_to_exist():
+    # l0 = l1 = 4 < 5 = min(l0 + k, n1, n2): a floor of 5 would find nothing
+    t = Text.from_strings("baaba", "abbaab")
+    lce = build_lce(t)
+    ell0, w1, w2 = lcf0(lce)
+    assert (ell0, klcf_oracle(t, 1).length) == (4, 4)
+    assert seed_floor(t, 1, ell0, w1, w2) == 4
+    assert klcf_seeds(t, lce, 1) == klcf_oracle(t, 1)
+
+
+@pytest.mark.parametrize("s1, s2, k", [
+    ("ab", "ba", 2),        # l0 = 1 <= k: the optimum holds no exact run
+    ("abab", "bbbb", 3),
+    ("abc", "cab", 2),
+    ("abc", "xyz", 1),      # l0 = 0
+    ("abc", "xyz", 5),
+    ("a", "b", 0),
+])
+def test_small_exact_optima(s1, s2, k):
+    t = Text.from_strings(s1, s2)
+    assert klcf_seeds(t, build_lce(t), k) == klcf_oracle(t, k)
+
+
+def test_seed_floor_raised_by_the_caller(rng):
+    for _ in range(60):
+        t = random_text(rng, rng.randrange(1, 40), rng.randrange(1, 40), 2)
+        k = rng.randrange(1, 4)
+        want = klcf_oracle(t, k)
+        for floor in (want.length - 1, want.length):
+            assert klcf_seeds(t, build_lce(t), k, floor=floor) == want
+
+
+def test_read_in_a_reference_solves_by_seeds():
+    """A 150-symbol read with 4 substitutions, copied from a 20k-symbol DNA
+    reference: strided buys seeds before any pass, never scans, and makes
+    no LCE query."""
+    r = np.random.default_rng(11)
+    ref = r.integers(0, 4, 20_000)
+    read = ref[12_345:12_495].copy()
+    at = r.choice(150, 4, replace=False)
+    read[at] = (read[at] + 1 + r.integers(0, 3, 4)) % 4
+    t = Text(ref, read, 4)
+    lce = build_lce(t)
+    stats = ScanStats()
+    span = klcf_strided(t, lce, 4, stats=stats)
+    assert stats.seed_pairs > 0 and stats.passes == 0 and stats.scan_cells == 0
+    assert lce.fwd.table is None and lce.bwd is None
+    assert (span.length, span.i1, span.i2) == (150, 12_346, 1)
+    assert span == klcf_diagonal_scan(t, 4)
