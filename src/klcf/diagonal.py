@@ -18,7 +18,10 @@ In front of it sits an exact block filter, the word-packing idea of the
 tabulation algorithm and of bit-parallel mismatch counting (Baeza-Yates and
 Gonnet, CACM 1992): mismatch bits are packed 8 to a byte, counted per block
 with ``np.bitwise_count``, and only the bytes a block count cannot rule out
-reach the sliding window.
+reach the sliding window.  ``best_in_rows`` runs both stages on any rows
+of packed mismatch bits: the scan's batches, and the strips around the
+seed cells of ``seeds``.  ``best_window`` makes every solver's selection,
+the longest window and then the smallest (i1, i2).
 """
 
 from __future__ import annotations
@@ -61,6 +64,31 @@ def argmin_pair(a: np.ndarray, b: np.ndarray) -> int:
     """
     ties = np.flatnonzero(a == a.min())
     return int(ties[np.argmin(b[ties])])
+
+
+def best_window(best: MatchSpan, length, i1: np.ndarray, i2: np.ndarray) -> MatchSpan:
+    """``best``, or the longest of the windows (length[j], i1[j], i2[j]) when
+    it is at least as long, ties to the smallest (i1, i2): the one
+    selection every solver makes.  ``length`` may be one length for all."""
+    if len(i1) == 0:
+        return best
+    length = np.broadcast_to(length, np.shape(i1))
+    mx = int(length.max())
+    if mx < best.length:
+        return best
+    hits = np.flatnonzero(length == mx)
+    h = hits[argmin_pair(i1[hits], i2[hits])]
+    return better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
+
+
+def padded_pair(text: Text, pad1: int, pad2: int):
+    """s1 and s2 in a narrow signed dtype (int16 below 2^15 symbols, else
+    int64), followed by pad1 cells of -1 and pad2 cells of -2: the pads
+    match no symbol and not each other, so every cell past either
+    sequence's end compares as a mismatch."""
+    dtype = np.int16 if text.sigma < 1 << 15 else np.int64
+    return (np.concatenate([text.s1.astype(dtype), np.full(pad1, -1, dtype)]),
+            np.concatenate([text.s2.astype(dtype), np.full(pad2, -2, dtype)]))
 
 
 def _block_width(floor: int) -> int:
@@ -194,6 +222,23 @@ def _best_in_batch(packed: np.ndarray, length: np.ndarray, k: int, floor: int,
     return best, row[seg[win]], lo[seg[win]] * 8 + start[win] - first[win]
 
 
+def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
+                 st1: np.ndarray, st2: np.ndarray, k: int, floor: int) -> MatchSpan:
+    """``best``, or the longest window in packed rows of mismatch bits if it
+    is at least as long as best and ``floor``; row r starts at the 1-based
+    cell (st1[r], st2[r]) of its diagonal and holds length[r] cells of it,
+    every bit past them set.  The block filter passes on only the bytes
+    that may hold such a window, and the exact sliding window runs on
+    those."""
+    least = max(best.length, floor, 1)
+    found = _best_in_batch(packed, length, k, least,
+                           _kept_segments(packed, k, least))
+    if found is None:
+        return best
+    mx, row, t = found
+    return best_window(best, mx, st1[row] + t, st2[row] + t)
+
+
 def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
     """Yield (batch, packed) for every diagonal of ``text``, a batch of
     them at a time: ``batch`` holds the diagonals' indices and ``packed``
@@ -213,16 +258,11 @@ def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
-    dtype = np.int16 if text.sigma < 1 << 15 else np.int64
-    s1 = text.s1.astype(dtype)
-    s2 = text.s2.astype(dtype)
+    # padded so every row of a batch's view is in bounds, on either side
+    s1, s2 = padded_pair(text, n2 + 8, n1 + 8)
     # (sliding side, fixed side, first diagonal, one past the last, step)
     halves = ((s1, s2, n1 - 1, -1, -1), (s2, s1, n1, n1 + n2 - 1, 1))
-    for slide, fixed, g, g_end, step in halves:
-        # padded so every row of a batch's view is in bounds; the two pads
-        # differ, so every cell past a diagonal's end is a mismatch
-        padded = np.concatenate([slide, np.full(len(fixed) + 8, -1, dtype)])
-        fixed = np.concatenate([fixed, np.full(8, -2, dtype)])
+    for padded, fixed, g, g_end, step in halves:
         while g != g_end:
             st1, st2, length = diagonals(n1, n2, g, g + 1)
             w = -(-int(length[0]) // 8) * 8  # whole bytes
@@ -256,13 +296,5 @@ def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
     best = MatchSpan(0, 1, 1)
     for batch, packed in packed_batches(text, k, budget):
         st1, st2, length = geometry(text.n1, text.n2, batch)
-        least = max(best.length, floor, 1)
-        found = _best_in_batch(packed, length, k, least,
-                               _kept_segments(packed, k, least))
-        if found is not None:
-            mx, row, t = found
-            i1 = st1[row] + t
-            i2 = st2[row] + t
-            h = argmin_pair(i1, i2)
-            best = better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
+        best = best_in_rows(best, packed, length, st1, st2, k, floor)
     return make_span(text, best.length, best.i1, best.i2)

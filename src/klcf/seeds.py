@@ -13,16 +13,21 @@ pairs of the forward SA runs at threshold m (``cross_runs``) less those
 with equal preceding symbols, and ``seed_price`` counts them before any is
 enumerated: c1*c2 - sum_a c1[a]*c2[a] per run.
 
-``klcf_seeds`` enumerates the pairs in budgeted chunks and extends each by
-a direct compare of at most 2U - 1 cells of its diagonal, centred on the
-seed cell, with U = min(n1, n2, (k+1)*l0 + k) the longest a window can be.
-It keeps the longest window through the seed cell, ties to the smallest
-start.  Every optimal window of length >= B holds one pair's seed cell, so
-the longest windows found are optimal and the smallest witness is among
-them.  No LCE query is made, so neither the forward sparse table nor the
-backward index is built.  Cf. Charalampopoulos et al. (CPM 2018) for exact
-seeds of long matches, and Flouri, Giaquinta, Kobert and Ukkonen (IPL
-2015) for the window.
+``klcf_seeds`` enumerates the pairs in budgeted chunks.  A pair's strip
+is the U - 1 cells of its diagonal either side of the seed cell, clipped
+to the diagonal, with U = min(n1, n2, (k+1)*l0 + k) the longest a window
+can be.  Each strip becomes one row of packed mismatch bits that starts
+at the strip's clipped start and is 2U - 1 cells wide in whole bytes, and
+the scan's exact stage (``best_in_rows``: the block filter, then the
+sliding window) runs on a chunk's rows at floor max(best, B).  Every
+optimal window holds a pair's seed cell and is at most U long, so it lies
+in that pair's strip; the smallest one starts right after a mismatch or
+at its diagonal's start, where the sliding window looks; and every window
+found is a real one.  So the longest windows found are optimal and the
+smallest witness is among them.  No LCE query is made, so neither the
+forward sparse table nor the backward index is built.  Cf.
+Charalampopoulos et al. (CPM 2018) for exact seeds of long matches, and
+Flouri, Giaquinta, Kobert and Ukkonen (IPL 2015) for the window.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, make_span, trivial_span
-from .diagonal import SCAN_CELLS, argmin_pair
+from .diagonal import SCAN_CELLS, best_in_rows, padded_pair
 from .lce import LceIndex, cross_runs, lcf0
 
 # suffixes grouped per batch of SA runs, and seed pairs extended per chunk
@@ -131,81 +136,32 @@ def _pairs(text: Text, lce: LceIndex, m: int, budget: int):
             yield src[j], p2[start[j] + at - (end[j] - size[j])]
 
 
-def _extend(view1, view2, n1: int, n2: int, k: int, u: int,
-            p1: np.ndarray, p2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matching seed cell (p1, p2), 0-based: the length of the longest
-    window through it with at most k mismatches, and its start's offset
-    from the cell (<= 0), ties to the smallest start.
-
-    ``view1[p]`` is s1[p-u+1 .. p+u-1], padded past both ends, and likewise
-    ``view2``.  The longest window through the cell with t mismatches
-    before it starts right after the (t+1)-th mismatch before it and ends
-    right before the (k-t+1)-th after it, never past its diagonal's ends.
-    """
-    w = 2 * u - 1
-    c = u - 1  # the seed cell's column
-    rows = len(p1)
-    flat = np.empty(rows * w + 1, bool)
-    flat[-1] = True  # a sentinel past the last row
-    mism = flat[:-1].reshape(rows, w)
-    np.not_equal(view1[p1], view2[p2], out=mism)
-    nz = np.flatnonzero(flat)
-    # each row's mismatches in nz, and the first one after the cell
-    before_n = np.count_nonzero(mism[:, :c], axis=1)
-    after_n = np.count_nonzero(mism[:, c:], axis=1)
-    row_hi = np.cumsum(before_n + after_n)
-    mid = row_hi - after_n
-    row_lo = mid - before_n
-    base = np.arange(rows, dtype=np.int64) * w
-    j = np.arange(k + 1)[:, None]
-    after = mid + j
-    right = np.where(after < row_hi, nz[np.minimum(after, len(nz) - 1)] - base, w)
-    before = mid - 1 - j
-    left = np.where(before >= row_lo, nz[np.maximum(before, 0)] - base, -1)
-    lo_col = c - np.minimum(np.minimum(p1, p2), c)
-    hi_col = c + np.minimum(np.minimum(n1 - 1 - p1, n2 - 1 - p2), c)
-    # row t: t mismatches before the cell, k - t after it
-    start = np.maximum(left + 1, lo_col)
-    length = np.minimum(right[::-1] - 1, hi_col) - start + 1
-    best = length.max(axis=0)
-    first = np.where(length == best, start, w).min(axis=0)
-    return best, first - c
-
-
-def _padded_view(seq: np.ndarray, u: int, fill: int, dtype):
-    pad = np.full(u - 1, fill, dtype)
-    return np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([pad, seq.astype(dtype), pad]), 2 * u - 1)
-
-
 def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
                 stats=None) -> MatchSpan:
     """The optimum, given that a window of ``floor`` >= 1 cells exists:
-    the longest window of at least floor cells through the seed cells of
-    the left-maximal pairs, or ``trivial_span``'s, which covers optima of at
+    the longest window of at least floor cells in the seed strips of the
+    left-maximal pairs, or ``trivial_span``'s, which covers optima of at
     most k (they need hold no exact run).  ``stats`` (a ``ScanStats``)
-    counts the pairs and their compared cells."""
+    counts the pairs and their rows' compared cells."""
     n1, n2 = text.n1, text.n2
     u = min(n1, n2, (k + 1) * ell0 + k)
-    w = 2 * u - 1
-    dtype = np.int16 if text.sigma < 1 << 15 else np.int64
-    view1 = _padded_view(text.s1, u, -1, dtype)
-    view2 = _padded_view(text.s2, u, -2, dtype)
+    w = -(-(2 * u - 1) // 8) * 8  # a strip's 2U - 1 cells, in whole bytes
+    view1, view2 = (np.lib.stride_tricks.sliding_window_view(s, w)
+                    for s in padded_pair(text, w, w))
     budget = min(SEED_BUDGET, max(1, SCAN_CELLS // w))
     best = trivial_span(text, k)
     for p1, p2 in _pairs(text, lce, run_length(floor, k), budget):
         if stats is not None:
             stats.seed_pairs += len(p1)
             stats.seed_cells += len(p1) * w
-        length, back = _extend(view1, view2, n1, n2, k, u, p1, p2)
-        mx = int(length.max())
-        if mx < max(best.length, floor):
-            continue
-        hits = np.flatnonzero(length == mx)
-        st1 = p1[hits] + 1 + back[hits]
-        st2 = p2[hits] + 1 + back[hits]
-        g = argmin_pair(st1, st2)
-        best = better_span(best, MatchSpan(mx, int(st1[g]), int(st2[g])))
+        # each row starts U - 1 cells before its seed cell, or at its
+        # diagonal's start, and runs w cells or to its diagonal's end
+        back = np.minimum(np.minimum(p1, p2), u - 1)
+        r1, r2 = p1 - back, p2 - back
+        length = np.minimum(w, np.minimum(n1 - r1, n2 - r2))
+        # w is whole bytes, so one flat packbits packs the rows back to back
+        packed = np.packbits(view1[r1] != view2[r2]).reshape(len(r1), w // 8)
+        best = best_in_rows(best, packed, length, r1 + 1, r2 + 1, k, floor)
     return make_span(text, best.length, best.i1, best.i2)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, make_span, trivial_span
-from .diagonal import argmin_pair, klcf_diagonal_scan
+from .diagonal import best_window, klcf_diagonal_scan
 from .lce import LceIndex, lcf0
 from .seeds import run_length, seed_floor, seed_price, seed_search
 
@@ -33,11 +33,12 @@ PASS_CELLS = 1 << 16
 # (DNA, k 4, n 8192, random or 1 %-mutated).  A wrong R costs time, never
 # exactness.
 SCAN_CELLS_PER_EXTENSION = 100
-# cost of one cell a seed extension compares, in cells of the exhaustive
-# scan.  Same machine: 5-10 ns per compared cell once a chunk holds
-# thousands of pairs (DNA, k 4: random n 3072, 1 %-mutated n 32768 and
-# 131072) against 0.9-1.5 ns per scanned cell on those pairs.  A wrong
-# value costs time, never exactness.
+# cost of one cell of a seed row, in cells of the exhaustive scan.  Same
+# machine: 2-5 ns per row cell on 39-107-cell strips (random, k 2 and 4,
+# n 3072 and 16384, sigma 4 and 20) against 0.7-2.0 ns per scanned cell
+# of those pairs, but 17-24 ns on 17-cell strips (k 1: sigma 20, n 1024,
+# and sigma 64, n 8192) against 1.0-3.3 ns, so narrow strips are priced
+# low.  A wrong value costs time, never exactness.
 SEED_CELL_COST = 8
 
 
@@ -48,8 +49,9 @@ class ScanStats:
     ``cells_visited`` counts the cells the passes expanded with LCE queries;
     ``scan_cells`` the cells of the exhaustive scan that finished the search
     instead of further passes, and ``seed_pairs`` and ``seed_cells`` the
-    pairs seed-and-extend extended and the cells it compared when it
-    finished the search instead (all 0 when the passes settled it).
+    seed pairs whose strips were compared and the cells of their rows, each
+    row's packed width, when seeds finished the search instead (all 0 when
+    the passes settled it).
     """
 
     cells_visited: int = 0
@@ -174,14 +176,7 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
         if stats is not None:
             stats.cells_visited += len(i1s)
         length, back = _batch_longest(text, lce, i1s, i2s, k)
-        mx = int(length.max())
-        if mx <= 0 or mx < best.length:
-            continue
-        hits = np.flatnonzero(length == mx)
-        st1 = i1s[hits] - back[hits]
-        st2 = i2s[hits] - back[hits]
-        g = argmin_pair(st1, st2)
-        best = better_span(best, MatchSpan(mx, int(st1[g]), int(st2[g])))
+        best = best_window(best, length, i1s - back, i2s - back)
     if best.length == 0:
         return MatchSpan(0, 1, 1, ())
     return make_span(text, best.length, best.i1, best.i2)

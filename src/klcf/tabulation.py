@@ -23,9 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (MatchSpan, ResourceLimitError, Text, better_span,
-                   make_span)
-from .diagonal import SCAN_CELLS, argmin_pair, geometry, packed_batches
+from .core import MatchSpan, ResourceLimitError, Text, make_span
+from .diagonal import SCAN_CELLS, best_window, geometry, packed_batches
 
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
@@ -129,15 +128,6 @@ class LutL2:
                 int(self.ones[kp, v1, v2]))
 
 
-@lru_cache(maxsize=None)
-def _popcount_table(b: int) -> np.ndarray:
-    v = np.arange(1 << b, dtype=np.int64)
-    pc = np.zeros(1 << b, dtype=np.int64)
-    for i in range(b):
-        pc += (v >> i) & 1
-    return pc
-
-
 def _check_block_bits(b: int):
     if not 1 <= b <= 16:
         raise ResourceLimitError(f"block width {b} outside the supported [1, 16]")
@@ -147,14 +137,13 @@ def build_l1(b: int) -> LutL1:
     """Complete L1 table for all 2^b inputs and all budgets k' in [0, b]."""
     _check_block_bits(b)
     nv = 1 << b
-    pc = _popcount_table(b)
     vals = np.arange(nv, dtype=np.int64)
     wins = [(i, i + ln - 1) for ln in range(b, 0, -1) for i in range(1, b - ln + 2)]
     wins.append((1, 0))  # empty window, always valid
     pw = np.empty((nv, len(wins)), dtype=np.int16)
     for t, (i, j) in enumerate(wins):
         mask = ((1 << j) - 1) ^ ((1 << (i - 1)) - 1)
-        pw[:, t] = pc[vals & mask]
+        pw[:, t] = np.bitwise_count(vals & mask)
     wi = np.array([w[0] for w in wins], dtype=np.uint8)
     wj = np.array([w[1] for w in wins], dtype=np.uint8)
     start = np.empty((b + 1, nv), dtype=np.uint8)
@@ -184,13 +173,12 @@ def build_l2(b: int, max_table_bytes: int = L2_TABLE_BYTE_LIMIT) -> LutL2:
     if out_bytes > max_table_bytes:
         raise ResourceLimitError(
             f"L2 table for b={b} needs {out_bytes} bytes (limit {max_table_bytes})")
-    pc = _popcount_table(b)
     vals = np.arange(nv, dtype=np.int64)
     lens = np.arange(b + 1)
     # set bits in the suffix (of the first block) and in the prefix (of the
     # second) of each length, [length, value]
-    suf = pc[vals >> (b - lens[:, None])]
-    pre = pc[vals & ((1 << lens[:, None]) - 1)]
+    suf = np.bitwise_count(vals >> (b - lens[:, None]))
+    pre = np.bitwise_count(vals & ((1 << lens[:, None]) - 1))
     # longest suffix and prefix with at most a set bits, [a, value]
     suf_len = (suf[None, 1:] <= lens[:, None, None]).sum(axis=1)
     pre_len = (pre[None, 1:] <= lens[:, None, None]).sum(axis=1)
@@ -272,8 +260,9 @@ class TabulationStats:
 
 
 def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
-               stats: TabulationStats | None):
-    """Best window over many diagonals' flat blocks; (len, i1, i2) or None.
+               best: MatchSpan, stats: TabulationStats | None) -> MatchSpan:
+    """``best``, or the best window over many diagonals' flat blocks if it
+    is at least as long (``best_window``).
 
     Each diagonal's last block has its bits past the diagonal's end set.
     """
@@ -282,27 +271,20 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
     dia = np.repeat(np.arange(dcount), m)
     c_in = np.arange(nb, dtype=np.int64) - boff[dia]
     last = boff + m - 1
-    popc = _popcount_table(b)[blocks]
+    popc = np.bitwise_count(blocks)
     # pref[e] counts the set bits before block e; block nb, past the end,
     # holds every bit index from the last one on
     pref = np.zeros(nb + 2, dtype=np.int64)
-    np.cumsum(popc, out=pref[1:-1])
+    np.cumsum(popc, dtype=np.int64, out=pref[1:-1])
     pref[-1] = np.iinfo(np.int64).max
     ldia = length[dia]
-    best = None
 
     def consider(clen, cst, dsel):
         nonlocal best
-        mx = int(clen.max()) if len(clen) else 0
-        if mx <= 0 or (best is not None and mx < best[0]):
-            return
-        hits = np.flatnonzero(clen == mx)  # tie-break only among the maxima
-        i1 = st1[dsel[hits]] + cst[hits] - 1
-        i2 = st2[dsel[hits]] + cst[hits] - 1
-        g = argmin_pair(i1, i2)
-        cand = (mx, int(i1[g]), int(i2[g]))
-        if best is None or (cand[0], -cand[1], -cand[2]) > (best[0], -best[1], -best[2]):
-            best = cand
+        # only the longest windows reach the selection's gathers
+        hits = np.flatnonzero(clen == clen.max())
+        cst, dsel = cst[hits], dsel[hits]
+        best = best_window(best, clen[hits], st1[dsel] + cst - 1, st2[dsel] + cst - 1)
 
     k1 = min(k, b)
     st = c_in * b + l1.start[k1, blocks].astype(np.int64)
@@ -365,10 +347,11 @@ def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
     st = np.ones(1, dtype=np.int64)
     boff = np.zeros(1, dtype=np.int64)
     best = _scan_flat(blocks, np.array([len(blocks)]), boff,
-                      np.array([mb.total_bits]), st, st, mb.b, k, l1, l2, None)
-    if best is None:
+                      np.array([mb.total_bits]), st, st, mb.b, k, l1, l2,
+                      MatchSpan(0, 1, 1), None)
+    if best.length == 0:
         return (1, 0)
-    return best[1], best[1] + best[0] - 1
+    return best.i1, best.i1 + best.length - 1
 
 
 def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
@@ -385,7 +368,6 @@ def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
         blocks, m, boff = _row_blocks(packed, length, b)
         if stats is not None:
             stats.word_ops += packed.size
-        res = _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2, stats)
-        if res is not None:
-            best = better_span(best, MatchSpan(*res))
+        best = _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
+                          best, stats)
     return make_span(text, best.length, best.i1, best.i2)
