@@ -35,25 +35,26 @@ class MatchSpan:
 
 
 class Text:
-    """Two sequences over a dense integer alphabet plus their concatenation.
+    """Two sequences over a dense alphabet, held once as their concatenation.
 
     Symbols are densified to [0, sigma) where sigma counts the distinct
     symbols actually occurring in either sequence.  ``concat`` is
     s1 . SEP1 . s2 . SEP2 with the two sentinels sigma and sigma+1, so no
-    exact extension can cross a sequence boundary.
+    exact extension can cross a sequence boundary, in the narrowest
+    unsigned dtype that holds sigma+1: one byte per symbol up to sigma =
+    254, two up to 65534, four above.  ``s1`` and ``s2`` are views of it.
     """
 
     __slots__ = ("s1", "s2", "n1", "n2", "sigma", "concat", "alphabet")
 
     def __init__(self, s1: np.ndarray, s2: np.ndarray, sigma: int, alphabet=None):
-        self.s1 = s1
-        self.s2 = s2
-        self.n1 = len(s1)
-        self.n2 = len(s2)
-        self.sigma = sigma
-        sep1, sep2 = sigma, sigma + 1
-        self.concat = np.concatenate(
-            [s1, [sep1], s2, [sep2]]).astype(np.int64)
+        n1, n2 = len(s1), len(s2)
+        concat = np.empty(n1 + n2 + 2, np.min_scalar_type(sigma + 1))
+        concat[:n1], concat[n1 + 1:-1] = s1, s2
+        # written as Python ints, so a dtype too narrow for one raises
+        concat[n1], concat[-1] = int(sigma), int(sigma) + 1
+        self.concat, self.s1, self.s2 = concat, concat[:n1], concat[n1 + 1:-1]
+        self.n1, self.n2, self.sigma = n1, n2, sigma
         self.alphabet = alphabet  # dense value -> original symbol, or None
 
     @classmethod
@@ -75,9 +76,8 @@ class Text:
         a1 = np.asarray(list(s1), dtype=np.int64)
         a2 = np.asarray(list(s2), dtype=np.int64)
         alphabet = np.unique(np.concatenate([a1, a2]))
-        d1 = np.searchsorted(alphabet, a1)
-        d2 = np.searchsorted(alphabet, a2)
-        return cls(d1, d2, len(alphabet), alphabet)
+        return cls(np.searchsorted(alphabet, a1), np.searchsorted(alphabet, a2),
+                   len(alphabet), alphabet)
 
     @classmethod
     def from_strings(cls, s1: str, s2: str) -> "Text":

@@ -82,13 +82,12 @@ def best_window(best: MatchSpan, length, i1: np.ndarray, i2: np.ndarray) -> Matc
 
 
 def padded_pair(text: Text, pad1: int, pad2: int):
-    """s1 and s2 in a narrow signed dtype (int16 below 2^15 symbols, else
-    int64), followed by pad1 cells of -1 and pad2 cells of -2: the pads
-    match no symbol and not each other, so every cell past either
-    sequence's end compares as a mismatch."""
-    dtype = np.int16 if text.sigma < 1 << 15 else np.int64
-    return (np.concatenate([text.s1.astype(dtype), np.full(pad1, -1, dtype)]),
-            np.concatenate([text.s2.astype(dtype), np.full(pad2, -2, dtype)]))
+    """s1 padded with pad1 cells of sigma and s2 with pad2 of sigma+1, in
+    the text's dtype: the pads match no symbol and not each other, so
+    every cell past either sequence's end compares as a mismatch."""
+    dtype = text.concat.dtype
+    return (np.concatenate([text.s1, np.full(pad1, text.sigma, dtype)]),
+            np.concatenate([text.s2, np.full(pad2, text.sigma + 1, dtype)]))
 
 
 def _block_width(floor: int) -> int:

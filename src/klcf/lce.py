@@ -263,11 +263,14 @@ class LceIndex:
     def lce_forward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.fwd.lce_batch(p, q)
 
-    def lce_backward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def backward(self) -> SuffixIndex:
+        """The backward index, built by the first call."""
         if self.bwd is None:
             self.bwd = SuffixIndex(self.text.concat[::-1])
-        n = self.n
-        return self.bwd.lce_batch(n - p + 1, n - q + 1)
+        return self.bwd
+
+    def lce_backward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self.backward().lce_batch(self.n - p + 1, self.n - q + 1)
 
 
 def build_lce(text: Text) -> LceIndex:
@@ -284,10 +287,7 @@ def lce_forward(idx: LceIndex, p: int, q: int) -> int:
 
 def lce_backward(idx: LceIndex, p: int, q: int) -> int:
     """Length of the longest common suffix of concat[..p] and concat[..q] (1-based)."""
-    if idx.bwd is None:
-        idx.bwd = SuffixIndex(idx.text.concat[::-1])
-    n = idx.n
-    return idx.bwd.lce(n - p + 1, n - q + 1)
+    return idx.backward().lce(idx.n - p + 1, idx.n - q + 1)
 
 
 def cross_runs(idx: LceIndex, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MatchSpan, Text, better_span, make_span, trivial_span
+from .core import MatchSpan, Text, better_span, klcf_bounds, make_span, trivial_span
 from .diagonal import SCAN_CELLS, best_in_rows, padded_pair
 from .lce import LceIndex, cross_runs, lcf0
 
@@ -144,7 +144,7 @@ def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
     most k (they need hold no exact run).  ``stats`` (a ``ScanStats``)
     counts the pairs and their rows' compared cells."""
     n1, n2 = text.n1, text.n2
-    u = min(n1, n2, (k + 1) * ell0 + k)
+    u = klcf_bounds(ell0, k, n1, n2)[1]
     w = -(-(2 * u - 1) // 8) * 8  # a strip's 2U - 1 cells, in whole bytes
     view1, view2 = (np.lib.stride_tricks.sliding_window_view(s, w)
                     for s in padded_pair(text, w, w))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatchSpan, Text, better_span, make_span, trivial_span
+from .core import MatchSpan, Text, better_span, klcf_bounds, make_span, trivial_span
 from .diagonal import best_window, klcf_diagonal_scan
 from .lce import LceIndex, lcf0
 from .seeds import run_length, seed_floor, seed_price, seed_search
@@ -212,7 +212,7 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
         return best
     # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
     # n2)) without being the smallest witness, so a pass or a purchase runs
-    h = min((k + 1) * ell0 + k, n1, n2)
+    h = klcf_bounds(ell0, k, n1, n2)[1]
     floor = seed_floor(text, k, ell0, w1, w2)
     scan = n1 * n2
     per_pair = (2 * h - 1) * SEED_CELL_COST

@@ -30,7 +30,9 @@ REF_LEN = 1 << 22
 READ_LEN = 150
 K = 4
 SEED = 11
-LIMIT_MB = 512  # the eager forward sparse table alone peaked at 1,171 MB
+# 176 MB with one byte per symbol of text; 228 MB when Text held its
+# symbols twice as int64, and 1,171 MB with an eager forward sparse table
+LIMIT_MB = 208
 
 
 def peak_rss_mb() -> float:

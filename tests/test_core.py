@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from klcf.core import (MatchSpan, Text, klcf_bounds, klcf_oracle,
@@ -30,6 +31,22 @@ def test_byte_inputs_densify_as_integer_lists(s1, s2):
     for name in ("s1", "s2", "alphabet", "concat"):
         got, want = getattr(fast, name), getattr(plain, name)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+
+@pytest.mark.parametrize("sigma, dtype", [
+    (254, np.uint8), (255, np.uint16), (256, np.uint16), (65534, np.uint16),
+    (65535, np.uint32)])
+def test_text_holds_symbols_once_in_the_narrowest_dtype(sigma, dtype):
+    if sigma == 256:  # every byte value, through the bytes path
+        s1, s2 = bytes(range(256)), bytes(range(255, -1, -3))
+    else:
+        s1, s2 = list(range(sigma)), [sigma - 1, 0, 1]
+    t = Text.from_symbols(s1, s2)
+    assert t.sigma == sigma
+    assert t.concat.dtype == dtype
+    assert np.shares_memory(t.s1, t.concat) and np.shares_memory(t.s2, t.concat)
+    assert t.concat[t.n1] == sigma and t.concat[-1] == sigma + 1
+    assert t.s1.tolist() == list(s1) and t.s2.tolist() == list(s2)
 
 
 def test_text_empty_sides():

@@ -50,11 +50,16 @@ def test_extreme_shapes():
     _all_agree(Text.from_symbols([0] * 255 + [1], [1] + [0] * 255), (0, 1))
     # budget beyond both lengths
     _all_agree(Text.from_symbols([1, 2, 3], [4, 5, 6]), (5, 50))
-    # 2^15 symbols or more: the int64 symbol views of the scan and of seeds
+    # 2^15 symbols or more: the uint16 symbols of the scan and of seeds
     s1 = np.random.default_rng(5).permutation(33_000).tolist()
     s2 = s1[20_000:20_060] + s1[7_000:7_010]
     s2[13], s2[41] = s1[100], s1[200]
     _all_agree(Text.from_symbols(s1, s2), (2,))
+    # 255 symbols: the second separator, 256, is the first to need uint16
+    s1 = np.tile(np.random.default_rng(6).permutation(255), 3).tolist()
+    s2 = s1[100:400]
+    s2[50], s2[210] = s1[7], s1[9]
+    _all_agree(Text.from_symbols(s1, s2), (0, 2))
 
 
 def test_exhaustive_binary_4x4_all_algorithms():

@@ -125,7 +125,7 @@ def test_scan_against_brute_force(rng):
 
 def test_scan_empty_and_large_alphabet():
     assert klcf_diagonal_scan(Text.from_symbols([], [1, 2]), 3) == MatchSpan(0, 1, 1, ())
-    # symbols past int16: the scan compares them at full width
+    # symbols past uint16: the scan compares them as uint32
     rng = random.Random(3)
     sigma = 1 << 16
     s1 = np.array([rng.randrange(sigma) for _ in range(60)] + [7, sigma - 1, 9])
