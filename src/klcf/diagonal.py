@@ -1,32 +1,33 @@
-"""Diagonal geometry and the exhaustive chunked diagonal scan.
+"""Diagonal geometry, rows of mismatch bits, and the exhaustive scan.
 
 Diagonal g (0-based) of the n1 x n2 alignment matrix pairs s1 and s2 at
 alignment a = i2 - i1 = g - (n1 - 1), so g runs over n1 + n2 - 1 values
-from the bottom-left corner to the top-right one.  The exhaustive scan and
-tabulation walk diagonals in that order, a batch at a time, and build the
-batch's starts and lengths with ``geometry``; neither holds them for every
-diagonal at once.  ``packed_batches`` gives both of them the packed
-mismatch bits of each batch, a bounded number of cells at a time.  Strided
-passes walk no diagonals: ``strided`` owns the cells they visit.
+from the bottom-left corner to the top-right one.  This module alone lays
+out rows of mismatch bits, 8 cells to a byte in whole bytes, every bit
+past a row's cells set: the whole diagonals of ``packed_batches``, which
+the exhaustive scan and tabulation read a batch at a time with the starts
+and lengths of ``geometry``, and the strips of ``best_in_strips`` around
+the seed cells ``seeds`` hands over.  Strided passes walk no diagonals:
+``strided`` owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
 mismatches is bounded by two mismatches (or the diagonal's ends) with at
 most k mismatches between them, so the longest one on a diagonal starts
 right after some mismatch and ends right before the (k+1)-th one after it.
-In front of it sits an exact block filter, the word-packing idea of the
-tabulation algorithm and of bit-parallel mismatch counting (Baeza-Yates and
-Gonnet, CACM 1992): mismatch bits are packed 8 to a byte, counted per block
-with ``np.bitwise_count``, and only the bytes a block count cannot rule out
-reach the sliding window.  ``best_in_rows`` runs both stages on any rows
-of packed mismatch bits: the scan's batches, and the strips around the
-seed cells of ``seeds``.  ``best_window`` makes every solver's selection,
-the longest window and then the smallest (i1, i2).
+In front of it sits an exact block filter (the word-packing idea of the
+tabulation algorithm and of bit-parallel mismatch counting, Baeza-Yates
+and Gonnet, CACM 1992): it counts mismatch bits per block with
+``np.bitwise_count`` and passes on only the bytes a count cannot rule
+out.  ``best_in_rows`` runs both stages on any rows; ``best_window``
+makes every solver's selection, the longest window, then the smallest
+(i1, i2).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MatchSpan, Text, better_span, make_span
 
@@ -238,22 +239,30 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
     return best_window(best, mx, st1[row] + t, st2[row] + t)
 
 
+def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of mismatch bits a != b, 8 to a byte: a holds rows of w cells
+    of a padded sequence, w whole bytes, and b as many rows or one row for
+    all, so one flat packbits packs ``PACK_CELLS`` cells at a time."""
+    rows, w = a.shape
+    packed = np.empty(rows * w // 8, np.uint8)
+    step = max(1, PACK_CELLS // w)
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        packed[lo * w // 8:(lo + step) * w // 8] = np.packbits(
+            a[part] != (b[part] if b.ndim == 2 else b))
+    return packed.reshape(rows, w // 8)
+
+
 def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
     """Yield (batch, packed) for every diagonal of ``text``, a batch of
-    them at a time: ``batch`` holds the diagonals' indices and ``packed``
-    one row of their mismatch bits each, 8 to a byte.
-
-    A batch is the rows of a dense matrix of at most ``budget`` cells (a
-    single diagonal longer than that gets a batch of its own), less k + 8
+    them at a time: the diagonals' indices, and one row of mismatch bits
+    each; nothing when a sequence is empty.  A batch is the rows of a dense
+    matrix of at most ``budget`` cells (or one longer diagonal), less k + 8
     separator bits a row for the scan's exact stage.  Diagonals with
-    i2 <= i1 slide s1 past s2 and the others slide s2 past s1, so each
-    batch is one strided view of a padded sequence compared with a prefix
-    of the other.  Both halves are walked from the longest diagonal
-    outwards, so a batch's first row is its widest and sets the row width;
-    every bit past a diagonal's end is set.  The comparison is packed
-    ``PACK_CELLS`` cells at a time.  Nothing is yielded when a sequence is
-    empty.
-    """
+    i2 <= i1 slide s1 past s2 and the others s2 past s1, so a batch is a
+    slice of one padded sequence's windows compared with a prefix of the
+    other.  Both halves run from the longest diagonal outwards, so a
+    batch's first row sets its width."""
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
@@ -267,30 +276,47 @@ def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
             w = -(-int(length[0]) // 8) * 8  # whole bytes
             rows = min(max(1, budget // (w + k + 8)), abs(g_end - g))
             x0 = int(max(st1[0], st2[0])) - 1  # the fixed side starts at 1
-            view = np.lib.stride_tricks.sliding_window_view(padded, w)[x0:x0 + rows]
-            # w is whole bytes, so packed rows lie back to back, and one
-            # flat packbits per chunk beats a per-row one on narrow batches
-            packed = np.empty(rows * w // 8, np.uint8)
-            chunk = max(1, PACK_CELLS // w)
-            for r0 in range(0, rows, chunk):
-                packed[r0 * w // 8:(r0 + chunk) * w // 8] = np.packbits(
-                    view[r0:r0 + chunk] != fixed[:w])
-            yield np.arange(g, g + step * rows, step), packed.reshape(rows, w // 8)
+            view = sliding_window_view(padded, w)[x0:x0 + rows]
+            yield np.arange(g, g + step * rows, step), _packed_rows(view, fixed[:w])
             g += step * rows
+
+
+def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,
+                   floor: int, stats=None) -> MatchSpan:
+    """``best``, or the longest window of at least ``floor`` cells in the
+    strips of the 0-based seed cells (p1, p2) ``cells`` yields in chunks,
+    if it is as long as best.  A strip is the u - 1 cells of its diagonal
+    either side of its cell, clipped to the diagonal, so it holds every
+    window of at most u cells through the cell; its row runs 2u - 1 cells
+    in whole bytes from there, or to the diagonal's end.  Rows are scanned
+    ``SCAN_CELLS`` cells a batch; ``stats`` (``ScanStats``) counts seeds
+    and row cells."""
+    w = -(-(2 * u - 1) // 8) * 8
+    view1, view2 = (sliding_window_view(s, w) for s in padded_pair(text, w, w))
+    step = max(1, SCAN_CELLS // w)
+    for p1, p2 in cells:
+        if stats is not None:
+            stats.seed_pairs += len(p1)
+            stats.seed_cells += len(p1) * w
+        for lo in range(0, len(p1), step):
+            q1, q2 = p1[lo:lo + step], p2[lo:lo + step]
+            back = np.minimum(np.minimum(q1, q2), u - 1)
+            r1, r2 = q1 - back, q2 - back
+            length = np.minimum(w, np.minimum(text.n1 - r1, text.n2 - r2))
+            best = best_in_rows(best, _packed_rows(view1[r1], view2[r2]), length,
+                                r1 + 1, r2 + 1, k, floor)
+    return best
 
 
 def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
                        floor: int = 0) -> MatchSpan:
     """Exact optimum and its lexicographically smallest witness, by
-    scanning every diagonal.
+    scanning every diagonal of ``packed_batches`` with this ``budget``.
 
-    The mismatch bits come from ``packed_batches`` with this ``budget``.
-    On each batch a block filter (``_kept_segments``) passes on only the
-    bytes that may hold a window as long as L = max(best so far, floor);
-    the exact sliding window runs on those.  ``floor`` is the length of a
-    window known to exist, or 0; windows of length L are kept, so the
-    answer is exact whatever floor at most the optimum is given.
-    O(n1 n2) time, O(budget + n1 + n2) memory.
+    ``floor`` is the length of a window known to exist, or 0; windows as
+    long as L = max(best so far, floor) are kept, so the answer is exact
+    whatever floor at most the optimum is given.  O(n1 n2) time,
+    O(budget + n1 + n2) memory.
     """
     best = MatchSpan(0, 1, 1)
     for batch, packed in packed_batches(text, k, budget):

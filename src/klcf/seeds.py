@@ -13,21 +13,14 @@ pairs of the forward SA runs at threshold m (``cross_runs``) less those
 with equal preceding symbols, and ``seed_price`` counts them before any is
 enumerated: c1*c2 - sum_a c1[a]*c2[a] per run.
 
-``klcf_seeds`` enumerates the pairs in budgeted chunks.  A pair's strip
-is the U - 1 cells of its diagonal either side of the seed cell, clipped
-to the diagonal, with U = min(n1, n2, (k+1)*l0 + k) the longest a window
-can be.  Each strip becomes one row of packed mismatch bits that starts
-at the strip's clipped start and is 2U - 1 cells wide in whole bytes, and
-the scan's exact stage (``best_in_rows``: the block filter, then the
-sliding window) runs on a chunk's rows at floor max(best, B).  Every
-optimal window holds a pair's seed cell and is at most U long, so it lies
-in that pair's strip; the smallest one starts right after a mismatch or
-at its diagonal's start, where the sliding window looks; and every window
-found is a real one.  So the longest windows found are optimal and the
-smallest witness is among them.  No LCE query is made, so neither the
-forward sparse table nor the backward index is built.  Cf.
-Charalampopoulos et al. (CPM 2018) for exact seeds of long matches, and
-Flouri, Giaquinta, Kobert and Ukkonen (IPL 2015) for the window.
+``klcf_seeds`` hands the pairs' seed cells, in budgeted chunks, to
+``best_in_strips`` with U = min(n1, n2, (k+1)*l0 + k), the longest a
+window can be, and floor B; ``diagonal`` owns the strips.  Every optimal
+window holds a seed cell and is at most U long, so it lies in that cell's
+strip, and the smallest starts right after a mismatch or at its
+diagonal's start, where the sliding window looks; every window found is
+real.  No LCE query is made, so neither the forward sparse table nor the
+backward index is built.  Cf. Charalampopoulos et al. (CPM 2018).
 """
 
 from __future__ import annotations
@@ -35,11 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, klcf_bounds, make_span, trivial_span
-from .diagonal import SCAN_CELLS, best_in_rows, padded_pair
+from .diagonal import best_in_strips
 from .lce import LceIndex, cross_runs, lcf0
 
-# suffixes grouped per batch of SA runs, and seed pairs extended per chunk
-# (fewer when their compared cells would pass SCAN_CELLS)
+# suffixes grouped per batch of SA runs, and seed pairs per chunk
 SEED_BUDGET = 1 << 14
 
 
@@ -141,27 +133,10 @@ def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
     """The optimum, given that a window of ``floor`` >= 1 cells exists:
     the longest window of at least floor cells in the seed strips of the
     left-maximal pairs, or ``trivial_span``'s, which covers optima of at
-    most k (they need hold no exact run).  ``stats`` (a ``ScanStats``)
-    counts the pairs and their rows' compared cells."""
-    n1, n2 = text.n1, text.n2
-    u = klcf_bounds(ell0, k, n1, n2)[1]
-    w = -(-(2 * u - 1) // 8) * 8  # a strip's 2U - 1 cells, in whole bytes
-    view1, view2 = (np.lib.stride_tricks.sliding_window_view(s, w)
-                    for s in padded_pair(text, w, w))
-    budget = min(SEED_BUDGET, max(1, SCAN_CELLS // w))
-    best = trivial_span(text, k)
-    for p1, p2 in _pairs(text, lce, run_length(floor, k), budget):
-        if stats is not None:
-            stats.seed_pairs += len(p1)
-            stats.seed_cells += len(p1) * w
-        # each row starts U - 1 cells before its seed cell, or at its
-        # diagonal's start, and runs w cells or to its diagonal's end
-        back = np.minimum(np.minimum(p1, p2), u - 1)
-        r1, r2 = p1 - back, p2 - back
-        length = np.minimum(w, np.minimum(n1 - r1, n2 - r2))
-        # w is whole bytes, so one flat packbits packs the rows back to back
-        packed = np.packbits(view1[r1] != view2[r2]).reshape(len(r1), w // 8)
-        best = best_in_rows(best, packed, length, r1 + 1, r2 + 1, k, floor)
+    most k (they need hold no exact run).  ``stats`` is ``best_in_strips``'s."""
+    u = klcf_bounds(ell0, k, text.n1, text.n2)[1]
+    cells = _pairs(text, lce, run_length(floor, k), SEED_BUDGET)
+    best = best_in_strips(trivial_span(text, k), text, cells, u, k, floor, stats)
     return make_span(text, best.length, best.i1, best.i2)
 
 
@@ -173,10 +148,8 @@ def klcf_seeds(text: Text, lce: LceIndex, k: int, floor: int = 0,
     ``floor`` is a window length known to exist, or 0; the larger of it and
     ``seed_floor`` sets B.  The exact match settles k = 0.
     """
-    if min(text.n1, text.n2) == 0:
-        return MatchSpan(0, 1, 1, ())
     ell0, w1, w2 = lcf0(lce)
-    if ell0 == 0:
+    if ell0 == 0:  # an empty side included
         return trivial_span(text, k)
     best = MatchSpan(ell0, w1, w2, ())
     if k == 0:

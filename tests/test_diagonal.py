@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from klcf import diagonal, strided
-from klcf.core import MatchSpan, Text, generate_instance, klcf_oracle
+from klcf.core import (MatchSpan, Text, generate_instance, klcf_oracle, make_span,
+                       verify_match)
 from klcf.diagonal import argmin_pair, diagonals, geometry, klcf_diagonal_scan
 from klcf.lce import build_lce
 from klcf.strided import ScanStats, _pass_cells, klcf_strided, pass_cells
@@ -133,6 +134,62 @@ def test_scan_empty_and_large_alphabet():
     t = Text(s1, s2, sigma)
     assert klcf_diagonal_scan(t, 0).length == 3
     assert klcf_diagonal_scan(t, 1) == klcf_oracle(t, 1)
+
+
+def _strip_seeds(cells, size):
+    """The 0-based seed cells as (p1, p2) chunks of ``size`` cells."""
+    p1 = np.array([c[0] for c in cells], dtype=np.int64)
+    p2 = np.array([c[1] for c in cells], dtype=np.int64)
+    return [(p1[lo:lo + size], p2[lo:lo + size]) for lo in range(0, len(p1), size)]
+
+
+@pytest.mark.parametrize("scan_cells", [1 << 20, 64, 1])
+def test_strips_around_every_cell_give_the_scan(rng, monkeypatch, scan_cells):
+    # strips around every cell cover every window of at most U cells, so
+    # they give the scan's span; U runs past the shortest diagonals and up
+    # to past both lengths, and a small SCAN_CELLS cuts a chunk's strips
+    # into several batches
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", scan_cells)
+    for _ in range(60):
+        t = random_text(rng, rng.randrange(1, 25), rng.randrange(1, 25),
+                        rng.choice([1, 2, 4, 20]))
+        k = rng.randrange(0, 5)
+        want = klcf_diagonal_scan(t, k)
+        u = rng.randrange(max(1, want.length), min(t.n1, t.n2) + 4)
+        cells = list(product(range(t.n1), range(t.n2)))
+        rng.shuffle(cells)
+        for floor in (0, want.length):
+            stats = ScanStats()
+            got = diagonal.best_in_strips(MatchSpan(0, 1, 1), t,
+                                          _strip_seeds(cells, rng.randrange(1, 50)),
+                                          u, k, floor, stats)
+            assert (got.length, got.i1, got.i2) == (want.length, want.i1, want.i2), \
+                (t.s1, t.s2, k, u, floor)
+            assert stats.seed_pairs == len(cells)
+            assert stats.seed_cells >= len(cells) * (2 * u - 1)
+
+
+@pytest.mark.parametrize("scan_cells", [1 << 20, 64, 1])
+def test_strips_through_one_optimal_cell_give_the_optimum(rng, monkeypatch, scan_cells):
+    # any cell of an optimal window, its first or last among them, seeds a
+    # strip that holds the whole window; the other seeds are random
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", scan_cells)
+    for _ in range(300):
+        t = random_text(rng, rng.randrange(1, 45), rng.randrange(1, 45),
+                        rng.choice([2, 4]))
+        k = rng.randrange(1, 5)
+        want = klcf_oracle(t, k)
+        at = rng.choice([0, want.length - 1, rng.randrange(want.length)])
+        cells = [(want.i1 - 1 + at, want.i2 - 1 + at)]
+        cells += [(rng.randrange(t.n1), rng.randrange(t.n2))
+                  for _ in range(rng.randrange(0, 40))]
+        rng.shuffle(cells)
+        u = rng.randrange(want.length, min(t.n1, t.n2) + 4)
+        got = diagonal.best_in_strips(MatchSpan(0, 1, 1), t,
+                                      _strip_seeds(cells, rng.randrange(1, 9)),
+                                      u, k, rng.choice([0, want.length]))
+        assert got.length == want.length, (t.s1, t.s2, k, u, cells)
+        assert verify_match(t, make_span(t, got.length, got.i1, got.i2), k)
 
 
 def _similar(rng, n, rate):
