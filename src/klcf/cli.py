@@ -22,14 +22,9 @@ from .neighborhood import (DEFAULT_MEM_BUDGET_WORDS, NeighborhoodStats,
                            klcf_neighborhood)
 from .seeds import klcf_seeds
 from .strided import ScanStats, klcf_strided
-from .tabulation import DEFAULT_BLOCK_BITS, TabulationStats, klcf_tabulation
+from .tabulation import TabulationStats, klcf_tabulation
 
 ALGORITHMS = ("auto", "naive", "neighborhood", "seeds", "strided", "tabulation")
-# the flag that shrinks what each solver's ResourceLimitError refused
-_RESOURCE_HINTS = {
-    "neighborhood": "raise --mem-budget",
-    "tabulation": f"use a smaller --block-bits (default {DEFAULT_BLOCK_BITS})",
-}
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -38,7 +33,6 @@ class RunConfig:
     k: int = 0
     algo: str = "auto"
     input_format: str = "plain"
-    block_bits: int = DEFAULT_BLOCK_BITS
     mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS
     output_format: str = "text"
 
@@ -100,7 +94,7 @@ def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
         return span, stats.cells_visited + stats.scan_cells + stats.seed_cells
     if algo == "tabulation":
         stats = TabulationStats()
-        span = klcf_tabulation(text, cfg.k, b=cfg.block_bits, stats=stats)
+        span = klcf_tabulation(text, cfg.k, stats=stats)
         return span, stats.lut_queries
     raise ValueError(f"unknown algorithm {algo!r}")
 
@@ -139,9 +133,9 @@ def run(cfg: RunConfig, path1: str, path2: str, out=None) -> int:
         algo = select_algorithm(cfg, text.n1, text.n2, text.sigma, ell0, cfg.k)
     try:
         span, _ = _dispatch(cfg, algo, text, lce)
-    except ResourceLimitError as err:
+    except ResourceLimitError as err:  # only the neighborhood solver's budget
         print(f"error: {err}", file=sys.stderr)
-        print(f"hint: rerun with --algo strided, or {_RESOURCE_HINTS[algo]}",
+        print("hint: rerun with --algo strided, or raise --mem-budget",
               file=sys.stderr)
         return 2
     time_ms = (time.perf_counter() - t0) * 1000.0
@@ -167,10 +161,9 @@ def _write_sequence(path: str, text_side: np.ndarray, alphabet, sigma: int):
 
 
 def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
-          cfg: RunConfig | None = None, out=None) -> None:
+          out=None) -> None:
     """Cross product of instance parameters x algorithms, one TSV row per run."""
     out = out if out is not None else sys.stdout
-    cfg = cfg or RunConfig()
     print("n\tsigma\tk\talgo\tell0\tellk\ttime_ms\twork\tagree", file=out)
     cell = 0
     for n in n_list:
@@ -181,8 +174,7 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                 text = generate_instance("random", n, sigma, k, seed=inst_seed)
                 lce = build_lce(text)
                 ell0, _, _ = lcf0(lce)
-                run_cfg = RunConfig(k=k, block_bits=cfg.block_bits,
-                                    mem_budget_words=cfg.mem_budget_words)
+                run_cfg = RunConfig(k=k)
                 results = []
                 answers = set()  # (length, i1, i2) of every solved run
                 for algo in algos:
@@ -220,7 +212,6 @@ def _solve_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--algo", choices=ALGORITHMS, default="auto")
     p.add_argument("--format", choices=("plain", "fasta"), default="plain")
-    p.add_argument("--block-bits", type=int, default=DEFAULT_BLOCK_BITS)
     p.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET_WORDS)
     p.add_argument("--json", action="store_true")
     p.add_argument("file1")
@@ -233,12 +224,9 @@ def _main_solve(argv) -> int:
     args = p.parse_args(argv)
     if args.k < 0:
         p.error("--k must be >= 0")
-    if not 1 <= args.block_bits <= 16:
-        p.error("--block-bits must be in [1, 16]")
     if args.mem_budget < 1:
         p.error("--mem-budget must be >= 1")
     cfg = RunConfig(k=args.k, algo=args.algo, input_format=args.format,
-                    block_bits=args.block_bits,
                     mem_budget_words=args.mem_budget,
                     output_format="json" if args.json else "text")
     return run(cfg, args.file1, args.file2)
@@ -275,6 +263,12 @@ def _main_bench(argv) -> int:
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
+    for flag, values, least in (("--n-list", args.n_list, 0),
+                                ("--sigma-list", args.sigma_list, 1),
+                                ("--k-list", args.k_list, 0),
+                                ("--repeats", [args.repeats], 1)):
+        if min(values, default=least) < least:
+            p.error(f"{flag} values must be >= {least}")
     algos = [a for a in args.algos.split(",") if a]
     for a in algos:
         if a not in ALGORITHMS or a == "auto":

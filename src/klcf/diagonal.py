@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MatchSpan, Text, better_span, make_span
 
-# cells compared per batch of the exhaustive scan
+# cells compared per batch of the exhaustive scan, of tabulation and of
+# the seed strips
 SCAN_CELLS = 1 << 20
 # cells compared and packed at a time within a batch, so the comparison's
 # one-byte-per-cell result never spans a whole batch
@@ -253,12 +254,12 @@ def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return packed.reshape(rows, w // 8)
 
 
-def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
+def packed_batches(text: Text, k: int):
     """Yield (batch, packed) for every diagonal of ``text``, a batch of
     them at a time: the diagonals' indices, and one row of mismatch bits
     each; nothing when a sequence is empty.  A batch is the rows of a dense
-    matrix of at most ``budget`` cells (or one longer diagonal), less k + 8
-    separator bits a row for the scan's exact stage.  Diagonals with
+    matrix of at most ``SCAN_CELLS`` cells (or one longer diagonal), less
+    k + 8 separator bits a row for the scan's exact stage.  Diagonals with
     i2 <= i1 slide s1 past s2 and the others s2 past s1, so a batch is a
     slice of one padded sequence's windows compared with a prefix of the
     other.  Both halves run from the longest diagonal outwards, so a
@@ -274,7 +275,7 @@ def packed_batches(text: Text, k: int, budget: int = SCAN_CELLS):
         while g != g_end:
             st1, st2, length = diagonals(n1, n2, g, g + 1)
             w = -(-int(length[0]) // 8) * 8  # whole bytes
-            rows = min(max(1, budget // (w + k + 8)), abs(g_end - g))
+            rows = min(max(1, SCAN_CELLS // (w + k + 8)), abs(g_end - g))
             x0 = int(max(st1[0], st2[0])) - 1  # the fixed side starts at 1
             view = sliding_window_view(padded, w)[x0:x0 + rows]
             yield np.arange(g, g + step * rows, step), _packed_rows(view, fixed[:w])
@@ -308,18 +309,17 @@ def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,
     return best
 
 
-def klcf_diagonal_scan(text: Text, k: int, budget: int = SCAN_CELLS,
-                       floor: int = 0) -> MatchSpan:
+def klcf_diagonal_scan(text: Text, k: int, floor: int = 0) -> MatchSpan:
     """Exact optimum and its lexicographically smallest witness, by
-    scanning every diagonal of ``packed_batches`` with this ``budget``.
+    scanning every diagonal of ``packed_batches``.
 
     ``floor`` is the length of a window known to exist, or 0; windows as
     long as L = max(best so far, floor) are kept, so the answer is exact
     whatever floor at most the optimum is given.  O(n1 n2) time,
-    O(budget + n1 + n2) memory.
+    O(SCAN_CELLS + n1 + n2) memory.
     """
     best = MatchSpan(0, 1, 1)
-    for batch, packed in packed_batches(text, k, budget):
+    for batch, packed in packed_batches(text, k):
         st1, st2, length = geometry(text.n1, text.n2, batch)
         best = best_in_rows(best, packed, length, st1, st2, k, floor)
     return make_span(text, best.length, best.i1, best.i2)

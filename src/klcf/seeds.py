@@ -103,9 +103,9 @@ def seed_price(text: Text, lce: LceIndex, m: int,
     return pairs
 
 
-def _pairs(text: Text, lce: LceIndex, m: int, budget: int):
+def _pairs(text: Text, lce: LceIndex, m: int):
     """Left-maximal cross pairs at threshold m as (p1, p2) chunks of at most
-    ``budget`` pairs, 0-based positions in s1 and s2."""
+    ``SEED_BUDGET`` pairs, 0-based positions in s1 and s2."""
     width = text.sigma + 2
     for key, pos, in1 in _groups(text, lce, m):
         key1, p1 = key[in1], pos[in1]
@@ -122,8 +122,8 @@ def _pairs(text: Text, lce: LceIndex, m: int, budget: int):
         src, start, size = src[keep], start[keep], size[keep]
         end = np.cumsum(size)
         total = int(end[-1]) if len(end) else 0
-        for lo in range(0, total, budget):
-            at = np.arange(lo, min(lo + budget, total), dtype=np.int64)
+        for lo in range(0, total, SEED_BUDGET):
+            at = np.arange(lo, min(lo + SEED_BUDGET, total), dtype=np.int64)
             j = np.searchsorted(end, at, side="right")
             yield src[j], p2[start[j] + at - (end[j] - size[j])]
 
@@ -135,18 +135,14 @@ def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
     left-maximal pairs, or ``trivial_span``'s, which covers optima of at
     most k (they need hold no exact run).  ``stats`` is ``best_in_strips``'s."""
     u = klcf_bounds(ell0, k, text.n1, text.n2)[1]
-    cells = _pairs(text, lce, run_length(floor, k), SEED_BUDGET)
+    cells = _pairs(text, lce, run_length(floor, k))
     best = best_in_strips(trivial_span(text, k), text, cells, u, k, floor, stats)
     return make_span(text, best.length, best.i1, best.i2)
 
 
-def klcf_seeds(text: Text, lce: LceIndex, k: int, floor: int = 0,
-               stats=None) -> MatchSpan:
+def klcf_seeds(text: Text, lce: LceIndex, k: int, stats=None) -> MatchSpan:
     """Exact optimum and its lexicographically smallest witness by
-    seed-and-extend.
-
-    ``floor`` is a window length known to exist, or 0; the larger of it and
-    ``seed_floor`` sets B.  The exact match settles k = 0.
+    seed-and-extend at B = ``seed_floor``.  The exact match settles k = 0.
     """
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:  # an empty side included
@@ -154,5 +150,5 @@ def klcf_seeds(text: Text, lce: LceIndex, k: int, floor: int = 0,
     best = MatchSpan(ell0, w1, w2, ())
     if k == 0:
         return best
-    floor = max(floor, seed_floor(text, k, ell0, w1, w2))
-    return better_span(best, seed_search(text, lce, k, ell0, floor, stats))
+    return better_span(best, seed_search(text, lce, k, ell0,
+                                         seed_floor(text, k, ell0, w1, w2), stats))

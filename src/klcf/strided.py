@@ -79,8 +79,9 @@ def pass_cells(n1: int, n2: int, h: int) -> int:
     return M * (n1 + n2 + 1) - h * M * (M + 1)
 
 
-def _pass_cells(n1: int, n2: int, h: int, budget: int = PASS_CELLS):
-    """Visited cells of one pass, as (i1s, i2s) chunks of at most budget.
+def _pass_cells(n1: int, n2: int, h: int):
+    """Visited cells of one pass, as (i1s, i2s) chunks of at most
+    ``PASS_CELLS``.
 
     The h-th, 2h-th, ... cell of a diagonal is where min(i1, i2) reaches a
     multiple m of h, so the pass visits one L-shape per m: row m from
@@ -91,8 +92,8 @@ def _pass_cells(n1: int, n2: int, h: int, budget: int = PASS_CELLS):
     size = n1 + n2 + 1 - 2 * m
     end = np.cumsum(size)
     total = pass_cells(n1, n2, h)
-    for lo in range(0, total, budget):
-        pos = np.arange(lo, min(lo + budget, total), dtype=np.int64)
+    for lo in range(0, total, PASS_CELLS):
+        pos = np.arange(lo, min(lo + PASS_CELLS, total), dtype=np.int64)
         j = np.searchsorted(end, pos, side="right")
         mj = m[j]
         off = pos - (end[j] - size[j])  # offset along the L of mj
@@ -172,7 +173,7 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
     if h < 1:
         raise ValueError("stride must be >= 1")
     best = MatchSpan(0, 1, 1)
-    for i1s, i2s in _pass_cells(text.n1, text.n2, h, PASS_CELLS):
+    for i1s, i2s in _pass_cells(text.n1, text.n2, h):
         if stats is not None:
             stats.cells_visited += len(i1s)
         length, back = _batch_longest(text, lce, i1s, i2s, k)

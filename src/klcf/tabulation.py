@@ -6,11 +6,11 @@ and xor-compares them a word at a time, and its O(n^2 log min(k+l0,
 sigma) / log n) bound counts those word operations.  This reproduction
 takes the bits instead from numpy's packed comparison, the batches of
 ``packed_batches`` that the exhaustive scan reads too.  The second stage
-is the paper's: the bits are cut into b-bit blocks, and two lookup tables
-answer "largest area with at most k' set bits" inside one block (L1) and
-straddling two blocks (L2).  Combining block-local answers with running
-interior popcounts yields the longest window with at most k set bits per
-diagonal, i.e. the optimum match length.
+is the paper's with b = 8: each packed byte of the bits is a block, and
+two lookup tables answer "largest area with at most k' set bits" inside
+one block (L1) and straddling two blocks (L2).  Combining block-local
+answers with running interior popcounts yields the longest window with
+at most k set bits per diagonal, i.e. the optimum match length.
 
 ``pack`` and ``unpack`` keep the word-packed symbol layout for the
 benchmark's traced runs; the solver does not use them.
@@ -24,8 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MatchSpan, ResourceLimitError, Text, make_span
-from .diagonal import SCAN_CELLS, best_window, geometry, packed_batches
+from .diagonal import best_window, geometry, packed_batches
 
+# the solver's block width: one packed byte of mismatch bits
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
 L2_TABLE_BYTE_LIMIT = 1 << 27
@@ -128,14 +129,14 @@ class LutL2:
                 int(self.ones[kp, v1, v2]))
 
 
-def _check_block_bits(b: int):
+def _check_width(b: int):
     if not 1 <= b <= 16:
         raise ResourceLimitError(f"block width {b} outside the supported [1, 16]")
 
 
 def build_l1(b: int) -> LutL1:
     """Complete L1 table for all 2^b inputs and all budgets k' in [0, b]."""
-    _check_block_bits(b)
+    _check_width(b)
     nv = 1 << b
     vals = np.arange(nv, dtype=np.int64)
     wins = [(i, i + ln - 1) for ln in range(b, 0, -1) for i in range(1, b - ln + 2)]
@@ -158,7 +159,7 @@ def build_l1(b: int) -> LutL1:
     return LutL1(b, start, end, ones)
 
 
-def build_l2(b: int, max_table_bytes: int = L2_TABLE_BYTE_LIMIT) -> LutL2:
+def build_l2(b: int) -> LutL2:
     """Complete L2 table for all block pairs and budgets k' in [0, 2b].
 
     A window straddling the two blocks is a suffix of the first and a
@@ -167,12 +168,12 @@ def build_l2(b: int, max_table_bytes: int = L2_TABLE_BYTE_LIMIT) -> LutL2:
     most k' - a, over every split a; among the longest, the one with the
     longest suffix has the smallest start.
     """
-    _check_block_bits(b)
+    _check_width(b)
     nv = 1 << b
     out_bytes = (2 * b + 1) * nv * nv * 3
-    if out_bytes > max_table_bytes:
+    if out_bytes > L2_TABLE_BYTE_LIMIT:
         raise ResourceLimitError(
-            f"L2 table for b={b} needs {out_bytes} bytes (limit {max_table_bytes})")
+            f"L2 table for b={b} needs {out_bytes} bytes (limit {L2_TABLE_BYTE_LIMIT})")
     vals = np.arange(nv, dtype=np.int64)
     lens = np.arange(b + 1)
     # set bits in the suffix (of the first block) and in the prefix (of the
@@ -199,14 +200,10 @@ def build_l2(b: int, max_table_bytes: int = L2_TABLE_BYTE_LIMIT) -> LutL2:
     return LutL2(b, start, end, ones)
 
 
-@lru_cache(maxsize=4)
-def _cached_l1(b: int) -> LutL1:
-    return build_l1(b)
-
-
-@lru_cache(maxsize=4)
-def _cached_l2(b: int) -> LutL2:
-    return build_l2(b)
+@lru_cache(maxsize=1)
+def _tables() -> tuple[LutL1, LutL2]:
+    """The solver's L1 and L2 tables, built on first use."""
+    return build_l1(DEFAULT_BLOCK_BITS), build_l2(DEFAULT_BLOCK_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +222,21 @@ class MismatchBlocks:
     total_bits: int
 
 
-def _row_blocks(packed: np.ndarray, length: np.ndarray, b: int):
-    """(blocks, m, boff): the b-bit mismatch blocks of a packed batch.
+def _row_blocks(packed: np.ndarray, length: np.ndarray):
+    """(blocks, m, boff): the byte blocks of a packed batch.
 
-    Row r of ``packed`` holds a diagonal's mismatch bits 8 to a byte, with
-    every bit past its end set.  Its first m[r] = ceil(length[r] / b)
-    blocks are kept, laid end to end from offset boff[r]; the last one's
-    bits past the end stay set, as the window scan needs.
+    Row r of ``packed`` holds a diagonal's mismatch bits 8 to a byte, first
+    cell in the top bit, every bit past its end set.  Its first m[r] =
+    ceil(length[r] / 8) bytes are kept, laid end to end from offset
+    boff[r], each bit-reversed so that its first cell is bit 0, as the
+    tables read it; the last one's bits past the end stay set, as the
+    window scan needs.
     """
-    rows, nbytes = packed.shape
-    mw = -(-nbytes * 8 // b)
-    bits = np.ones((rows, mw * b), np.uint8)
-    bits[:, :nbytes * 8] = np.unpackbits(packed, axis=1)
-    blocks = bits.reshape(rows, mw, b) @ (1 << np.arange(b))
-    m = -(-length // b)
-    return blocks[np.arange(mw) < m[:, None]], m, np.cumsum(m) - m
+    # byte v bit-reversed, 256 entries: one small packbits a batch
+    reverse = np.packbits(np.arange(256)[:, None] >> np.arange(8) & 1, axis=1)[:, 0]
+    m = -(-length // 8)
+    return (reverse[packed[np.arange(packed.shape[1]) < m[:, None]]], m,
+            np.cumsum(m) - m)
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +351,17 @@ def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
     return best.i1, best.i1 + best.length - 1
 
 
-def klcf_tabulation(text: Text, k: int, b: int = DEFAULT_BLOCK_BITS,
-                    stats: TabulationStats | None = None,
-                    budget: int = SCAN_CELLS) -> MatchSpan:
-    """Exact optimum over all diagonals: the LUT window scan on the b-bit
-    blocks of the mismatch rows ``packed_batches`` yields, at most
-    ``budget`` cells a batch."""
-    l1 = _cached_l1(b)
-    l2 = _cached_l2(b)
+def klcf_tabulation(text: Text, k: int,
+                    stats: TabulationStats | None = None) -> MatchSpan:
+    """Exact optimum over all diagonals: the LUT window scan on the byte
+    blocks of the mismatch rows ``packed_batches`` yields."""
+    l1, l2 = _tables()
     best = MatchSpan(0, 1, 1)
-    for batch, packed in packed_batches(text, k, budget):
+    for batch, packed in packed_batches(text, k):
         st1, st2, length = geometry(text.n1, text.n2, batch)
-        blocks, m, boff = _row_blocks(packed, length, b)
+        blocks, m, boff = _row_blocks(packed, length)
         if stats is not None:
             stats.word_ops += packed.size
-        best = _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
-                          best, stats)
+        best = _scan_flat(blocks, m, boff, length, st1, st2, DEFAULT_BLOCK_BITS,
+                          k, l1, l2, best, stats)
     return make_span(text, best.length, best.i1, best.i2)

@@ -131,29 +131,28 @@ def test_run_resource_error_exit_code(tmp_path, capsys):
     assert "--algo strided" in err and "--mem-budget" in err
 
 
-def test_run_tabulation_resource_error_names_block_bits(pair, capsys):
-    # the L2 table for b=12 is refused by its byte limit, which --mem-budget
-    # does not govern
-    assert run(RunConfig(k=1, algo="tabulation", block_bits=12), *pair) == 2
-    err = capsys.readouterr().err
-    assert "--block-bits" in err and "--mem-budget" not in err
-
-
 def test_main_usage_error_exit_64(pair, capsys):
     for argv in (["--k", "-1", *pair],
                  ["--k", "1", "--block-bits", "99", *pair],
                  ["--nonsense"],
                  ["bench", "--n-list", "8", "--sigma-list", "2",
-                  "--k-list", "0", "--algos", "bogus"]):
+                  "--k-list", "0", "--algos", "bogus"],
+                 ["bench", "--n-list", "8", "--sigma-list", "2", "--k-list=-1"],
+                 ["bench", "--n-list=-1", "--sigma-list", "2", "--k-list", "0"],
+                 ["bench", "--n-list", "8", "--sigma-list", "0", "--k-list", "0"],
+                 ["bench", "--n-list", "8", "--sigma-list", "2", "--k-list", "0",
+                  "--repeats", "0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
 
 
 def test_threads_flag_is_a_usage_error(pair, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--k", "1", "--threads", "2", *pair])
-    assert exc.value.code == 64
+    # removed flags stay usage errors
+    for flag in (["--threads", "2"], ["--block-bits", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--k", "1", *flag, *pair])
+        assert exc.value.code == 64
 
 
 @pytest.mark.parametrize("argv", [["--pieces", "2"], ["--mem-budget", "0"],

@@ -61,10 +61,11 @@ def test_pass_cells_sum_length_over_stride(rng):
         assert pass_cells(n1, n2, h) == int(counts.sum()), (n1, n2, h)
 
 
-def test_batches_respect_the_budget(rng):
+def test_batches_respect_the_budget(rng, monkeypatch):
     for budget in [1, 3, 7] * 200:
         n1, n2, h = rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(1, 45)
-        chunks = list(_pass_cells(n1, n2, h, budget))
+        monkeypatch.setattr(strided, "PASS_CELLS", budget)
+        chunks = list(_pass_cells(n1, n2, h))
         assert all(len(i1s) == len(i2s) <= budget for i1s, i2s in chunks)
         got = [cell for i1s, i2s in chunks
                for cell in zip(i1s.tolist(), i2s.tolist())]
@@ -94,10 +95,11 @@ def _seed_floor(t: Text, k: int) -> int:
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64, 1 << 20])
-def test_scan_equals_oracle_with_witness(rng, budget):
+def test_scan_equals_oracle_with_witness(rng, monkeypatch, budget):
     # a budget below one diagonal's width puts every diagonal in a batch of
     # its own; the others cut batches at varying rows.  The longer pairs
     # reach the block filter's granularities, with and without a floor.
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
     for i in range(150):
         n = 45 if i % 3 else 160
         t = random_text(rng, rng.randrange(0, n), rng.randrange(0, n),
@@ -105,22 +107,24 @@ def test_scan_equals_oracle_with_witness(rng, budget):
         k = rng.randrange(0, 7)
         want = klcf_oracle(t, k)
         for floor in (0, _seed_floor(t, k)):
-            assert klcf_diagonal_scan(t, k, budget, floor) == want, (t.s1, t.s2, k, floor)
+            assert klcf_diagonal_scan(t, k, floor) == want, (t.s1, t.s2, k, floor)
 
 
 @pytest.mark.parametrize("budget", [1, 50, 1 << 20])
-def test_scan_structured_shapes_with_witness(budget):
+def test_scan_structured_shapes_with_witness(monkeypatch, budget):
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
     for t in _structured_texts():
         for k in (0, 1, 3, 8, 200):
-            assert klcf_diagonal_scan(t, k, budget) == klcf_oracle(t, k), (t, k)
+            assert klcf_diagonal_scan(t, k) == klcf_oracle(t, k), (t, k)
 
 
-def test_scan_against_brute_force(rng):
+def test_scan_against_brute_force(rng, monkeypatch):
     for _ in range(300):
         t = random_text(rng, rng.randrange(1, 12), rng.randrange(1, 12),
                         rng.choice([2, 3]))
         k = rng.randrange(0, 4)
-        span = klcf_diagonal_scan(t, k, rng.choice([1, 9, 1 << 20]))
+        monkeypatch.setattr(diagonal, "SCAN_CELLS", rng.choice([1, 9, 1 << 20]))
+        span = klcf_diagonal_scan(t, k)
         assert (span.length, span.i1, span.i2) == brute_klcf(t, k)
 
 
@@ -242,7 +246,7 @@ def _planted(rng, n, length, k, sigma=20, copies=1):
 
 
 @pytest.mark.parametrize("target", [4, 5, 10, 11, 38, 39])
-def test_scan_at_each_block_width_boundary(target):
+def test_scan_at_each_block_width_boundary(monkeypatch, target):
     """L = 4/5, 10/11 and 38/39 switch the filter off, to g = 2, to g = 4
     and to g = 8; the optimum sits on the boundary, twice where copies
     tie, and the floor is the optimum, one less, or the seed's."""
@@ -257,7 +261,8 @@ def test_scan_at_each_block_width_boundary(target):
         seen += 1
         for floor in (0, target - 1, target, _seed_floor(t, k)):
             for budget in (64, 1 << 20):
-                assert klcf_diagonal_scan(t, k, budget, floor) == want, (k, floor)
+                monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
+                assert klcf_diagonal_scan(t, k, floor) == want, (k, floor)
 
 
 def test_window_stops_at_a_diagonal_end_inside_its_last_byte(rng):
@@ -277,7 +282,7 @@ def test_window_stops_at_a_diagonal_end_inside_its_last_byte(rng):
             want = klcf_oracle(text, k)
             assert want.length <= 12
             for floor in (0, _seed_floor(text, k)):
-                assert klcf_diagonal_scan(text, k, 1 << 20, floor) == want
+                assert klcf_diagonal_scan(text, k, floor) == want
 
 
 def _brute_in_segments(bits, lens, k, segments):
@@ -409,9 +414,10 @@ def test_batch_that_cannot_be_pruned_falls_back(monkeypatch):
         return got
 
     monkeypatch.setattr(diagonal, "_kept_segments", spy)
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", 1 << 12)
     t = Text.from_symbols([0] * 200, [0] * 200)
     for floor in (0, _seed_floor(t, 3)):
-        assert klcf_diagonal_scan(t, 3, 1 << 12, floor) == klcf_oracle(t, 3)
+        assert klcf_diagonal_scan(t, 3, floor) == klcf_oracle(t, 3)
     assert any(floor >= 5 and fell for floor, fell in calls)
 
 

@@ -5,7 +5,7 @@ from klcf import seeds, strided
 from klcf.core import Text, klcf_oracle
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, cross_runs, lcf0
-from klcf.seeds import klcf_seeds, run_length, seed_floor, seed_price
+from klcf.seeds import klcf_seeds, run_length, seed_floor, seed_price, seed_search
 from klcf.strided import ScanStats, klcf_strided
 
 from conftest import random_text
@@ -48,7 +48,8 @@ def test_cross_runs_are_the_shared_prefix_classes(rng):
             assert got == want, (t.s1, t.s2, m)
 
 
-def test_seed_price_counts_left_maximal_pairs(rng):
+def test_seed_price_counts_left_maximal_pairs(rng, monkeypatch):
+    monkeypatch.setattr(seeds, "SEED_BUDGET", 5)
     for _ in range(150):
         t = random_text(rng, rng.randrange(0, 25), rng.randrange(0, 25),
                         rng.choice([1, 2, 3, 4, 20]))
@@ -56,7 +57,7 @@ def test_seed_price_counts_left_maximal_pairs(rng):
         for m in (1, 2, 3, 6):
             pairs = _left_maximal_pairs(t, m)
             assert seed_price(t, lce, m) == len(pairs), (t.s1, t.s2, m)
-            got = [(int(a), int(b)) for p1, p2 in seeds._pairs(t, lce, m, 5)
+            got = [(int(a), int(b)) for p1, p2 in seeds._pairs(t, lce, m)
                    for a, b in zip(p1, p2)]
             assert len(got) == len(set(got)) and set(got) == pairs
 
@@ -142,12 +143,16 @@ def test_small_exact_optima(s1, s2, k):
 
 
 def test_seed_floor_raised_by_the_caller(rng):
+    # strided raises seed_floor to the longest window its passes found
     for _ in range(60):
         t = random_text(rng, rng.randrange(1, 40), rng.randrange(1, 40), 2)
         k = rng.randrange(1, 4)
         want = klcf_oracle(t, k)
+        lce = build_lce(t)
+        ell0, w1, w2 = lcf0(lce)
+        least = seed_floor(t, k, ell0, w1, w2)
         for floor in (want.length - 1, want.length):
-            assert klcf_seeds(t, build_lce(t), k, floor=floor) == want
+            assert seed_search(t, lce, k, ell0, max(floor, least)) == want
 
 
 def test_read_in_a_reference_solves_by_seeds():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from klcf import diagonal
 from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
 from klcf.diagonal import diagonals, packed_batches
 from klcf.tabulation import (MismatchBlocks, TabulationStats, _row_blocks,
@@ -143,18 +144,19 @@ def _direct_bits(t, g):
     return (a != t.s2[st2[0] - 1:st2[0] - 1 + length[0]]).astype(int).tolist()
 
 
-def test_blocks_match_direct_comparison(rng):
+def test_blocks_match_direct_comparison(rng, monkeypatch):
     texts = [Text.from_strings("abba", "aaba"), Text.from_strings("zzzz", "zzzz")]
     texts += [random_text(rng, rng.randrange(1, 50), rng.randrange(1, 50),
                           rng.choice([2, 3, 5, 17, 80])) for _ in range(30)]
     shorter = 0
+    b = 8  # a block is one packed byte
     for t in texts:
-        b = rng.choice([1, 4, 8, 13])
         k = rng.randrange(0, 4)
         _, _, length = diagonals(t.n1, t.n2)
         seen = []
-        for batch, packed in packed_batches(t, k, rng.choice([64, 1 << 20])):
-            blocks, m, boff = _row_blocks(packed, length[batch], b)
+        monkeypatch.setattr(diagonal, "SCAN_CELLS", rng.choice([64, 1 << 20]))
+        for batch, packed in packed_batches(t, k):
+            blocks, m, boff = _row_blocks(packed, length[batch])
             assert m.tolist() == (-(-length[batch] // b)).tolist()
             assert len(blocks) == int(m.sum())
             for r, g in enumerate(batch.tolist()):
@@ -225,17 +227,23 @@ def test_tabulation_examples():
     assert klcf_tabulation(Text.from_symbols([], [1]), 2).length == 0
 
 
-def test_tabulation_equals_oracle(rng):
-    """Whole spans, at every block width and batch budget; the fixed
-    90 x 110 pair runs at every budget, from one diagonal a batch up."""
+def test_tabulation_equals_oracle(rng, monkeypatch):
+    """Whole spans, at every batch budget; the fixed 90 x 110 pair runs at
+    every budget, from one diagonal a batch up.  k = 9-17 on binary and DNA
+    texts of 100-300 symbols passes L1's min(k, 8) clamp, and k = 17 L2's
+    min(k - q, 16) one."""
     cases = [(random_text(rng, rng.randrange(0, 70), rng.randrange(0, 70),
                           rng.choice([1, 2, 4, 20, 128])),
-              rng.randrange(0, 9), rng.choice([1, 2, 3, 4, 5, 8]),
-              rng.choice([1, 7, 64, 1 << 20])) for _ in range(120)]
+              rng.randrange(0, 9), rng.choice([1, 7, 64, 1 << 20]))
+             for _ in range(120)]
     fixed = random_text(rng, 90, 110, 4)
-    cases += [(fixed, 3, 8, budget) for budget in (1, 7, 64, 256, 1 << 20)]
-    for t, k, b, budget in cases:
-        assert klcf_tabulation(t, k, b=b, budget=budget) == klcf_oracle(t, k)
+    cases += [(fixed, 3, budget) for budget in (1, 7, 64, 256, 1 << 20)]
+    cases += [(random_text(rng, rng.randrange(100, 301), rng.randrange(100, 301),
+                           sigma), k, rng.choice([64, 1 << 20]))
+              for sigma in (2, 4) for k in range(9, 18)]
+    for t, k, budget in cases:
+        monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
+        assert klcf_tabulation(t, k) == klcf_oracle(t, k)
 
 
 def test_tabulation_agrees_with_per_diagonal_scan(rng):
