@@ -22,7 +22,8 @@ q-grams at its offsets.  On random DNA the build peaks at about 24 bytes
 per symbol, at the first sort, and keeps 12; on a unary text, which
 keeps about log2(n / q) rounds, it peaks near 85.  A sparse table over
 the LCP array answers every query with two rank lookups and one
-range-minimum probe.
+range-minimum probe.  Queries come in numpy batches; ``lce_forward`` and
+``lce_backward`` are size-1 batches that check their positions.
 """
 
 from __future__ import annotations
@@ -182,16 +183,14 @@ class SuffixIndex:
     over the LCP array.
 
     ``sa``, ``lcp`` and ``rank`` are int32 and built eagerly: 12 bytes per
-    symbol.  ``table`` and ``floor_log2`` are None until the first query
-    builds them.  ``table[g, i]`` is min(lcp[i .. i + 2^g - 1]), int32, one
-    row per level; row 0 is the LCP array itself, which ``lcp`` then views,
-    so the table adds (levels - 1) * 4 bytes per symbol and ``floor_log2``
-    4 more.  Scalar queries read the same buffers through memoryviews,
-    which return Python ints without copying the arrays into lists.
+    symbol.  ``table`` is None until the first query builds it.
+    ``table[g, i]`` is min(lcp[i .. i + 2^g - 1]), int32, one row per level;
+    row 0 is the LCP array itself, which ``lcp`` then views, so the table
+    adds (levels - 1) * 4 bytes per symbol.  Every query goes through
+    ``lce_batch``.
     """
 
-    __slots__ = ("sa", "lcp", "rank", "table", "floor_log2", "_rank_view",
-                 "_row_views", "_log2_view")
+    __slots__ = ("sa", "lcp", "rank", "table")
 
     def __init__(self, symbols: np.ndarray):
         self.sa, self.lcp, self.rank = _suffix_array_lcp(symbols)
@@ -209,32 +208,11 @@ class SuffixIndex:
             m = n - 2 * half + 1
             np.minimum(table[g - 1, :m], table[g - 1, half:half + m],
                        out=table[g, :m])
-        # floor(log2(x)) for x in [0, n], exact below 2^53; entry 0 is unused
-        self.floor_log2 = np.frexp(np.arange(n + 1))[1]
-        self.floor_log2 -= 1
-        self._rank_view = memoryview(self.rank)
-        self._row_views = [memoryview(row) for row in table]
-        self._log2_view = memoryview(self.floor_log2)
         self.table = table
 
-    def lce(self, a: int, b: int) -> int:
-        """Longest common prefix of the suffixes at 1-based positions a, b."""
-        if self.table is None:
-            self._build_table()
-        if a == b:
-            return len(self.sa) - a + 1
-        r1 = self._rank_view[a - 1]
-        r2 = self._rank_view[b - 1]
-        if r1 > r2:
-            r1, r2 = r2, r1
-        g = self._log2_view[r2 - r1]
-        row = self._row_views[g]
-        x = row[r1 + 1]
-        y = row[r2 - (1 << g) + 1]
-        return x if x < y else y
-
     def lce_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """lce(p[i], q[i]) for every i."""
+        """Longest common prefix of the suffixes at 1-based positions p[i]
+        and q[i], for every i; positions are not checked."""
         if self.table is None:
             self._build_table()
         r1 = self.rank[p - 1]
@@ -242,7 +220,8 @@ class SuffixIndex:
         same = r1 == r2
         lo = np.minimum(r1, r2) + ~same  # equal positions probe [r, r]
         hi = np.maximum(r1, r2)
-        g = self.floor_log2[hi - lo + 1]
+        # floor(log2) of the range's size, exact below 2^53
+        g = np.frexp(hi - lo + 1)[1] - 1
         res = np.minimum(self.table[g, lo], self.table[g, hi - (1 << g) + 1])
         return np.where(same, len(self.sa) - p + 1, res)  # int64, as p is
 
@@ -280,14 +259,22 @@ def build_lce(text: Text) -> LceIndex:
     return LceIndex(text)
 
 
+def _check_positions(idx: LceIndex, p: int, q: int) -> None:
+    for x in (p, q):
+        if not 1 <= x <= idx.n:
+            raise ValueError(f"LCE positions are in [1, {idx.n}], got {x}")
+
+
 def lce_forward(idx: LceIndex, p: int, q: int) -> int:
     """Length of the longest common prefix of concat[p..] and concat[q..] (1-based)."""
-    return idx.fwd.lce(p, q)
+    _check_positions(idx, p, q)
+    return int(idx.lce_forward_batch(np.array([p]), np.array([q]))[0])
 
 
 def lce_backward(idx: LceIndex, p: int, q: int) -> int:
     """Length of the longest common suffix of concat[..p] and concat[..q] (1-based)."""
-    return idx.backward().lce(idx.n - p + 1, idx.n - q + 1)
+    _check_positions(idx, p, q)
+    return int(idx.lce_backward_batch(np.array([p]), np.array([q]))[0])
 
 
 def cross_runs(idx: LceIndex, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -156,8 +156,6 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
     the optimal windows.
     """
     n1, n2 = text.n1, text.n2
-    if min(n1, n2) == 0:
-        return MatchSpan(0, 1, 1, ())
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:
         return trivial_span(text, k)

@@ -109,6 +109,21 @@ def _longest(lens: np.ndarray, back: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return best, np.where(lens == best, back, -1).max(axis=0)
 
 
+def _mismatches(query, n: int, p0: np.ndarray, q0: np.ndarray, step: int,
+                rem: np.ndarray, k: int) -> np.ndarray:
+    """The first k+1 mismatch offsets from concat positions (p0, q0), each
+    step a symbol along the diagonal, found by one LCE query each; past
+    rem, the last valid offset, an offset stays put."""
+    out = np.empty((k + 1, len(p0)), np.int64)
+    o = np.zeros(len(p0), np.int64)
+    for t in range(k + 1):
+        ext = query(np.clip(p0 + step * o, 1, n), np.clip(q0 + step * o, 1, n))
+        o = np.where(o <= rem, o + ext, o)
+        out[t] = o
+        o = o + 1
+    return out
+
+
 def _batch_longest(text: Text, lce: LceIndex, i1s: np.ndarray, i2s: np.ndarray,
                    k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per cell (i1, i2): the length and backward reach of the longest
@@ -120,28 +135,13 @@ def _batch_longest(text: Text, lce: LceIndex, i1s: np.ndarray, i2s: np.ndarray,
     go to the smallest start.
     """
     n1, n2 = text.n1, text.n2
-    n = lce.n
     c = len(i1s)
     p0 = i1s.astype(np.int64)
     q0 = n1 + 1 + i2s.astype(np.int64)
     rem_f = np.minimum(n1 - i1s, n2 - i2s)  # last valid forward offset
     rem_b = np.minimum(i1s, i2s) - 1        # last valid backward offset
-    fwd = np.empty((k + 1, c), np.int64)
-    o = np.zeros(c, np.int64)
-    for t in range(k + 1):
-        act = o <= rem_f
-        ext = lce.lce_forward_batch(np.minimum(p0 + o, n), np.minimum(q0 + o, n))
-        o = np.where(act, o + ext, o)
-        fwd[t] = o
-        o = o + 1
-    bwd = np.empty((k + 1, c), np.int64)
-    o = np.zeros(c, np.int64)
-    for t in range(k + 1):
-        act = o <= rem_b
-        ext = lce.lce_backward_batch(np.maximum(p0 - o, 1), np.maximum(q0 - o, 1))
-        o = np.where(act, o + ext, o)
-        bwd[t] = o
-        o = o + 1
+    fwd = _mismatches(lce.lce_forward_batch, lce.n, p0, q0, 1, rem_f, k)
+    bwd = _mismatches(lce.lce_backward_batch, lce.n, p0, q0, -1, rem_b, k)
     # reach = last window offset in each direction: stop one short of the
     # next mismatch, and never past the diagonal end
     fr = np.minimum(fwd - 1, rem_f)
@@ -178,8 +178,6 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
             stats.cells_visited += len(i1s)
         length, back = _batch_longest(text, lce, i1s, i2s, k)
         best = best_window(best, length, i1s - back, i2s - back)
-    if best.length == 0:
-        return MatchSpan(0, 1, 1, ())
     return make_span(text, best.length, best.i1, best.i2)
 
 
@@ -203,8 +201,6 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     if stats is None:
         stats = ScanStats()
     n1, n2 = text.n1, text.n2
-    if min(n1, n2) == 0:
-        return MatchSpan(0, 1, 1, ())
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:
         return trivial_span(text, k)

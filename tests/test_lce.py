@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from klcf.core import Text, klcf_oracle
 from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
@@ -73,17 +74,33 @@ def test_queries_match_naive_scans(rng):
             assert lce_forward(idx, p, q) == lce_forward(idx, q, p)
 
 
-def test_batch_queries_agree_with_scalar(rng):
+def test_batch_queries_match_naive_scans(rng):
     t = random_text(rng, 50, 40, 3)
     idx = build_lce(t)
+    seq = t.concat.tolist()
     n = idx.n
-    p = np.array([rng.randrange(1, n + 1) for _ in range(500)], dtype=np.int64)
-    q = np.array([rng.randrange(1, n + 1) for _ in range(500)], dtype=np.int64)
+    # equal positions, and both separators: n1 + 1 and n, the last position
+    edges = [(7, 7), (t.n1 + 1, 3), (n, 20), (n, n), (t.n1 + 1, n), (1, n)]
+    pairs = edges + [(rng.randrange(1, n + 1), rng.randrange(1, n + 1))
+                     for _ in range(500)]
+    p = np.array([a for a, _ in pairs], dtype=np.int64)
+    q = np.array([b for _, b in pairs], dtype=np.int64)
     fw = idx.lce_forward_batch(p, q)
     bw = idx.lce_backward_batch(p, q)
-    for i in range(len(p)):
-        assert fw[i] == lce_forward(idx, int(p[i]), int(q[i]))
-        assert bw[i] == lce_backward(idx, int(p[i]), int(q[i]))
+    for i, (a, b) in enumerate(pairs):
+        assert fw[i] == naive_lce_forward(seq, a, b), (a, b)
+        assert bw[i] == naive_lce_backward(seq, a, b), (a, b)
+
+
+def test_out_of_range_positions_raise():
+    idx = build_lce(Text.from_strings("abab", "babb"))
+    assert idx.n == 10
+    for query in (lce_forward, lce_backward):
+        for p, q in [(0, 0), (0, 5), (5, 0), (11, 2), (2, 11), (-1, 3)]:
+            with pytest.raises(ValueError, match=r"\[1, 10\]"):
+                query(idx, p, q)
+    assert lce_forward(idx, 10, 10) == 1
+    assert lce_backward(idx, 10, 10) == 10
 
 
 def test_lcf0_examples():

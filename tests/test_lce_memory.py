@@ -30,10 +30,10 @@ def _held_per_symbol(make):
 
 
 def test_build_lce_holds_one_copy_of_each_array():
-    # per symbol and per direction: a `levels`-row sparse table (row 0 is
-    # the LCP array), the suffix array, the ranks and the floor-log2 array,
-    # all int32, plus one int32 of slack; one query in each direction makes
-    # sure both directions are built
+    # per symbol and per direction: the suffix array, the ranks and a
+    # `levels`-row sparse table (row 0 is the LCP array), all int32, plus
+    # one byte of slack; one query in each direction makes sure both
+    # directions are built
     text = _text()
 
     def build_and_query():
@@ -45,7 +45,7 @@ def test_build_lce_holds_one_copy_of_each_array():
     lce, per_symbol = _held_per_symbol(build_and_query)
     assert lce.bwd is not None
     levels = lce.n.bit_length()
-    assert per_symbol <= 2 * (levels + 4) * 4, per_symbol
+    assert per_symbol <= 2 * (levels + 2) * 4 + 1, per_symbol
 
 
 def test_build_lce_alone_holds_the_forward_direction_only():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from klcf import strided
-from klcf.core import Text, klcf_oracle, verify_match
+from klcf.core import MatchSpan, Text, klcf_oracle, verify_match
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce
 from klcf.strided import (ScanStats, klcf_strided, longest_through_cell,
@@ -105,8 +105,7 @@ def test_scan_pass_examples():
     lce = build_lce(t)
     assert scan_pass(t, lce, 1, 1).length == 4
     assert scan_pass(t, lce, 1, 4).length == 4
-    degenerate = scan_pass(t, lce, 1, 9)
-    assert degenerate.length == 0
+    assert scan_pass(t, lce, 1, 9) == MatchSpan(0, 1, 1, ())
 
 
 def test_scan_pass_never_misses_at_small_stride(rng):
