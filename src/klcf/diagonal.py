@@ -19,7 +19,9 @@ In front of it sits an exact block filter (the word-packing idea of the
 tabulation algorithm and of bit-parallel mismatch counting, Baeza-Yates
 and Gonnet, CACM 1992): it counts mismatch bits per block with
 ``np.bitwise_count`` and passes on only the bytes a count cannot rule
-out.  ``best_in_rows`` runs both stages on any rows; ``best_window``
+out.  ``best_in_rows`` runs both stages on any rows.  The same filter
+fronts tabulation's lookup-table stage, which reads only the byte runs
+``_kept_segments`` keeps at the best length so far.  ``best_window``
 makes every solver's selection, the longest window, then the smallest
 (i1, i2).
 """

@@ -12,6 +12,18 @@ one block (L1) and straddling two blocks (L2).  Combining block-local
 answers with running interior popcounts yields the longest window with
 at most k set bits per diagonal, i.e. the optimum match length.
 
+The exhaustive scan's exact block filter (``diagonal._kept_segments``,
+the same word-packing idea of counting mismatches a block at a time)
+fronts the LUT stage, at the best length found so far.  A window at
+least that long lies inside one byte run the filter keeps, so only the
+kept runs reach the tables, each as a diagonal of its own, and the LUT
+stays the only exact stage.  The floor is the running best, not
+``lcf0``'s lower bound, so tabulation builds no LCE index.  The first
+batch, which has no best yet, and any batch of which the filter would
+keep too much are read whole.  On random DNA, n = 3072 and k = 4
+(``generate_instance`` seed 1), the filter leaves 740,433 of the
+7,063,301 LUT queries of the unfiltered scan.
+
 ``pack`` and ``unpack`` keep the word-packed symbol layout for the
 benchmark's traced runs; the solver does not use them.
 """
@@ -24,12 +36,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MatchSpan, ResourceLimitError, Text, make_span
-from .diagonal import best_window, geometry, packed_batches
+from .diagonal import _kept_segments, best_window, geometry, packed_batches
 
 # the solver's block width: one packed byte of mismatch bits
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
 L2_TABLE_BYTE_LIMIT = 1 << 27
+# byte v bit-reversed, so that a packed byte's first cell is bit 0
+REVERSE = np.packbits(np.arange(256)[:, None] >> np.arange(8) & 1, axis=1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,29 +188,35 @@ def build_l2(b: int) -> LutL2:
     if out_bytes > L2_TABLE_BYTE_LIMIT:
         raise ResourceLimitError(
             f"L2 table for b={b} needs {out_bytes} bytes (limit {L2_TABLE_BYTE_LIMIT})")
-    vals = np.arange(nv, dtype=np.int64)
+    # the narrowest type of a block value and of (length, suffix length)
+    # packed as one number below 2b(b+1) + b + 1: a byte up to b = 8
+    small = np.min_scalar_type(max(nv - 1, 2 * b * (b + 1) + b))
+    vals = np.arange(nv, dtype=small)
     lens = np.arange(b + 1)
-    # set bits in the suffix (of the first block) and in the prefix (of the
-    # second) of each length, [length, value]
-    suf = np.bitwise_count(vals >> (b - lens[:, None]))
-    pre = np.bitwise_count(vals & ((1 << lens[:, None]) - 1))
+    # masks of the suffix (of the first block) and the prefix (of the
+    # second) of each length, and the set bits in them, [length, value]
+    suf_mask = (nv - (1 << (b - lens))).astype(small)
+    pre_mask = ((1 << lens) - 1).astype(small)
+    suf = np.bitwise_count(vals & suf_mask[:, None])
+    pre = np.bitwise_count(vals & pre_mask[:, None])
     # longest suffix and prefix with at most a set bits, [a, value]
-    suf_len = (suf[None, 1:] <= lens[:, None, None]).sum(axis=1)
-    pre_len = (pre[None, 1:] <= lens[:, None, None]).sum(axis=1)
+    suf_len = (suf[None, 1:] <= lens[:, None, None]).sum(axis=1, dtype=small)
+    pre_len = (pre[None, 1:] <= lens[:, None, None]).sum(axis=1, dtype=small)
     start = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
     end = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
     ones = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
     for kp in range(2 * b + 1):
         # (length, suffix length) as one number, maximised over the splits
-        best = np.zeros((nv, nv), np.int64)
+        best = np.zeros((nv, nv), small)
         for a in range(max(0, kp - b), min(kp, b) + 1):
             s = suf_len[a][:, None]
             np.maximum(best, (s + pre_len[kp - a][None, :]) * (b + 1) + s,
                        out=best)
-        s, total = best % (b + 1), best // (b + 1)
+        total, s = np.divmod(best, b + 1)
         start[kp] = b + 1 - s
         end[kp] = b + total - s
-        ones[kp] = suf[s, vals[:, None]] + pre[total - s, vals[None, :]]
+        ones[kp] = (np.bitwise_count(vals[:, None] & suf_mask[s])
+                    + np.bitwise_count(vals[None, :] & pre_mask[total - s]))
     return LutL2(b, start, end, ones)
 
 
@@ -222,21 +242,39 @@ class MismatchBlocks:
     total_bits: int
 
 
-def _row_blocks(packed: np.ndarray, length: np.ndarray):
-    """(blocks, m, boff): the byte blocks of a packed batch.
+def _row_blocks(packed: np.ndarray, length: np.ndarray, row=None, first=0):
+    """(blocks, m, boff): the byte blocks of runs of a packed batch.
 
     Row r of ``packed`` holds a diagonal's mismatch bits 8 to a byte, first
-    cell in the top bit, every bit past its end set.  Its first m[r] =
-    ceil(length[r] / 8) bytes are kept, laid end to end from offset
-    boff[r], each bit-reversed so that its first cell is bit 0, as the
-    tables read it; the last one's bits past the end stay set, as the
+    cell in the top bit, every bit past its end set.  Run j is the m[j] =
+    ceil(length[j] / 8) bytes of row row[j] from byte first[j], every row
+    from byte 0 by default.  The runs are laid end to end, run j from
+    offset boff[j], each byte bit-reversed so that its first cell is bit
+    0, as the tables read it; bits past a diagonal's end stay set, as the
     window scan needs.
     """
-    # byte v bit-reversed, 256 entries: one small packbits a batch
-    reverse = np.packbits(np.arange(256)[:, None] >> np.arange(8) & 1, axis=1)[:, 0]
+    if row is None:
+        row = np.arange(len(length))
     m = -(-length // 8)
-    return (reverse[packed[np.arange(packed.shape[1]) < m[:, None]]], m,
-            np.cumsum(m) - m)
+    boff = np.cumsum(m) - m
+    at = np.repeat(row * packed.shape[1] + first - boff, m)
+    return REVERSE[packed.reshape(-1)[at + np.arange(len(at))]], m, boff
+
+
+def _kept_runs(segments, st1, st2, length):
+    """(row, first byte, st1, st2, length) of the byte runs (row, first
+    byte, end byte) ``segments`` of a batch whose diagonals start at (st1,
+    st2) and hold ``length`` cells.  Each run is a diagonal of its own,
+    from its first cell to its end or its diagonal's, whichever comes
+    first; a run that starts at or past its diagonal's end holds no cell
+    and is dropped.
+    """
+    row, lo, hi = segments
+    cell = 8 * lo
+    keep = cell < length[row]
+    row, lo, cell, hi = row[keep], lo[keep], cell[keep], hi[keep]
+    return (row, lo, st1[row] + cell, st2[row] + cell,
+            np.minimum(8 * hi, length[row]) - cell)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +284,11 @@ def _row_blocks(packed: np.ndarray, length: np.ndarray):
 class TabulationStats:
     """Work counters of one ``klcf_tabulation`` call.
 
-    ``word_ops`` counts the packed mismatch bytes read, one per 8 cells of
-    each batch's row width.
+    ``word_ops`` counts the packed mismatch bytes the block filter reads,
+    one per 8 cells of each batch's row width.  ``lut_queries`` and
+    ``max_diag_queries`` count the LUT stage's queries on the byte runs
+    the filter keeps, the most on one run for the latter; ``diagonals``
+    counts every diagonal, kept or not.
     """
 
     lut_queries: int = 0
@@ -259,9 +300,11 @@ class TabulationStats:
 def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
                best: MatchSpan, stats: TabulationStats | None) -> MatchSpan:
     """``best``, or the best window over many diagonals' flat blocks if it
-    is at least as long (``best_window``).
+    is at least as long (``best_window``); a diagonal may be a kept run of
+    one.
 
-    Each diagonal's last block has its bits past the diagonal's end set.
+    A diagonal that ends inside its last block has the bits past its end
+    set.
     """
     dcount = len(m)
     nb = len(blocks)
@@ -319,7 +362,6 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
         queries += (k + 1) * len(t1)
     if stats is not None:
         stats.lut_queries += queries
-        stats.diagonals += dcount
         per_diag = int((m + (m - 1) * (k + 1)).max())
         stats.max_diag_queries = max(stats.max_diag_queries, per_diag)
     return best
@@ -354,14 +396,22 @@ def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
 def klcf_tabulation(text: Text, k: int,
                     stats: TabulationStats | None = None) -> MatchSpan:
     """Exact optimum over all diagonals: the LUT window scan on the byte
-    blocks of the mismatch rows ``packed_batches`` yields."""
+    blocks of the mismatch rows ``packed_batches`` yields, behind the
+    scan's block filter at the best length so far."""
     l1, l2 = _tables()
     best = MatchSpan(0, 1, 1)
     for batch, packed in packed_batches(text, k):
         st1, st2, length = geometry(text.n1, text.n2, batch)
-        blocks, m, boff = _row_blocks(packed, length)
         if stats is not None:
             stats.word_ops += packed.size
+            stats.diagonals += len(batch)
+        row, first = None, 0
+        kept = _kept_segments(packed, k, max(best.length, 1))
+        if kept is not None:
+            row, first, st1, st2, length = _kept_runs(kept, st1, st2, length)
+            if len(row) == 0:
+                continue
+        blocks, m, boff = _row_blocks(packed, length, row, first)
         best = _scan_flat(blocks, m, boff, length, st1, st2, DEFAULT_BLOCK_BITS,
                           k, l1, l2, best, stats)
     return make_span(text, best.length, best.i1, best.i2)

@@ -10,12 +10,13 @@ import time
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
 import pytest
 
 from klcf.core import (ResourceLimitError, Text, generate_instance, klcf_bounds,
                        klcf_oracle, verify_match)
 from klcf.diagonal import klcf_diagonal_scan
-from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
+from klcf.lce import build_lce, lcf0
 from klcf.neighborhood import enumerate_neighborhood, klcf_neighborhood
 from klcf.seeds import klcf_seeds
 from klcf.strided import ScanStats, klcf_strided
@@ -241,15 +242,14 @@ def test_criterion_6_lce_correctness():
         idx = build_lce(text)
         seq = text.concat.tolist()
         n = len(seq)
-        for _ in range(100_000):
-            p = rng.randrange(1, n + 1)
-            q = rng.randrange(1, n + 1)
-            if lce_forward(idx, p, q) != naive_lce_forward(seq, p, q):
-                ok = False
-                break
-            if lce_backward(idx, p, q) != naive_lce_backward(seq, p, q):
-                ok = False
-                break
+        pairs = [(rng.randrange(1, n + 1), rng.randrange(1, n + 1))
+                 for _ in range(100_000)]
+        p, q = (np.array(side) for side in zip(*pairs))
+        fwd = idx.lce_forward_batch(p, q).tolist()
+        bwd = idx.lce_backward_batch(p, q).tolist()
+        ok = ok and all(f == naive_lce_forward(seq, a, b)
+                        and g == naive_lce_backward(seq, a, b)
+                        for (a, b), f, g in zip(pairs, fwd, bwd))
         ok = ok and lcf0(idx)[0] == klcf_oracle(text, 0).length
     _report(6, "LCE queries vs naive scans", ok)
 

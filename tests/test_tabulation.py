@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klcf import diagonal
+from klcf import diagonal, tabulation
 from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
 from klcf.diagonal import diagonals, packed_batches
-from klcf.tabulation import (MismatchBlocks, TabulationStats, _row_blocks,
-                             build_l1, build_l2, klcf_tabulation,
+from klcf.tabulation import (MismatchBlocks, TabulationStats, _kept_runs,
+                             _row_blocks, build_l1, build_l2, klcf_tabulation,
                              longest_window_lut, pack, unpack)
 
 from conftest import random_text, two_pointer_window
@@ -124,6 +124,23 @@ def test_l2_sampled_at_the_default_block_width():
     for v1, v2 in ((0, 0), (255, 255), (1, 128), (128, 1)):
         for kp in range(17):
             assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
+
+
+@pytest.mark.parametrize("b", [9, 10])
+def test_l2_sampled_past_one_byte_blocks(b):
+    """Widths whose block values need two bytes; at b = 10, the widest the
+    size limit admits, the packed (length, suffix length) reaches 230 of a
+    byte's 255."""
+    l2 = build_l2(b)
+    rng = random.Random(b)
+    top = (1 << b) - 1
+    for _ in range(300):
+        v1, v2 = rng.randrange(top + 1), rng.randrange(top + 1)
+        kp = rng.randrange(2 * b + 1)
+        assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
+    for kp in range(2 * b + 1):
+        for v1, v2 in ((0, 0), (top, top), (top, 0), (0, top)):
+            assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
 
 
 def test_lut_guards():
@@ -303,3 +320,71 @@ def test_tabulation_peak_memory_is_bounded():
         tracemalloc.stop()
     assert span.length > 0
     assert peak < 64 << 20
+
+
+# -- the block filter in front of the LUT stage ---------------------------------
+
+def _periodic_pair(rng, n, sigma, period, rate):
+    """Two noisy copies of one periodic string: many tied optima, on many
+    diagonals and several times on one."""
+    motif = [rng.randrange(sigma) for _ in range(period)]
+    sides = []
+    for _ in range(2):
+        s = [motif[i % period] for i in range(n)]
+        for i in range(n):
+            if rng.random() < rate:
+                s[i] = (s[i] + 1 + rng.randrange(sigma - 1)) % sigma
+        sides.append(s)
+    return Text.from_symbols(*sides)
+
+
+def test_filtered_tabulation_equals_oracle(rng, monkeypatch):
+    """Small batches, so every batch after the first runs behind the filter
+    at the best length so far; whole spans pin the smallest witness."""
+    kept = []
+
+    def counted(packed, k, floor):
+        segments = diagonal._kept_segments(packed, k, floor)
+        kept.append(segments is not None)
+        return segments
+
+    monkeypatch.setattr(tabulation, "_kept_segments", counted)
+    cases = [(random_text(rng, rng.randrange(200, 601), rng.randrange(200, 601),
+                          sigma), rng.randrange(0, 7), rng.choice([1 << 10, 1 << 12]))
+             for sigma in (2, 4, 20) for _ in range(6)]
+    cases += [(_periodic_pair(rng, 500, 4, 7, 0.03), k, 1 << 11) for k in (1, 3, 6)]
+    for t, k, budget in cases:
+        monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
+        kept.clear()
+        span = klcf_tabulation(t, k)
+        assert span == klcf_oracle(t, k), (t.n1, t.n2, t.sigma, k)
+        # some batch went through the filter's runs, unless the best is too
+        # short for any block count to rule a byte out
+        assert any(kept) or span.length < 5
+
+
+def test_filter_cuts_lut_queries(monkeypatch):
+    """On random DNA, n = 3072 and k = 4, the filter leaves under a quarter
+    of the LUT queries, and every diagonal is still counted."""
+    t = generate_instance("random", 3072, 4, 4, seed=1)
+    filtered, full = TabulationStats(), TabulationStats()
+    span = klcf_tabulation(t, 4, stats=filtered)
+    monkeypatch.setattr(tabulation, "_kept_segments", lambda *args: None)
+    assert klcf_tabulation(t, 4, stats=full) == span
+    assert filtered.diagonals == full.diagonals == t.n1 + t.n2 - 1
+    assert filtered.word_ops == full.word_ops
+    assert 4 * filtered.lut_queries < full.lut_queries
+
+
+def test_kept_runs_drop_runs_past_their_diagonal():
+    st1, st2 = np.array([1, 5, 1]), np.array([3, 1, 9])
+    length = np.array([16, 21, 30])
+    segments = (np.array([0, 0, 1, 1, 2]), np.array([0, 2, 1, 3, 3]),
+                np.array([1, 4, 4, 4, 4]))
+    row, first, r1, r2, size = _kept_runs(segments, st1, st2, length)
+    # (0, 2, 4) starts at cell 16, the end of row 0, and (1, 3, 4) at cell
+    # 24, past the end of row 1: both hold no cell
+    assert row.tolist() == [0, 1, 2]
+    assert first.tolist() == [0, 1, 3]
+    assert r1.tolist() == [1, 13, 25] and r2.tolist() == [3, 9, 33]
+    assert size.tolist() == [8, 13, 6]
