@@ -19,10 +19,13 @@ least that long lies inside one byte run the filter keeps, so only the
 kept runs reach the tables, each as a diagonal of its own, and the LUT
 stays the only exact stage.  The floor is the running best, not
 ``lcf0``'s lower bound, so tabulation builds no LCE index.  The first
-batch, which has no best yet, and any batch of which the filter would
-keep too much are read whole.  On random DNA, n = 3072 and k = 4
-(``generate_instance`` seed 1), the filter leaves 740,433 of the
-7,063,301 LUT queries of the unfiltered scan.
+batch has no best yet, so it is read in row chunks of 1, 2, 4, ... rows,
+each behind the filter at the best of the chunks before it: a batch's
+first rows are its longest diagonals, and their best is a floor that
+prunes most of the rest.  Any chunk or batch of which the filter would
+keep too much, the first chunk among them, is read whole.  On random DNA,
+n = 3072 and k = 4 (``generate_instance`` seed 1), the LUT stage makes
+9,832 of the 7,063,301 queries of the unfiltered scan.
 
 ``pack`` and ``unpack`` keep the word-packed symbol layout for the
 benchmark's traced runs; the solver does not use them.
@@ -321,8 +324,12 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
 
     def consider(clen, cst, dsel):
         nonlocal best
-        # only the longest windows reach the selection's gathers
-        hits = np.flatnonzero(clen == clen.max())
+        # only the longest windows, and only if they tie the best or beat
+        # it, reach the selection's gathers
+        mx = clen.max()
+        if mx < best.length:
+            return
+        hits = np.flatnonzero(clen == mx)
         cst, dsel = cst[hits], dsel[hits]
         best = best_window(best, clen[hits], st1[dsel] + cst - 1, st2[dsel] + cst - 1)
 
@@ -397,21 +404,33 @@ def klcf_tabulation(text: Text, k: int,
                     stats: TabulationStats | None = None) -> MatchSpan:
     """Exact optimum over all diagonals: the LUT window scan on the byte
     blocks of the mismatch rows ``packed_batches`` yields, behind the
-    scan's block filter at the best length so far."""
+    scan's block filter at the best length so far.  The first batch is
+    read in row chunks of doubling size, so that its leading rows give the
+    filter a floor for the rest of it."""
     l1, l2 = _tables()
     best = MatchSpan(0, 1, 1)
-    for batch, packed in packed_batches(text, k):
+    for i, (batch, packed) in enumerate(packed_batches(text, k)):
         st1, st2, length = geometry(text.n1, text.n2, batch)
         if stats is not None:
             stats.word_ops += packed.size
             stats.diagonals += len(batch)
-        row, first = None, 0
-        kept = _kept_segments(packed, k, max(best.length, 1))
-        if kept is not None:
-            row, first, st1, st2, length = _kept_runs(kept, st1, st2, length)
-            if len(row) == 0:
-                continue
-        blocks, m, boff = _row_blocks(packed, length, row, first)
-        best = _scan_flat(blocks, m, boff, length, st1, st2, DEFAULT_BLOCK_BITS,
-                          k, l1, l2, best, stats)
+        rows = len(batch)
+        cuts = [0, rows]
+        if i == 0:
+            # no best to filter at yet: the rows, the longest diagonals
+            # first, are read in chunks of 1, 2, 4, ... rows, so that the
+            # leading rows set the floor for the rest
+            cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = packed[lo:hi]
+            r1, r2, size = st1[lo:hi], st2[lo:hi], length[lo:hi]
+            row, first = None, 0
+            kept = _kept_segments(part, k, max(best.length, 1))
+            if kept is not None:
+                row, first, r1, r2, size = _kept_runs(kept, r1, r2, size)
+                if len(row) == 0:
+                    continue
+            blocks, m, boff = _row_blocks(part, size, row, first)
+            best = _scan_flat(blocks, m, boff, size, r1, r2, DEFAULT_BLOCK_BITS,
+                              k, l1, l2, best, stats)
     return make_span(text, best.length, best.i1, best.i2)

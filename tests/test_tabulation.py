@@ -6,7 +6,7 @@ import pytest
 
 from klcf import diagonal, tabulation
 from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
-from klcf.diagonal import diagonals, packed_batches
+from klcf.diagonal import diagonals, klcf_diagonal_scan, packed_batches
 from klcf.tabulation import (MismatchBlocks, TabulationStats, _kept_runs,
                              _row_blocks, build_l1, build_l2, klcf_tabulation,
                              longest_window_lut, pack, unpack)
@@ -307,9 +307,10 @@ def test_tabulation_stats_counters(rng):
 
 
 def test_tabulation_peak_memory_is_bounded():
-    """Batches of the scan's budget keep the peak flat: random DNA at
-    n = 3072, k = 4, stays under 64 MB (246 MB with the word-packed xor
-    batches of 2^23 cells)."""
+    """Batches of the scan's budget, and the first batch read behind the
+    filter in row chunks, keep the peak small: random DNA at n = 3072,
+    k = 4, stays under 8 MB (15.6 MB with the first batch's LUT stage
+    read whole, 246 MB with the word-packed xor batches of 2^23 cells)."""
     klcf_tabulation(Text.from_strings("ab", "ab"), 4)  # build the tables
     t = generate_instance("random", 3072, 4, 4, seed=1)
     tracemalloc.start()
@@ -319,7 +320,7 @@ def test_tabulation_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert span.length > 0
-    assert peak < 64 << 20
+    assert peak < 8 << 20
 
 
 # -- the block filter in front of the LUT stage ---------------------------------
@@ -339,8 +340,9 @@ def _periodic_pair(rng, n, sigma, period, rate):
 
 
 def test_filtered_tabulation_equals_oracle(rng, monkeypatch):
-    """Small batches, so every batch after the first runs behind the filter
-    at the best length so far; whole spans pin the smallest witness."""
+    """Small batches, so every batch after the first, and every row chunk
+    of the first after its first row, runs behind the filter at the best
+    length so far; whole spans pin the smallest witness."""
     kept = []
 
     def counted(packed, k, floor):
@@ -361,6 +363,35 @@ def test_filtered_tabulation_equals_oracle(rng, monkeypatch):
         # some batch went through the filter's runs, unless the best is too
         # short for any block count to rule a byte out
         assert any(kept) or span.length < 5
+
+
+def test_first_batch_chunks_keep_ties_and_witnesses(rng, monkeypatch):
+    """A budget that puts every diagonal with i2 <= i1 in the first batch,
+    and the rest in the second, so the first batch's row chunks are the
+    only filtering before that half is done; tied optima on many diagonals
+    (the periodic pairs) meet across chunk boundaries, and whole spans pin
+    the smallest witness."""
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", 1 << 22)
+    cases = [(_periodic_pair(rng, 500, 4, 7, 0.03), k) for k in (1, 3, 6)]
+    cases += [(random_text(rng, rng.randrange(200, 601), rng.randrange(200, 601),
+                           sigma), rng.randrange(0, 7))
+              for sigma in (2, 4) for _ in range(4)]
+    for t, k in cases:
+        batch, _ = next(packed_batches(t, k))
+        assert len(batch) == t.n1
+        assert klcf_tabulation(t, k) == klcf_oracle(t, k), (t.n1, t.n2, t.sigma, k)
+
+
+def test_first_batch_runs_behind_the_filter():
+    """On random DNA, n = 3072 and k = 4, the first batch's leading rows set
+    a floor for the rest of it: under 50,000 LUT queries, where reading
+    that batch whole makes 739,324 of 740,433."""
+    t = generate_instance("random", 3072, 4, 4, seed=1)
+    stats = TabulationStats()
+    span = klcf_tabulation(t, 4, stats=stats)
+    assert span == klcf_diagonal_scan(t, 4)
+    assert stats.diagonals == t.n1 + t.n2 - 1
+    assert stats.lut_queries <= 50_000
 
 
 def test_filter_cuts_lut_queries(monkeypatch):
