@@ -179,11 +179,15 @@ def build_l1(b: int) -> LutL1:
 def build_l2(b: int) -> LutL2:
     """Complete L2 table for all block pairs and budgets k' in [0, 2b].
 
-    A window straddling the two blocks is a suffix of the first and a
-    prefix of the second, so the best one with at most k' set bits is the
-    longest suffix with at most a of them plus the longest prefix with at
-    most k' - a, over every split a; among the longest, the one with the
-    longest suffix has the smallest start.
+    A window straddling the two blocks is the longest suffix s of the first
+    with at most a set bits plus the longest prefix p of the second with
+    at most c = k' - a, for the best split a.  That suffix holds min(a,
+    popcount(v1)) set bits, all of the block's if they fit and else a, the
+    prefix likewise, so the key (length, s, ones) in h-bit fields is the
+    sum of A[a][v1] = (s, s, min(a, popcount(v1))) and B[c][v2] = (p, 0,
+    min(c, popcount(v2))).  Its maximum over the splits is the longest
+    window, then the smallest start; equal (length, s) is one window, so
+    ones never decides.  A k' layer at a time, the key takes two buffers.
     """
     _check_width(b)
     nv = 1 << b
@@ -191,35 +195,31 @@ def build_l2(b: int) -> LutL2:
     if out_bytes > L2_TABLE_BYTE_LIMIT:
         raise ResourceLimitError(
             f"L2 table for b={b} needs {out_bytes} bytes (limit {L2_TABLE_BYTE_LIMIT})")
-    # the narrowest type of a block value and of (length, suffix length)
-    # packed as one number below 2b(b+1) + b + 1: a byte up to b = 8
-    small = np.min_scalar_type(max(nv - 1, 2 * b * (b + 1) + b))
-    vals = np.arange(nv, dtype=small)
-    lens = np.arange(b + 1)
-    # masks of the suffix (of the first block) and the prefix (of the
-    # second) of each length, and the set bits in them, [length, value]
-    suf_mask = (nv - (1 << (b - lens))).astype(small)
-    pre_mask = ((1 << lens) - 1).astype(small)
-    suf = np.bitwise_count(vals & suf_mask[:, None])
-    pre = np.bitwise_count(vals & pre_mask[:, None])
+    h = (2 * b).bit_length()
+    field = (1 << h) - 1
+    key_type = np.min_scalar_type(2 * b << 2 * h | b << h | 2 * b)  # uint16 at most, to b = 10
+    vals = np.arange(nv)
+    lens = np.arange(b + 1)[:, None]
+    # set bits in v1's suffix and v2's prefix of each length, [length, value]
+    suf = np.bitwise_count(vals & (nv - (1 << (b - lens))))
+    pre = np.bitwise_count(vals & ((1 << lens) - 1))
     # longest suffix and prefix with at most a set bits, [a, value]
-    suf_len = (suf[None, 1:] <= lens[:, None, None]).sum(axis=1, dtype=small)
-    pre_len = (pre[None, 1:] <= lens[:, None, None]).sum(axis=1, dtype=small)
-    start = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
-    end = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
-    ones = np.empty((2 * b + 1, nv, nv), dtype=np.uint8)
+    suf_len = (suf[None, 1:] <= lens[:, :, None]).sum(axis=1)
+    pre_len = (pre[None, 1:] <= lens[:, :, None]).sum(axis=1)
+    # set bits in the longest suffix or prefix within budget a, [a, value]
+    fit = np.minimum(lens, suf[-1])
+    a_key = (suf_len << 2 * h | suf_len << h | fit).astype(key_type)[:, :, None]
+    b_key = (pre_len << 2 * h | fit).astype(key_type)[:, None, :]
+    start, end, ones = (np.empty((2 * b + 1, nv, nv), np.uint8) for _ in range(3))
+    best, cand = np.empty((2, nv, nv), key_type)
     for kp in range(2 * b + 1):
-        # (length, suffix length) as one number, maximised over the splits
-        best = np.zeros((nv, nv), small)
+        best.fill(0)
         for a in range(max(0, kp - b), min(kp, b) + 1):
-            s = suf_len[a][:, None]
-            np.maximum(best, (s + pre_len[kp - a][None, :]) * (b + 1) + s,
-                       out=best)
-        total, s = np.divmod(best, b + 1)
+            np.maximum(best, np.add(a_key[a], b_key[kp - a], out=cand), out=best)
+        s = best >> h & field
         start[kp] = b + 1 - s
-        end[kp] = b + total - s
-        ones[kp] = (np.bitwise_count(vals[:, None] & suf_mask[s])
-                    + np.bitwise_count(vals[None, :] & pre_mask[total - s]))
+        end[kp] = (best >> 2 * h) + b - s
+        ones[kp] = best & field
     return LutL2(b, start, end, ones)
 
 

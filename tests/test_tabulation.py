@@ -107,7 +107,7 @@ def test_l1_exhaustive_small():
 
 
 def test_l2_exhaustive_small():
-    for b in (1, 2, 3):
+    for b in (1, 2, 3, 4, 5):
         l2 = build_l2(b)
         for v1 in range(1 << b):
             for v2 in range(1 << b):
@@ -141,6 +141,19 @@ def test_l2_sampled_past_one_byte_blocks(b):
     for kp in range(2 * b + 1):
         for v1, v2 in ((0, 0), (top, top), (top, 0), (0, top)):
             assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
+
+
+def test_l2_build_peak_memory_is_bounded():
+    """The key is built one k' layer at a time in two (256, 256) buffers,
+    so at b = 8 the peak stays near the 3.3 MB of the three outputs: under
+    4.5 MB, where a key of all 17 layers at once would add 2.2 MB."""
+    tracemalloc.start()
+    try:
+        build_l2(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * (1 << 20)
 
 
 def test_lut_guards():
