@@ -5,10 +5,12 @@ alignment a = i2 - i1 = g - (n1 - 1), so g runs over n1 + n2 - 1 values
 from the bottom-left corner to the top-right one.  This module alone lays
 out rows of mismatch bits, 8 cells to a byte in whole bytes, every bit
 past a row's cells set: the whole diagonals of ``packed_batches``, which
-the exhaustive scan and tabulation read a batch at a time with the starts
+the exhaustive scan and tabulation walk a batch at a time with the starts
 and lengths of ``geometry``, and the strips of ``best_in_strips`` around
-the seed cells ``seeds`` hands over.  Strided passes walk no diagonals:
-``strided`` owns the cells they visit.
+the seed cells ``seeds`` hands over.  It alone cuts them into the runs an
+exact stage reads (``_kept_runs``) and lays those end to end
+(``_gather``), so the scan and tabulation differ only in that stage.
+Strided passes walk no diagonals: ``strided`` owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
@@ -20,10 +22,9 @@ tabulation algorithm and of bit-parallel mismatch counting, Baeza-Yates
 and Gonnet, CACM 1992): it counts mismatch bits per block with
 ``np.bitwise_count`` and passes on only the bytes a count cannot rule
 out.  ``best_in_rows`` runs both stages on any rows.  The same filter
-fronts tabulation's lookup-table stage, which reads only the byte runs
-``_kept_segments`` keeps at the best length so far.  ``best_window``
-makes every solver's selection, the longest window, then the smallest
-(i1, i2).
+and runs front tabulation's lookup-table stage at the best length so
+far.  ``best_window`` makes every solver's selection, the longest
+window, then the smallest (i1, i2).
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def geometry(n1: int, n2: int, g: np.ndarray):
     st2 = st1 + a
     length = np.minimum(n1 - st1, n2 - st2) + 1
     return st1, st2, length
-
-
-def diagonals(n1: int, n2: int, lo: int = 0, hi: int | None = None):
-    """``geometry`` of diagonals lo .. hi-1, all of them by default."""
-    if hi is None:
-        hi = n1 + n2 - 1
-    return geometry(n1, n2, np.arange(lo, hi, dtype=np.int64))
 
 
 def argmin_pair(a: np.ndarray, b: np.ndarray) -> int:
@@ -172,57 +166,75 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     return row, lo, hi
 
 
-def _best_in_batch(packed: np.ndarray, length: np.ndarray, k: int, floor: int,
-                   segments):
-    """(length, rows, offsets) of the longest windows of at least ``floor``
-    cells in a packed batch of diagonals, or None when there is none.
+def _kept_runs(packed: np.ndarray, length: np.ndarray, k: int, floor: int):
+    """(row, first byte, cells) int64 arrays of the byte runs of a packed
+    batch that ``_kept_segments`` keeps at ``floor``, every row whole when
+    it keeps too much.  Row r holds length[r] cells; each run is clipped
+    to its diagonal and holds the cells from its first byte to its end or
+    its diagonal's, whichever comes first, and a run that starts at or
+    past its diagonal's end holds no cell and is dropped."""
+    kept = _kept_segments(packed, k, floor)
+    if kept is None:
+        return np.arange(len(length)), np.zeros(len(length), np.int64), length
+    row, lo, hi = kept
+    keep = 8 * lo < length[row]
+    row, lo, hi = row[keep], lo[keep], hi[keep]
+    return row, lo, np.minimum(8 * hi, length[row]) - 8 * lo
+
+
+def _gather(packed: np.ndarray, runs, sep: int = 0):
+    """(data, m, off): the runs (row, first byte, cells) of a packed batch
+    laid end to end, run j as its m[j] = ceil(cells[j] / 8) bytes from
+    data's byte off[j].  With sep > 0, each run comes after sep bytes of
+    set bits, and sep more close the last."""
+    row, first, cells = runs
+    m = -(-cells // 8)
+    start = np.cumsum(m) - m
+    t = np.arange(int(m.sum()))
+    data = packed.reshape(-1)[np.repeat(row * packed.shape[1] + first - start, m) + t]
+    off = start + sep * np.arange(1, len(m) + 1)
+    if sep:
+        out = np.full(len(t) + sep * (len(m) + 1), 255, np.uint8)
+        out[np.repeat(off - start, m) + t] = data
+        data = out
+    return data, m, off
+
+
+def _best_in_batch(packed: np.ndarray, k: int, floor: int, runs):
+    """(length, runs, offsets) of the longest windows of at least ``floor``
+    cells in the runs (row, first byte, cells) of a packed batch, or None
+    when there is none: the index of each window's run, and its first
+    cell in the run.
 
     ``packed`` holds one row of mismatch bits per diagonal, past its end
-    set too; ``segments`` (row, first byte, end byte) limits the search to
-    those byte runs, all of every row when None.  The runs are laid end to
-    end, each after a separator of at least k+1 set bits, so no window
-    reaches from one into the next, and one more separator closes the
-    last.  A window starts after a set bit and ends before the (k+1)-th set
-    bit after it; windows that start in a separator or past a diagonal's
-    end are dropped, and windows that run into either are clipped there.
+    set too.  The runs are laid end to end, each after a separator of at
+    least k+1 set bits, so no window reaches from one into the next, and
+    one more separator closes the last.  A window starts after a set bit
+    and ends before the (k+1)-th set bit after it; windows that start in a
+    separator or past their run's cells are dropped, and windows that run
+    past them are clipped there.
     """
-    rows, nbytes = packed.shape
-    if segments is None:
-        row = np.arange(rows)
-        lo = np.zeros(rows, np.int64)
-        hi = np.full(rows, nbytes, np.int64)
-    else:
-        row, lo, hi = segments
-        if len(row) == 0:
-            return None
-    sep = (k + 8) // 8  # separator bytes
-    size = hi - lo
-    data = sep * np.arange(1, len(row) + 1) + np.cumsum(size) - size
-    compact = np.full(int(data[-1] + size[-1]) + sep, 255, np.uint8)
-    if segments is None:
-        compact[:rows * (sep + nbytes)].reshape(rows, -1)[:, sep:] = packed
-    else:
-        off = np.arange(int(size.sum())) - np.repeat(np.cumsum(size) - size, size)
-        compact[np.repeat(data, size) + off] = packed[np.repeat(row, size),
-                                                      np.repeat(lo, size) + off]
+    cells = runs[2]
+    if len(cells) == 0:
+        return None
+    compact, _, off = _gather(packed, runs, (k + 8) // 8)
     pos = np.flatnonzero(np.unpackbits(compact).view(bool))
     raw = pos[k + 1:] - pos[:len(pos) - k - 1] - 1
-    # a window runs at most k cells into a separator or past its diagonal's
-    # end, and one that starts in a separator is no longer than the window
-    # from the run's first cell, so the best is at least raw.max() - k
+    # a window runs at most k cells into a separator or past its run's
+    # cells, and one that starts in a separator is no longer than the
+    # window from the run's first cell, so the best is at least raw.max() - k
     cand = np.flatnonzero(raw >= max(floor, int(raw.max()) - k))
     start = pos[cand] + 1
-    seg = np.maximum(np.searchsorted(data * 8, start, side="right") - 1, 0)
-    first = data[seg] * 8
-    # the run's last cell on the diagonal, in compact bits, plus one
-    end = first + np.minimum(size[seg] * 8, length[row[seg]] - lo[seg] * 8)
+    run = np.maximum(np.searchsorted(off * 8, start, side="right") - 1, 0)
+    first = off[run] * 8
+    end = first + cells[run]
     span = np.minimum(pos[cand + k + 1], end) - start
     span[(start < first) | (start >= end)] = -1  # in a separator, or past the end
     if len(span) == 0 or int(span.max()) < floor:
         return None
     best = int(span.max())
     win = np.flatnonzero(span == best)
-    return best, row[seg[win]], lo[seg[win]] * 8 + start[win] - first[win]
+    return best, run[win], start[win] - first[win]
 
 
 def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
@@ -230,15 +242,16 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
     """``best``, or the longest window in packed rows of mismatch bits if it
     is at least as long as best and ``floor``; row r starts at the 1-based
     cell (st1[r], st2[r]) of its diagonal and holds length[r] cells of it,
-    every bit past them set.  The block filter passes on only the bytes
+    every bit past them set.  The block filter passes on only the runs
     that may hold such a window, and the exact sliding window runs on
     those."""
     least = max(best.length, floor, 1)
-    found = _best_in_batch(packed, length, k, least,
-                           _kept_segments(packed, k, least))
+    runs = _kept_runs(packed, length, k, least)
+    found = _best_in_batch(packed, k, least, runs)
     if found is None:
         return best
-    mx, row, t = found
+    mx, run, t = found
+    row, t = runs[0][run], 8 * runs[1][run] + t
     return best_window(best, mx, st1[row] + t, st2[row] + t)
 
 
@@ -256,16 +269,21 @@ def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return packed.reshape(rows, w // 8)
 
 
-def packed_batches(text: Text, k: int):
-    """Yield (batch, packed) for every diagonal of ``text``, a batch of
-    them at a time: the diagonals' indices, and one row of mismatch bits
-    each; nothing when a sequence is empty.  A batch is the rows of a dense
-    matrix of at most ``SCAN_CELLS`` cells (or one longer diagonal), less
-    k + 8 separator bits a row for the scan's exact stage.  Diagonals with
-    i2 <= i1 slide s1 past s2 and the others s2 past s1, so a batch is a
-    slice of one padded sequence's windows compared with a prefix of the
-    other.  Both halves run from the longest diagonal outwards, so a
-    batch's first row sets its width."""
+def packed_batches(text: Text, k: int, floor: int = 0):
+    """Yield (packed, st1, st2, length) for every diagonal of ``text``, a
+    batch of them at a time: one row of mismatch bits each, and the
+    diagonals' ``geometry``; nothing when a sequence is empty.  A batch is
+    the rows of a dense matrix of at most ``SCAN_CELLS`` cells (or one
+    longer diagonal), less k + 8 separator bits a row for the scan's exact
+    stage.  Diagonals with i2 <= i1 slide s1 past s2 and the others s2
+    past s1, so a batch is a slice of one padded sequence's windows
+    compared with a prefix of the other.  Both halves run from the longest
+    diagonal outwards, so a batch's first row sets its width.
+
+    ``floor`` is the length of a window known to exist, or 0.  When it is
+    too short for the block filter to prune, the first batch is yielded in
+    row chunks of 1, 2, 4, ... rows, its longest diagonals first, so that
+    the best of the leading chunks is a floor that prunes the rest."""
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
@@ -273,14 +291,22 @@ def packed_batches(text: Text, k: int):
     s1, s2 = padded_pair(text, n2 + 8, n1 + 8)
     # (sliding side, fixed side, first diagonal, one past the last, step)
     halves = ((s1, s2, n1 - 1, -1, -1), (s2, s1, n1, n1 + n2 - 1, 1))
+    chunked = not _block_width(floor)
     for padded, fixed, g, g_end, step in halves:
         while g != g_end:
-            st1, st2, length = diagonals(n1, n2, g, g + 1)
+            st1, st2, length = geometry(n1, n2, np.array([g]))
             w = -(-int(length[0]) // 8) * 8  # whole bytes
             rows = min(max(1, SCAN_CELLS // (w + k + 8)), abs(g_end - g))
             x0 = int(max(st1[0], st2[0])) - 1  # the fixed side starts at 1
             view = sliding_window_view(padded, w)[x0:x0 + rows]
-            yield np.arange(g, g + step * rows, step), _packed_rows(view, fixed[:w])
+            packed = _packed_rows(view, fixed[:w])
+            st1, st2, length = geometry(n1, n2, np.arange(g, g + step * rows, step))
+            cuts = [0, rows]
+            if chunked:
+                cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
+                chunked = False
+            for lo, hi in zip(cuts, cuts[1:]):
+                yield packed[lo:hi], st1[lo:hi], st2[lo:hi], length[lo:hi]
             g += step * rows
 
 
@@ -313,15 +339,16 @@ def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,
 
 def klcf_diagonal_scan(text: Text, k: int, floor: int = 0) -> MatchSpan:
     """Exact optimum and its lexicographically smallest witness, by
-    scanning every diagonal of ``packed_batches``.
+    scanning every diagonal of ``packed_batches``: the sliding window on
+    the runs the block filter keeps at L = max(best so far, floor).
 
     ``floor`` is the length of a window known to exist, or 0; windows as
-    long as L = max(best so far, floor) are kept, so the answer is exact
-    whatever floor at most the optimum is given.  O(n1 n2) time,
+    long as L are kept, so the answer is exact whatever floor at most the
+    optimum is given.  At floor 0 the first batch comes in row chunks, so
+    the filter has a floor after its first row.  O(n1 n2) time,
     O(SCAN_CELLS + n1 + n2) memory.
     """
     best = MatchSpan(0, 1, 1)
-    for batch, packed in packed_batches(text, k):
-        st1, st2, length = geometry(text.n1, text.n2, batch)
+    for packed, st1, st2, length in packed_batches(text, k, floor):
         best = best_in_rows(best, packed, length, st1, st2, k, floor)
     return make_span(text, best.length, best.i1, best.i2)

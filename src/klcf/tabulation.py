@@ -12,20 +12,15 @@ one block (L1) and straddling two blocks (L2).  Combining block-local
 answers with running interior popcounts yields the longest window with
 at most k set bits per diagonal, i.e. the optimum match length.
 
-The exhaustive scan's exact block filter (``diagonal._kept_segments``,
-the same word-packing idea of counting mismatches a block at a time)
-fronts the LUT stage, at the best length found so far.  A window at
-least that long lies inside one byte run the filter keeps, so only the
-kept runs reach the tables, each as a diagonal of its own, and the LUT
-stays the only exact stage.  The floor is the running best, not
-``lcf0``'s lower bound, so tabulation builds no LCE index.  The first
-batch has no best yet, so it is read in row chunks of 1, 2, 4, ... rows,
-each behind the filter at the best of the chunks before it: a batch's
-first rows are its longest diagonals, and their best is a floor that
-prunes most of the rest.  Any chunk or batch of which the filter would
-keep too much, the first chunk among them, is read whole.  On random DNA,
-n = 3072 and k = 4 (``generate_instance`` seed 1), the LUT stage makes
-9,832 of the 7,063,301 queries of the unfiltered scan.
+``packed_batches`` walks the diagonals for it as for the scan: the same
+batches, the first one in row chunks of 1, 2, 4, ... rows, and the same
+byte runs, which ``_kept_runs`` keeps behind the scan's block filter at
+the best length so far.  A window at least that long lies inside one
+kept run, so only those runs reach the tables, each as a diagonal of its
+own, and the LUT stays the only exact stage.  The floor is the running
+best, not ``lcf0``'s lower bound, so tabulation builds no LCE index.  On
+random DNA, n = 3072 and k = 4 (``generate_instance`` seed 1), the LUT
+stage makes 9,832 of the 7,063,301 queries of the unfiltered scan.
 
 ``pack`` and ``unpack`` keep the word-packed symbol layout for the
 benchmark's traced runs; the solver does not use them.
@@ -39,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MatchSpan, ResourceLimitError, Text, make_span
-from .diagonal import _kept_segments, best_window, geometry, packed_batches
+from .diagonal import _gather, _kept_runs, best_window, packed_batches
 
 # the solver's block width: one packed byte of mismatch bits
 DEFAULT_BLOCK_BITS = 8
@@ -245,39 +240,14 @@ class MismatchBlocks:
     total_bits: int
 
 
-def _row_blocks(packed: np.ndarray, length: np.ndarray, row=None, first=0):
-    """(blocks, m, boff): the byte blocks of runs of a packed batch.
-
-    Row r of ``packed`` holds a diagonal's mismatch bits 8 to a byte, first
-    cell in the top bit, every bit past its end set.  Run j is the m[j] =
-    ceil(length[j] / 8) bytes of row row[j] from byte first[j], every row
-    from byte 0 by default.  The runs are laid end to end, run j from
-    offset boff[j], each byte bit-reversed so that its first cell is bit
-    0, as the tables read it; bits past a diagonal's end stay set, as the
-    window scan needs.
+def _row_blocks(packed: np.ndarray, runs):
+    """(blocks, m, boff): the byte blocks of the runs (row, first byte,
+    cells) of a packed batch, laid end to end by ``_gather``, each byte
+    bit-reversed so that its first cell is bit 0, as the tables read it;
+    bits past a diagonal's end stay set, as the window scan needs.
     """
-    if row is None:
-        row = np.arange(len(length))
-    m = -(-length // 8)
-    boff = np.cumsum(m) - m
-    at = np.repeat(row * packed.shape[1] + first - boff, m)
-    return REVERSE[packed.reshape(-1)[at + np.arange(len(at))]], m, boff
-
-
-def _kept_runs(segments, st1, st2, length):
-    """(row, first byte, st1, st2, length) of the byte runs (row, first
-    byte, end byte) ``segments`` of a batch whose diagonals start at (st1,
-    st2) and hold ``length`` cells.  Each run is a diagonal of its own,
-    from its first cell to its end or its diagonal's, whichever comes
-    first; a run that starts at or past its diagonal's end holds no cell
-    and is dropped.
-    """
-    row, lo, hi = segments
-    cell = 8 * lo
-    keep = cell < length[row]
-    row, lo, cell, hi = row[keep], lo[keep], cell[keep], hi[keep]
-    return (row, lo, st1[row] + cell, st2[row] + cell,
-            np.minimum(8 * hi, length[row]) - cell)
+    data, m, boff = _gather(packed, runs)
+    return REVERSE[data], m, boff
 
 
 # ---------------------------------------------------------------------------
@@ -403,34 +373,18 @@ def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
 def klcf_tabulation(text: Text, k: int,
                     stats: TabulationStats | None = None) -> MatchSpan:
     """Exact optimum over all diagonals: the LUT window scan on the byte
-    blocks of the mismatch rows ``packed_batches`` yields, behind the
-    scan's block filter at the best length so far.  The first batch is
-    read in row chunks of doubling size, so that its leading rows give the
-    filter a floor for the rest of it."""
+    blocks of the runs of ``packed_batches`` that the scan's block filter
+    keeps at the best length so far."""
     l1, l2 = _tables()
     best = MatchSpan(0, 1, 1)
-    for i, (batch, packed) in enumerate(packed_batches(text, k)):
-        st1, st2, length = geometry(text.n1, text.n2, batch)
+    for packed, st1, st2, length in packed_batches(text, k):
         if stats is not None:
             stats.word_ops += packed.size
-            stats.diagonals += len(batch)
-        rows = len(batch)
-        cuts = [0, rows]
-        if i == 0:
-            # no best to filter at yet: the rows, the longest diagonals
-            # first, are read in chunks of 1, 2, 4, ... rows, so that the
-            # leading rows set the floor for the rest
-            cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            part = packed[lo:hi]
-            r1, r2, size = st1[lo:hi], st2[lo:hi], length[lo:hi]
-            row, first = None, 0
-            kept = _kept_segments(part, k, max(best.length, 1))
-            if kept is not None:
-                row, first, r1, r2, size = _kept_runs(kept, r1, r2, size)
-                if len(row) == 0:
-                    continue
-            blocks, m, boff = _row_blocks(part, size, row, first)
-            best = _scan_flat(blocks, m, boff, size, r1, r2, DEFAULT_BLOCK_BITS,
-                              k, l1, l2, best, stats)
+            stats.diagonals += len(length)
+        runs = row, first, cells = _kept_runs(packed, length, k, max(best.length, 1))
+        if len(row):
+            blocks, m, boff = _row_blocks(packed, runs)
+            best = _scan_flat(blocks, m, boff, cells, st1[row] + 8 * first,
+                              st2[row] + 8 * first, DEFAULT_BLOCK_BITS, k, l1, l2,
+                              best, stats)
     return make_span(text, best.length, best.i1, best.i2)

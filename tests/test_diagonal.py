@@ -8,9 +8,10 @@ import pytest
 from klcf import diagonal, strided
 from klcf.core import (MatchSpan, Text, generate_instance, klcf_oracle, make_span,
                        verify_match)
-from klcf.diagonal import argmin_pair, diagonals, geometry, klcf_diagonal_scan
+from klcf.diagonal import argmin_pair, geometry, klcf_diagonal_scan
 from klcf.lce import build_lce
 from klcf.strided import ScanStats, _pass_cells, klcf_strided, pass_cells
+from klcf.tabulation import klcf_tabulation
 
 from conftest import brute_klcf, random_text
 
@@ -33,22 +34,18 @@ def _structured_texts():
 
 def test_diagonals_geometry():
     for n1, n2 in ((1, 1), (3, 5), (5, 3), (4, 4), (1, 7)):
-        st1, st2, length = diagonals(n1, n2)
+        st1, st2, length = geometry(n1, n2, np.arange(n1 + n2 - 1))
         assert len(st1) == n1 + n2 - 1
         for g in range(n1 + n2 - 1):
             a = g - (n1 - 1)  # i2 - i1 along the diagonal
             cells = [(i1, i1 + a) for i1 in range(1, n1 + 1) if 1 <= i1 + a <= n2]
             assert (st1[g], st2[g], length[g]) == (*cells[0], len(cells))
-        for lo in range(n1 + n2 - 2):
-            part = diagonals(n1, n2, lo, lo + 2)
-            for full, sliced in zip((st1, st2, length), part):
-                assert sliced.tolist() == full[lo:lo + 2].tolist()
 
 
 def test_geometry_of_any_diagonals(rng):
     for _ in range(50):
         n1, n2 = rng.randrange(1, 30), rng.randrange(1, 30)
-        full = diagonals(n1, n2)
+        full = geometry(n1, n2, np.arange(n1 + n2 - 1))
         g = np.array([rng.randrange(n1 + n2 - 1) for _ in range(rng.randrange(1, 9))])
         for got, want in zip(geometry(n1, n2, g), full):
             assert got.tolist() == want[g].tolist()
@@ -57,7 +54,7 @@ def test_geometry_of_any_diagonals(rng):
 def test_pass_cells_sum_length_over_stride(rng):
     for _ in range(300):
         n1, n2, h = rng.randrange(1, 40), rng.randrange(1, 40), rng.randrange(1, 50)
-        counts = diagonals(n1, n2)[2] // h
+        counts = geometry(n1, n2, np.arange(n1 + n2 - 1))[2] // h
         assert pass_cells(n1, n2, h) == int(counts.sum()), (n1, n2, h)
 
 
@@ -304,15 +301,36 @@ def _brute_in_segments(bits, lens, k, segments):
     return best, sorted(set(found))
 
 
-def test_windows_never_cross_a_separator(rng):
+def _exact_stage(monkeypatch, packed, lens, k, segments):
+    """``_best_in_batch`` on the byte runs ``segments`` as ``_kept_runs``
+    clips them: (length, sorted (row, offset) list), or None."""
+    monkeypatch.setattr(diagonal, "_kept_segments", lambda *args: segments)
+    row, first, _ = runs = diagonal._kept_runs(packed, lens, k, 1)
+    got = diagonal._best_in_batch(packed, k, 1, runs)
+    if got is None:
+        return None
+    mx, run, t = got
+    return mx, sorted(zip(row[run].tolist(), (8 * first[run] + t).tolist()))
+
+
+def test_windows_never_cross_a_separator(rng, monkeypatch):
     """Runs are laid end to end with k+1 set bits between them: a window
     that starts in a separator is dropped, one that runs into it clipped."""
     # two one-byte runs with no mismatch, at k = 8: a separator of only k
     # set bits lets the first run's window reach into the second
     packed = np.array([[0, 12, 2, 132, 0, 255]], np.uint8)
-    runs = (np.array([0, 0]), np.array([0, 4]), np.array([1, 5]))
-    got = diagonal._best_in_batch(packed, np.array([40]), 8, 1, runs)
-    assert got[0] == 8 and got[2].tolist() == [0, 32]
+    runs = (np.array([0, 0]), np.array([0, 4]), np.array([8, 8]))
+    got = diagonal._best_in_batch(packed, 8, 1, runs)
+    assert got[0] == 8 and got[1].tolist() == [0, 1] and got[2].tolist() == [0, 0]
+    # runs that end mid-byte at their diagonal's end, of 13 and 5 cells:
+    # the set bits past it must not count towards a window's k mismatches;
+    # and a run that starts past its diagonal's end is dropped
+    packed = np.packbits(np.arange(24) >= np.array([[13], [5]]), axis=1)
+    packed[0, 0] = 255
+    segments = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 2]), np.array([1, 2, 1, 3]))
+    for k in (0, 1, 2, 4):
+        got = _exact_stage(monkeypatch, packed, np.array([13, 5]), k, segments)
+        assert got == (5, [(0, 8), (1, 0)]), k
     for _ in range(300):
         rows, nbytes = rng.randrange(1, 4), rng.randrange(1, 6)
         k = rng.choice([0, 1, 2, 3, 5, 7, 8, 9, 11, 16])
@@ -327,12 +345,30 @@ def test_windows_never_cross_a_separator(rng):
         segments = tuple(np.array(col, np.int64) for col in zip(*runs)) if runs \
             else (np.empty(0, np.int64),) * 3
         best, found = _brute_in_segments(bits, lens, k, segments)
-        got = diagonal._best_in_batch(np.packbits(bits, axis=1), lens, k, 1, segments)
+        got = _exact_stage(monkeypatch, np.packbits(bits, axis=1), lens, k, segments)
         if best == 0:
             assert got is None
             continue
-        assert got is not None and got[0] == best
-        assert sorted(zip(got[1].tolist(), got[2].tolist())) == found
+        assert got == (best, found)
+
+
+def test_kept_runs_drop_runs_past_their_diagonal(monkeypatch):
+    packed = np.zeros((3, 4), np.uint8)
+    length = np.array([16, 21, 30])
+    segments = (np.array([0, 0, 1, 1, 2]), np.array([0, 2, 1, 3, 3]),
+                np.array([1, 4, 4, 4, 4]))
+    monkeypatch.setattr(diagonal, "_kept_segments", lambda *args: segments)
+    row, first, cells = diagonal._kept_runs(packed, length, 1, 40)
+    # (0, 2, 4) starts at cell 16, the end of row 0, and (1, 3, 4) at cell
+    # 24, past the end of row 1: both hold no cell; (1, 1, 4) and (2, 3, 4)
+    # are clipped at their diagonals' ends
+    assert row.tolist() == [0, 1, 2]
+    assert first.tolist() == [0, 1, 3]
+    assert cells.tolist() == [8, 13, 6]
+    # a filter that keeps too much gives every row whole
+    monkeypatch.setattr(diagonal, "_kept_segments", lambda *args: None)
+    got = diagonal._kept_runs(packed, length, 1, 40)
+    assert [a.tolist() for a in got] == [[0, 1, 2], [0, 0, 0], [16, 21, 30]]
 
 
 def _kept_reference(packed, k, floor):
@@ -421,19 +457,25 @@ def test_batch_that_cannot_be_pruned_falls_back(monkeypatch):
     assert any(floor >= 5 and fell for floor, fell in calls)
 
 
+def _cells_reaching_the_exact_stage(monkeypatch):
+    """A list that gets the cells of the runs of each ``_best_in_batch``
+    call."""
+    reached = []
+    exact = diagonal._best_in_batch
+
+    def counted(packed, k, floor, runs):
+        reached.append(int(runs[2].sum()))
+        return exact(packed, k, floor, runs)
+
+    monkeypatch.setattr(diagonal, "_best_in_batch", counted)
+    return reached
+
+
 def test_filter_engages_on_random_dna(monkeypatch):
     """Random sigma = 4, k = 4, n = 3072: strided hands the search to the
     scan with its floor, and fewer than 5 % of the cells reach the exact
     window stage."""
-    reached = []
-    exact = diagonal._best_in_batch
-
-    def counted(packed, length, k, floor, segments):
-        kept = packed.size if segments is None else int((segments[2] - segments[1]).sum())
-        reached.append(8 * kept)
-        return exact(packed, length, k, floor, segments)
-
-    monkeypatch.setattr(diagonal, "_best_in_batch", counted)
+    reached = _cells_reaching_the_exact_stage(monkeypatch)
     r = np.random.default_rng(7)
     t = Text.from_symbols(r.integers(0, 4, 3072).tolist(), r.integers(0, 4, 3072).tolist())
     stats = ScanStats()
@@ -442,6 +484,18 @@ def test_filter_engages_on_random_dna(monkeypatch):
     assert sum(reached) < 0.05 * t.n1 * t.n2, sum(reached) / (t.n1 * t.n2)
     monkeypatch.undo()
     assert span == klcf_diagonal_scan(t, 4)
+
+
+def test_first_batch_runs_behind_the_filter_at_floor_zero(monkeypatch):
+    """With no floor (``--algo naive``), the first batch comes in row chunks
+    of 1, 2, 4, ... rows, so on random DNA, n = 3072 and k = 4, the filter
+    prunes all but the leading rows: under 50,000 cells reach the exact
+    stage, where reading that batch whole sends over a million."""
+    reached = _cells_reaching_the_exact_stage(monkeypatch)
+    t = generate_instance("random", 3072, 4, 4, seed=1)
+    span = klcf_diagonal_scan(t, 4)
+    assert sum(reached) <= 50_000, sum(reached)
+    assert span == klcf_tabulation(t, 4)
 
 
 @pytest.mark.parametrize("kind, floor, bound", [("random", 5, 1.25),

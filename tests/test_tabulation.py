@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klcf import diagonal, tabulation
+from klcf import diagonal
 from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
-from klcf.diagonal import diagonals, klcf_diagonal_scan, packed_batches
-from klcf.tabulation import (MismatchBlocks, TabulationStats, _kept_runs,
-                             _row_blocks, build_l1, build_l2, klcf_tabulation,
+from klcf.diagonal import geometry, klcf_diagonal_scan, packed_batches
+from klcf.tabulation import (MismatchBlocks, TabulationStats, _row_blocks,
+                             build_l1, build_l2, klcf_tabulation,
                              longest_window_lut, pack, unpack)
 
 from conftest import random_text, two_pointer_window
@@ -169,7 +169,7 @@ def test_lut_guards():
 
 def _direct_bits(t, g):
     """Mismatch bits of diagonal g by direct comparison."""
-    st1, st2, length = diagonals(t.n1, t.n2, g, g + 1)
+    st1, st2, length = geometry(t.n1, t.n2, np.array([g]))
     a = t.s1[st1[0] - 1:st1[0] - 1 + length[0]]
     return (a != t.s2[st2[0] - 1:st2[0] - 1 + length[0]]).astype(int).tolist()
 
@@ -182,12 +182,15 @@ def test_blocks_match_direct_comparison(rng, monkeypatch):
     b = 8  # a block is one packed byte
     for t in texts:
         k = rng.randrange(0, 4)
-        _, _, length = diagonals(t.n1, t.n2)
         seen = []
         monkeypatch.setattr(diagonal, "SCAN_CELLS", rng.choice([64, 1 << 20]))
-        for batch, packed in packed_batches(t, k):
-            blocks, m, boff = _row_blocks(packed, length[batch])
-            assert m.tolist() == (-(-length[batch] // b)).tolist()
+        for packed, st1, st2, length in packed_batches(t, k):
+            rows = len(length)
+            blocks, m, boff = _row_blocks(
+                packed, (np.arange(rows), np.zeros(rows, np.int64), length))
+            assert m.tolist() == (-(-length // b)).tolist()
+            batch = st2 - st1 + t.n1 - 1  # the diagonals' indices
+            assert (length == geometry(t.n1, t.n2, batch)[2]).all()
             assert len(blocks) == int(m.sum())
             for r, g in enumerate(batch.tolist()):
                 want = _direct_bits(t, g)
@@ -357,13 +360,14 @@ def test_filtered_tabulation_equals_oracle(rng, monkeypatch):
     of the first after its first row, runs behind the filter at the best
     length so far; whole spans pin the smallest witness."""
     kept = []
+    kept_segments = diagonal._kept_segments
 
     def counted(packed, k, floor):
-        segments = diagonal._kept_segments(packed, k, floor)
+        segments = kept_segments(packed, k, floor)
         kept.append(segments is not None)
         return segments
 
-    monkeypatch.setattr(tabulation, "_kept_segments", counted)
+    monkeypatch.setattr(diagonal, "_kept_segments", counted)
     cases = [(random_text(rng, rng.randrange(200, 601), rng.randrange(200, 601),
                           sigma), rng.randrange(0, 7), rng.choice([1 << 10, 1 << 12]))
              for sigma in (2, 4, 20) for _ in range(6)]
@@ -378,21 +382,54 @@ def test_filtered_tabulation_equals_oracle(rng, monkeypatch):
         assert any(kept) or span.length < 5
 
 
+def test_runs_past_a_diagonal_end_are_dropped(rng, monkeypatch):
+    """A filter that also keeps each row's last byte keeps, on square
+    pairs, runs that start 8 or more cells past the end of every row from
+    the 16th of a batch on, whose lengths fall by one a row: such runs hold
+    no cell and are dropped, and both exact stages stay exact."""
+    kept_segments = diagonal._kept_segments
+    tails = []
+
+    def with_tails(packed, k, floor):
+        segments = kept_segments(packed, k, floor)
+        rows, nbytes = packed.shape
+        if segments is None or rows <= 16:
+            return segments
+        tail = np.arange(16, rows)
+        tails.append(len(tail))
+        extra = (tail, np.full_like(tail, nbytes - 1), np.full_like(tail, nbytes))
+        return tuple(np.concatenate(pair) for pair in zip(segments, extra))
+
+    monkeypatch.setattr(diagonal, "_kept_segments", with_tails)
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", 1 << 12)
+    for sigma in (2, 4, 20):
+        n = rng.randrange(200, 401)
+        t = random_text(rng, n, n, sigma)
+        k = rng.randrange(0, 5)
+        want = klcf_oracle(t, k)
+        assert klcf_tabulation(t, k) == want, (n, sigma, k)
+        assert klcf_diagonal_scan(t, k) == want, (n, sigma, k)
+    assert tails
+
+
 def test_first_batch_chunks_keep_ties_and_witnesses(rng, monkeypatch):
     """A budget that puts every diagonal with i2 <= i1 in the first batch,
     and the rest in the second, so the first batch's row chunks are the
     only filtering before that half is done; tied optima on many diagonals
     (the periodic pairs) meet across chunk boundaries, and whole spans pin
-    the smallest witness."""
+    the smallest witness.  The scan at floor 0 reads the same chunks."""
     monkeypatch.setattr(diagonal, "SCAN_CELLS", 1 << 22)
     cases = [(_periodic_pair(rng, 500, 4, 7, 0.03), k) for k in (1, 3, 6)]
     cases += [(random_text(rng, rng.randrange(200, 601), rng.randrange(200, 601),
                            sigma), rng.randrange(0, 7))
               for sigma in (2, 4) for _ in range(4)]
     for t, k in cases:
-        batch, _ = next(packed_batches(t, k))
-        assert len(batch) == t.n1
-        assert klcf_tabulation(t, k) == klcf_oracle(t, k), (t.n1, t.n2, t.sigma, k)
+        rows = [len(length) for *_, length in packed_batches(t, k)]
+        chunks = [min(2 ** j, t.n1 + 1 - 2 ** j) for j in range(t.n1.bit_length())]
+        assert rows == chunks + [t.n2 - 1]
+        want = klcf_oracle(t, k)
+        assert klcf_tabulation(t, k) == want, (t.n1, t.n2, t.sigma, k)
+        assert klcf_diagonal_scan(t, k) == want, (t.n1, t.n2, t.sigma, k)
 
 
 def test_first_batch_runs_behind_the_filter():
@@ -413,22 +450,8 @@ def test_filter_cuts_lut_queries(monkeypatch):
     t = generate_instance("random", 3072, 4, 4, seed=1)
     filtered, full = TabulationStats(), TabulationStats()
     span = klcf_tabulation(t, 4, stats=filtered)
-    monkeypatch.setattr(tabulation, "_kept_segments", lambda *args: None)
+    monkeypatch.setattr(diagonal, "_kept_segments", lambda *args: None)
     assert klcf_tabulation(t, 4, stats=full) == span
     assert filtered.diagonals == full.diagonals == t.n1 + t.n2 - 1
     assert filtered.word_ops == full.word_ops
     assert 4 * filtered.lut_queries < full.lut_queries
-
-
-def test_kept_runs_drop_runs_past_their_diagonal():
-    st1, st2 = np.array([1, 5, 1]), np.array([3, 1, 9])
-    length = np.array([16, 21, 30])
-    segments = (np.array([0, 0, 1, 1, 2]), np.array([0, 2, 1, 3, 3]),
-                np.array([1, 4, 4, 4, 4]))
-    row, first, r1, r2, size = _kept_runs(segments, st1, st2, length)
-    # (0, 2, 4) starts at cell 16, the end of row 0, and (1, 3, 4) at cell
-    # 24, past the end of row 1: both hold no cell
-    assert row.tolist() == [0, 1, 2]
-    assert first.tolist() == [0, 1, 3]
-    assert r1.tolist() == [1, 13, 25] and r2.tolist() == [3, 9, 33]
-    assert size.tolist() == [8, 13, 6]
