@@ -1,15 +1,16 @@
 """Diagonal scans with geometrically shrinking stride.
 
 Each visited cell is expanded into the longest window through it holding at
-most k mismatches, via O(k) extension queries forward and backward along
-the diagonal.  A pass with stride h visits every h-th cell of each
-diagonal, so it cannot miss a match of length >= h, and halving the stride
-until the best found length reaches it yields the exact optimum in
-O(n^2 k / l_k) extension queries.  When l_k is small the last passes cost
-more than finishing the search another way, so the solver rents passes
-only while they cost less than the cheaper of two purchases: one
-exhaustive diagonal scan, or seed-and-extend (``seeds``), priced by its
-left-maximal pair count before any pair is extended.
+most k mismatches, via k+1 extension queries forward from the cell and k+1
+backward from the cell before it along the diagonal, combined by one split
+of the budget around the cell.  A pass with stride h visits every h-th
+cell of each diagonal, so it cannot miss a match of length >= h, and
+halving the stride until the best found length reaches it yields the
+exact optimum in O(n^2 k / l_k) extension queries.  When l_k is small
+the last passes cost more than finishing the search another way, so the
+solver rents passes only while they cost less than the cheaper of two
+purchases: one exhaustive diagonal scan, or seed-and-extend (``seeds``),
+priced by its left-maximal pair count before any pair is extended.
 """
 
 from __future__ import annotations
@@ -102,23 +103,19 @@ def _pass_cells(n1: int, n2: int, h: int):
                np.where(in_row, mj + off, mj))
 
 
-def _longest(lens: np.ndarray, back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column: the largest length, and the largest backward reach (the
-    smallest start) among the rows reaching it.  back >= -1 everywhere."""
-    best = lens.max(axis=0)
-    return best, np.where(lens == best, back, -1).max(axis=0)
-
-
 def _mismatches(query, n: int, p0: np.ndarray, q0: np.ndarray, step: int,
-                rem: np.ndarray, k: int) -> np.ndarray:
+                k: int) -> np.ndarray:
     """The first k+1 mismatch offsets from concat positions (p0, q0), each
-    step a symbol along the diagonal, found by one LCE query each; past
-    rem, the last valid offset, an offset stays put."""
+    step a symbol along the diagonal, found by one LCE query each.
+
+    The separators end every walk: a forward one on sigma or sigma+1, a
+    backward one on sigma or at the text's first symbol.  Past that end
+    the offsets only grow, and positions are clipped to [1, n].
+    """
     out = np.empty((k + 1, len(p0)), np.int64)
     o = np.zeros(len(p0), np.int64)
     for t in range(k + 1):
-        ext = query(np.clip(p0 + step * o, 1, n), np.clip(q0 + step * o, 1, n))
-        o = np.where(o <= rem, o + ext, o)
+        o = o + query(np.clip(p0 + step * o, 1, n), np.clip(q0 + step * o, 1, n))
         out[t] = o
         o = o + 1
     return out
@@ -129,37 +126,25 @@ def _batch_longest(text: Text, lce: LceIndex, i1s: np.ndarray, i2s: np.ndarray,
     """Per cell (i1, i2): the length and backward reach of the longest
     window through it on its diagonal with <= k mismatches.
 
-    Computes the first k+1 mismatch offsets forward of each cell and
-    backward of it (sequence ends act as virtual mismatches) and combines
-    them into the k+1 ways of splitting the budget around the cell.  Ties
-    go to the smallest start.
+    The forward walk starts at the cell and the backward walk at the cell
+    before it, so the cell's own mismatch is counted once, forward.  Row t
+    of the one budget split spends t mismatches before the cell and k - t
+    from it on; a mismatching cell closes row k, so at k = 0 its window is
+    empty and anchored at the cell.  Ties go to the smallest start.
     """
     n1, n2 = text.n1, text.n2
-    c = len(i1s)
     p0 = i1s.astype(np.int64)
     q0 = n1 + 1 + i2s.astype(np.int64)
-    rem_f = np.minimum(n1 - i1s, n2 - i2s)  # last valid forward offset
-    rem_b = np.minimum(i1s, i2s) - 1        # last valid backward offset
-    fwd = _mismatches(lce.lce_forward_batch, lce.n, p0, q0, 1, rem_f, k)
-    bwd = _mismatches(lce.lce_backward_batch, lce.n, p0, q0, -1, rem_b, k)
-    # reach = last window offset in each direction: stop one short of the
-    # next mismatch, and never past the diagonal end
-    fr = np.minimum(fwd - 1, rem_f)
-    br = np.minimum(bwd - 1, rem_b)
-    frev = fr[::-1]
-    # the cell matches: t mismatches backward, k-t forward
-    len_m, back_m = _longest(frev + br + 1, br)
-    if k > 0:
-        # the cell is a mismatch and consumes one unit of the budget; it
-        # would otherwise be counted by both extension directions
-        len_x, back_x = _longest(frev[:k] + br[1:] + 1, br[1:])
-    else:
-        len_x = np.zeros(c, np.int64)
-        back_x = np.zeros(c, np.int64)  # degenerate: empty span at the cell
-    match = fwd[0] > 0
-    length = np.where(match, len_m, len_x)
-    back = np.where(match, back_m, back_x)
-    return length, back
+    fwd = _mismatches(lce.lce_forward_batch, lce.n, p0, q0, 1, k)
+    bwd = _mismatches(lce.lce_backward_batch, lce.n, p0 - 1, q0 - 1, -1, k)
+    # the window's last offset from the cell, and its cells before the
+    # cell, neither past the diagonal's ends
+    fr = np.minimum(fwd - 1, np.minimum(n1 - i1s, n2 - i2s))
+    br = np.minimum(bwd, np.minimum(i1s, i2s) - 1)
+    br[k, fr[0] < 0] = 0  # a mismatching cell closes row k
+    lens = fr[::-1] + br + 1
+    length = lens.max(axis=0)
+    return length, np.where(lens == length, br, -1).max(axis=0)
 
 
 def scan_pass(text: Text, lce: LceIndex, k: int, h: int,

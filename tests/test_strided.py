@@ -14,7 +14,9 @@ from conftest import random_text
 
 
 def _brute_through_cell(text, i1, i2, k):
-    """Longest window on the diagonal containing (i1, i2), <= k mismatches."""
+    """Longest window on the diagonal containing (i1, i2), <= k mismatches,
+    as (length, smallest start in s1 among the longest); (0, i1) when even
+    the cell alone holds too many."""
     d = i2 - i1
     st1 = 1 - d if d < 0 else 1
     st2 = st1 + d
@@ -22,7 +24,7 @@ def _brute_through_cell(text, i1, i2, k):
     c = i1 - st1
     s1 = text.s1.tolist()
     s2 = text.s2.tolist()
-    best = 0
+    best, start = 0, i1
     for a in range(c + 1):
         mism = sum(1 for x in range(a, c + 1)
                    if s1[st1 - 1 + x] != s2[st2 - 1 + x])
@@ -34,8 +36,19 @@ def _brute_through_cell(text, i1, i2, k):
             if mism > k:
                 break
             e += 1
-        best = max(best, e - a + 1)
-    return best
+        if e - a + 1 > best:
+            best, start = e - a + 1, st1 + a
+    return best, start
+
+
+def _check_through_cell(t, lce, i1, i2, k):
+    span = longest_through_cell(t, lce, i1, i2, k)
+    want = _brute_through_cell(t, i1, i2, k)
+    assert (span.length, span.i1) == want, (t.s1, t.s2, i1, i2, k)
+    assert span.i2 - span.i1 == i2 - i1
+    if span.length:
+        assert span.i1 <= i1 <= span.i1 + span.length - 1
+        assert verify_match(t, span, k)
 
 
 def test_through_cell_examples():
@@ -52,8 +65,14 @@ def test_through_cell_examples():
 def test_through_cell_mismatching_cell():
     t = Text.from_strings("ab", "cb")
     lce = build_lce(t)
-    assert longest_through_cell(t, lce, 1, 1, 0).length == 0
+    assert longest_through_cell(t, lce, 1, 1, 0) == MatchSpan(0, 1, 1, ())
     assert longest_through_cell(t, lce, 1, 1, 1).length == 2
+    # at k = 0 the window of a mismatching cell is empty and anchored at
+    # the cell, even where matching cells precede it
+    t = Text.from_strings("xxab", "xxcb")
+    lce = build_lce(t)
+    assert longest_through_cell(t, lce, 3, 3, 0) == MatchSpan(0, 3, 3, ())
+    assert longest_through_cell(t, lce, 3, 3, 1) == MatchSpan(4, 1, 1, (2,))
 
 
 def test_through_cell_vs_brute(rng):
@@ -65,14 +84,19 @@ def test_through_cell_vs_brute(rng):
         for _ in range(50):
             i1 = rng.randrange(1, t.n1 + 1)
             i2 = rng.randrange(1, t.n2 + 1)
-            k = rng.randrange(0, 4)
-            span = longest_through_cell(t, lce, i1, i2, k)
-            want = _brute_through_cell(t, i1, i2, k)
-            assert span.length == want, (t.s1, t.s2, i1, i2, k)
-            if span.length:
-                assert span.i1 <= i1 <= span.i1 + span.length - 1
-                assert verify_match(t, span, k)
+            _check_through_cell(t, lce, i1, i2, rng.randrange(0, 7))
             checked += 1
+    # every cell of small texts, so the first and last rows and columns are
+    # covered: there the backward walk starts on a separator or before s1,
+    # and the forward walk ends on a separator
+    for _ in range(12):
+        t = random_text(rng, rng.randrange(1, 10), rng.randrange(1, 10),
+                        rng.choice([1, 2, 3]))
+        lce = build_lce(t)
+        for k in range(4):
+            for i1 in range(1, t.n1 + 1):
+                for i2 in range(1, t.n2 + 1):
+                    _check_through_cell(t, lce, i1, i2, k)
 
 
 def test_batch_matches_scalar(rng):
