@@ -18,19 +18,17 @@ from .neighborhood import (Keyword, enumerate_neighborhood,
 from .seeds import klcf_seeds, seed_price
 from .strided import (ScanStats, klcf_strided, longest_through_cell,
                       scan_pass)
-from .tabulation import (LutL1, LutL2, MismatchBlocks, PackedText, build_l1,
-                         build_l2, klcf_tabulation, longest_window_lut, pack,
-                         unpack)
+from .tabulation import (Lut, PackedText, build_l1, build_l2, klcf_tabulation,
+                         pack, unpack)
 
 __all__ = [
     "MatchSpan", "ResourceLimitError", "Text", "klcf_bounds", "klcf_oracle",
     "verify_match", "LceIndex", "build_lce", "lce_backward", "lce_forward",
     "lcf0", "Keyword", "enumerate_neighborhood", "exists_match_of_length",
     "klcf_neighborhood", "klcf_seeds", "seed_price", "ScanStats",
-    "klcf_strided", "longest_through_cell", "scan_pass", "LutL1", "LutL2",
-    "MismatchBlocks", "PackedText", "build_l1", "build_l2", "klcf_tabulation",
-    "longest_window_lut", "pack", "unpack", "generate_instance", "load_inputs",
-    "klcf_diagonal_scan",
+    "klcf_strided", "longest_through_cell", "scan_pass", "Lut", "PackedText",
+    "build_l1", "build_l2", "klcf_tabulation", "pack", "unpack",
+    "generate_instance", "load_inputs", "klcf_diagonal_scan",
 ]
 
 __version__ = "0.1.0"

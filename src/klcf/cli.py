@@ -42,7 +42,6 @@ class BenchRecord:
     n: int
     sigma: int
     k: int
-    seed: int
     algo: str
     ell0: int
     ellk: int
@@ -187,7 +186,7 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                         except ResourceLimitError:
                             ellk, work = -1, 0
                         dt = (time.perf_counter() - t0) * 1000.0
-                        results.append(BenchRecord(n, sigma, k, inst_seed, algo,
+                        results.append(BenchRecord(n, sigma, k, algo,
                                                    ell0, ellk, dt, work, 1))
                 agree = 1 if len(answers) <= 1 else 0
                 for record in results:

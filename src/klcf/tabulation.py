@@ -7,10 +7,11 @@ sigma) / log n) bound counts those word operations.  This reproduction
 takes the bits instead from numpy's packed comparison, the batches of
 ``packed_batches`` that the exhaustive scan reads too.  The second stage
 is the paper's with b = 8: each packed byte of the bits is a block, and
-two lookup tables answer "largest area with at most k' set bits" inside
-one block (L1) and straddling two blocks (L2).  Combining block-local
-answers with running interior popcounts yields the longest window with
-at most k set bits per diagonal, i.e. the optimum match length.
+two lookup tables, ``Lut``s of window bounds (start, end) and nothing
+else, give the longest window with at most k' set bits inside one block
+(L1) and straddling two blocks (L2).  Combining block-local answers with
+running interior popcounts yields the longest window with at most k set
+bits per diagonal, i.e. the optimum match length.
 
 ``packed_batches`` walks the diagonals for it as for the scan: the same
 batches, the first one in row chunks of 1, 2, 4, ... rows, and the same
@@ -106,39 +107,11 @@ def unpack(packed: PackedText) -> tuple[np.ndarray, np.ndarray]:
 # lookup tables
 
 @dataclass
-class LutL1:
-    """Largest area with <= k' set bits inside one b-bit block.
+class Lut:
+    """A lookup table's windows (start, end), one array each."""
 
-    Indexed [k', value] -> (start, end, ones); (1, 0, 0) encodes "no
-    non-empty window fits".  Ties prefer the smallest start.
-    """
-
-    b: int
     start: np.ndarray
     end: np.ndarray
-    ones: np.ndarray
-
-    def query(self, value: int, kp: int) -> tuple[int, int, int]:
-        return (int(self.start[kp, value]), int(self.end[kp, value]),
-                int(self.ones[kp, value]))
-
-
-@dataclass
-class LutL2:
-    """Largest suffix-of-first + prefix-of-second area with <= k' set bits.
-
-    Windows (i, j) satisfy 1 <= i <= b+1 and b <= j <= 2b; (b+1, b) is the
-    empty window.  Ties prefer the smallest i.
-    """
-
-    b: int
-    start: np.ndarray
-    end: np.ndarray
-    ones: np.ndarray
-
-    def query(self, v1: int, v2: int, kp: int) -> tuple[int, int, int]:
-        return (int(self.start[kp, v1, v2]), int(self.end[kp, v1, v2]),
-                int(self.ones[kp, v1, v2]))
 
 
 def _check_width(b: int):
@@ -146,8 +119,13 @@ def _check_width(b: int):
         raise ResourceLimitError(f"block width {b} outside the supported [1, 16]")
 
 
-def build_l1(b: int) -> LutL1:
-    """Complete L1 table for all 2^b inputs and all budgets k' in [0, b]."""
+def build_l1(b: int) -> Lut:
+    """Complete L1 table for all 2^b inputs and all budgets k' in [0, b].
+
+    Indexed [k', value], it gives the longest window (start, end) of the
+    block's bits 1..b with at most k' set bits, ties to the smallest
+    start; (1, 0) is the empty window, where not even one bit fits.
+    """
     _check_width(b)
     nv = 1 << b
     vals = np.arange(nv, dtype=np.int64)
@@ -159,40 +137,32 @@ def build_l1(b: int) -> LutL1:
         pw[:, t] = np.bitwise_count(vals & mask)
     wi = np.array([w[0] for w in wins], dtype=np.uint8)
     wj = np.array([w[1] for w in wins], dtype=np.uint8)
-    start = np.empty((b + 1, nv), dtype=np.uint8)
-    end = np.empty((b + 1, nv), dtype=np.uint8)
-    ones = np.empty((b + 1, nv), dtype=np.uint8)
-    rows = np.arange(nv)
-    for kp in range(b + 1):
-        sel = np.argmax(pw <= kp, axis=1)  # first window in priority order
-        start[kp] = wi[sel]
-        end[kp] = wj[sel]
-        ones[kp] = pw[rows, sel].astype(np.uint8)
-    return LutL1(b, start, end, ones)
+    # the first window in priority order within each budget
+    sel = np.stack([np.argmax(pw <= kp, axis=1) for kp in range(b + 1)])
+    return Lut(wi[sel], wj[sel])
 
 
-def build_l2(b: int) -> LutL2:
+def build_l2(b: int) -> Lut:
     """Complete L2 table for all block pairs and budgets k' in [0, 2b].
 
-    A window straddling the two blocks is the longest suffix s of the first
-    with at most a set bits plus the longest prefix p of the second with
-    at most c = k' - a, for the best split a.  That suffix holds min(a,
-    popcount(v1)) set bits, all of the block's if they fit and else a, the
-    prefix likewise, so the key (length, s, ones) in h-bit fields is the
-    sum of A[a][v1] = (s, s, min(a, popcount(v1))) and B[c][v2] = (p, 0,
-    min(c, popcount(v2))).  Its maximum over the splits is the longest
-    window, then the smallest start; equal (length, s) is one window, so
-    ones never decides.  A k' layer at a time, the key takes two buffers.
+    Indexed [k', v1, v2], it gives the longest window (i, j) of the two
+    blocks' bits 1..2b, with 1 <= i <= b+1 and b <= j <= 2b, that holds
+    at most k' set bits, ties to the smallest i; (b+1, b) is the empty
+    window.  That window is the longest suffix s of the first block with
+    at most a set bits plus the longest prefix p of the second with at
+    most k' - a, for the best split a.  So the key (length, s) in h-bit
+    fields is the sum of A[a][v1] = (s, s) and B[c][v2] = (p, 0), and its
+    maximum over the splits is the longest window, then the smallest
+    start.  A k' layer at a time, the key takes two buffers.
     """
     _check_width(b)
     nv = 1 << b
-    out_bytes = (2 * b + 1) * nv * nv * 3
+    out_bytes = (2 * b + 1) * nv * nv * 2
     if out_bytes > L2_TABLE_BYTE_LIMIT:
         raise ResourceLimitError(
             f"L2 table for b={b} needs {out_bytes} bytes (limit {L2_TABLE_BYTE_LIMIT})")
     h = (2 * b).bit_length()
-    field = (1 << h) - 1
-    key_type = np.min_scalar_type(2 * b << 2 * h | b << h | 2 * b)  # uint16 at most, to b = 10
+    key_type = np.min_scalar_type(2 * b << h | b)  # uint16 at most, to b = 10
     vals = np.arange(nv)
     lens = np.arange(b + 1)[:, None]
     # set bits in v1's suffix and v2's prefix of each length, [length, value]
@@ -201,44 +171,28 @@ def build_l2(b: int) -> LutL2:
     # longest suffix and prefix with at most a set bits, [a, value]
     suf_len = (suf[None, 1:] <= lens[:, :, None]).sum(axis=1)
     pre_len = (pre[None, 1:] <= lens[:, :, None]).sum(axis=1)
-    # set bits in the longest suffix or prefix within budget a, [a, value]
-    fit = np.minimum(lens, suf[-1])
-    a_key = (suf_len << 2 * h | suf_len << h | fit).astype(key_type)[:, :, None]
-    b_key = (pre_len << 2 * h | fit).astype(key_type)[:, None, :]
-    start, end, ones = (np.empty((2 * b + 1, nv, nv), np.uint8) for _ in range(3))
+    a_key = (suf_len << h | suf_len).astype(key_type)[:, :, None]
+    b_key = (pre_len << h).astype(key_type)[:, None, :]
+    start, end = np.empty((2, 2 * b + 1, nv, nv), np.uint8)
     best, cand = np.empty((2, nv, nv), key_type)
     for kp in range(2 * b + 1):
         best.fill(0)
         for a in range(max(0, kp - b), min(kp, b) + 1):
             np.maximum(best, np.add(a_key[a], b_key[kp - a], out=cand), out=best)
-        s = best >> h & field
+        s = best & ((1 << h) - 1)
         start[kp] = b + 1 - s
-        end[kp] = (best >> 2 * h) + b - s
-        ones[kp] = best & field
-    return LutL2(b, start, end, ones)
+        end[kp] = (best >> h) + b - s
+    return Lut(start, end)
 
 
 @lru_cache(maxsize=1)
-def _tables() -> tuple[LutL1, LutL2]:
+def _tables() -> tuple[Lut, Lut]:
     """The solver's L1 and L2 tables, built on first use."""
     return build_l1(DEFAULT_BLOCK_BITS), build_l2(DEFAULT_BLOCK_BITS)
 
 
 # ---------------------------------------------------------------------------
 # mismatch blocks
-
-@dataclass
-class MismatchBlocks:
-    """Difference bits of one diagonal, gathered into b-bit blocks.
-
-    Bit t (1-based; block (t-1)//b, value bit (t-1)%b) is 1 iff the aligned
-    symbols at diagonal offset t differ; bits past total_bits are zero.
-    """
-
-    b: int
-    blocks: np.ndarray  # int64 block values
-    total_bits: int
-
 
 def _row_blocks(packed: np.ndarray, runs):
     """(blocks, m, boff): the byte blocks of the runs (row, first byte,
@@ -342,32 +296,6 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
         per_diag = int((m + (m - 1) * (k + 1)).max())
         stats.max_diag_queries = max(stats.max_diag_queries, per_diag)
     return best
-
-
-def longest_window_lut(mb: MismatchBlocks, k: int, l1: LutL1, l2: LutL2
-                       ) -> tuple[int, int]:
-    """Maximum-length window with <= k set bits; (start, end) bit positions.
-
-    A size-1 call into the batched scan: L1 per block and L2 for each left
-    block paired with the largest reachable right block per interior budget
-    0..k.  Ties prefer the smallest start.  Returns (1, 0) when not even a
-    single position fits (all-ones, k = 0).
-    """
-    if mb.total_bits == 0:
-        return (1, 0)
-    # the final partial block padded by set bits
-    pad = len(mb.blocks) * mb.b - mb.total_bits
-    blocks = mb.blocks.copy()
-    blocks[-1] |= ((1 << pad) - 1) << (mb.b - pad)
-    # one diagonal starting at (1, 1), so a window's i1 is its start bit
-    st = np.ones(1, dtype=np.int64)
-    boff = np.zeros(1, dtype=np.int64)
-    best = _scan_flat(blocks, np.array([len(blocks)]), boff,
-                      np.array([mb.total_bits]), st, st, mb.b, k, l1, l2,
-                      MatchSpan(0, 1, 1), None)
-    if best.length == 0:
-        return (1, 0)
-    return best.i1, best.i1 + best.length - 1
 
 
 def klcf_tabulation(text: Text, k: int,

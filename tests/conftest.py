@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from klcf.core import Text
+from klcf.core import MatchSpan, Text
+from klcf.tabulation import _scan_flat
 
 
 def random_text(rng: random.Random, n1: int, n2: int, sigma: int) -> Text:
@@ -70,6 +72,28 @@ def two_pointer_window(bits, k: int) -> tuple[int, int, int]:
         if e - s + 1 > best[0]:
             best = (e - s + 1, s + 1, e + 1)
     return best
+
+
+def lut_window(bits, k: int, b: int, l1, l2) -> tuple[int, int]:
+    """Longest window with at most k set bits by tabulation's LUT scan:
+    (start, end), 1-based, ties to the smallest start; (1, 0) when nothing
+    fits.  ``bits`` is one diagonal from (1, 1) in b-bit blocks, the last
+    one padded with set bits, as the solver's blocks are past a diagonal's
+    end."""
+    n = len(bits)
+    m = -(-n // b)
+    padded = np.ones(m * b, np.int64)
+    padded[:n] = bits
+    blocks = (padded.reshape(m, b) << np.arange(b)).sum(axis=1)
+    one = np.ones(1, np.int64)
+    best = _scan_flat(blocks, np.array([m]), np.zeros(1, np.int64), np.array([n]),
+                      one, one, b, k, l1, l2, MatchSpan(0, 1, 1), None)
+    return best.i1, best.i1 + best.length - 1
+
+
+def lut_entry(lut, *index) -> tuple[int, int]:
+    """The window (start, end) of a lookup table at [k', value...]."""
+    return int(lut.start[index]), int(lut.end[index])
 
 
 @pytest.fixture

@@ -20,11 +20,11 @@ from klcf.lce import build_lce, lcf0
 from klcf.neighborhood import enumerate_neighborhood, klcf_neighborhood
 from klcf.seeds import klcf_seeds
 from klcf.strided import ScanStats, klcf_strided
-from klcf.tabulation import (MismatchBlocks, TabulationStats, build_l1,
-                             build_l2, klcf_tabulation, longest_window_lut)
+from klcf.tabulation import (TabulationStats, build_l1, build_l2,
+                             klcf_tabulation)
 
-from conftest import (naive_lce_backward, naive_lce_forward, random_text,
-                      two_pointer_window)
+from conftest import (lut_entry, lut_window, naive_lce_backward,
+                      naive_lce_forward, random_text, two_pointer_window)
 
 SWEEP_INSTANCES = 1000
 SWEEP_BUDGET_WORDS = 1 << 16  # keeps admitted neighborhoods test-sized
@@ -178,7 +178,7 @@ def _expected_lut_fill(bits_value, wins_with_masks, budgets):
         pw = (bits_value & mask).bit_count()
         for kp in range(pw, budgets + 1):
             if kp not in out:
-                out[kp] = (i, j, pw)
+                out[kp] = (i, j)
                 filled += 1
         if filled > budgets:
             break
@@ -200,7 +200,7 @@ def test_criterion_5_lut_exhaustive():
     for v in range(1 << b):
         want = _expected_lut_fill(v, wins1, b)
         for kp in range(b + 1):
-            if l1.query(v, kp) != want[kp]:
+            if lut_entry(l1, kp, v) != want[kp]:
                 ok = False
     wins2 = []
     full = (1 << b) - 1
@@ -216,7 +216,7 @@ def test_criterion_5_lut_exhaustive():
         for v2 in range(1 << b):
             want = _expected_lut_fill(base | (v2 << b), wins2, 2 * b)
             for kp in range(2 * b + 1):
-                if l2.query(v1, v2, kp) != want[kp]:
+                if lut_entry(l2, kp, v1, v2) != want[kp]:
                     ok = False
                     break
             else:
@@ -282,18 +282,12 @@ def test_criterion_8_window_scan_oracle():
     l1 = build_l1(8)
     l2 = build_l2(8)
     ok = True
-    import numpy as np
     for i in range(1000):
         n = rng.randrange(1, 10001) if i % 5 == 0 else rng.randrange(1, 2000)
         density = rng.choice([0.01, 0.05, 0.2, 0.5, 0.9])
         bits = [1 if rng.random() < density else 0 for _ in range(n)]
         k = rng.randrange(0, 13)
-        m = -(-n // 8)
-        blocks = np.zeros(m, dtype=np.int64)
-        for pos, bit in enumerate(bits):
-            if bit:
-                blocks[pos // 8] |= 1 << (pos % 8)
-        start, end = longest_window_lut(MismatchBlocks(8, blocks, n), k, l1, l2)
+        start, end = lut_window(bits, k, 8, l1, l2)
         if end - start + 1 != two_pointer_window(bits, k)[0]:
             ok = False
             break

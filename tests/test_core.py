@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import klcf
 from klcf.core import (MatchSpan, Text, klcf_bounds, klcf_oracle,
                        mismatch_offsets, trivial_span, verify_match)
 
@@ -162,3 +163,10 @@ def test_mismatch_offsets_recompute():
     assert mismatch_offsets(t, 1, 1, 4) == (1,)
     assert mismatch_offsets(t, 3, 3, 2) == ()
     assert mismatch_offsets(t, 1, 1, 0) == ()
+
+
+def test_package_exports_resolve_once():
+    """Every name in ``klcf.__all__`` is on the package, and none repeats,
+    so an export a deletion left behind fails here."""
+    assert [name for name in klcf.__all__ if not hasattr(klcf, name)] == []
+    assert len(set(klcf.__all__)) == len(klcf.__all__)

@@ -7,11 +7,10 @@ import pytest
 from klcf import diagonal
 from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
 from klcf.diagonal import geometry, klcf_diagonal_scan, packed_batches
-from klcf.tabulation import (MismatchBlocks, TabulationStats, _row_blocks,
-                             build_l1, build_l2, klcf_tabulation,
-                             longest_window_lut, pack, unpack)
+from klcf.tabulation import (TabulationStats, _row_blocks, build_l1, build_l2,
+                             klcf_tabulation, pack, unpack)
 
-from conftest import random_text, two_pointer_window
+from conftest import lut_entry, lut_window, random_text, two_pointer_window
 
 
 # -- packing -----------------------------------------------------------------
@@ -54,30 +53,26 @@ def _bits_of(value, width):
 
 
 def _brute_l1(value, b, kp):
-    best = (0, 1, 0, 0)  # length, i, j, ones
+    best = (0, 1, 0)  # length, i, j
     bits = _bits_of(value, b)
     for i in range(1, b + 1):
         for j in range(i, b + 1):
-            ones = sum(bits[i - 1:j])
-            if ones <= kp:
-                cand = (j - i + 1, i, j, ones)
+            if sum(bits[i - 1:j]) <= kp:
+                cand = (j - i + 1, i, j)
                 if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
                     best = cand
-    if best[0] == 0:
-        return (1, 0, 0)
     return best[1:]
 
 
 def _brute_l2(v1, v2, b, kp):
     bits = _bits_of(v1, b) + _bits_of(v2, b)
-    best = (-1, b + 1, b, 0)
+    best = (-1, b + 1, b)
     for i in range(1, b + 2):
         for j in range(b, 2 * b + 1):
             if j - i + 1 < 0:
                 continue
-            ones = sum(bits[i - 1:j])
-            if ones <= kp:
-                cand = (j - i + 1, i, j, ones)
+            if sum(bits[i - 1:j]) <= kp:
+                cand = (j - i + 1, i, j)
                 if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
                     best = cand
     return best[1:]
@@ -86,16 +81,17 @@ def _brute_l2(v1, v2, b, kp):
 def test_l1_known_answers():
     l1 = build_l1(5)
     # B[1..5] = 1,0,0,1,0 -> value 0b01001
-    assert l1.query(0b01001, 1) == (2, 5, 1)
-    assert l1.query(0, 2) == (1, 5, 0)
-    assert l1.query(0b11111, 0) == (1, 0, 0)  # nothing fits
+    assert lut_entry(l1, 1, 0b01001) == (2, 5)
+    assert lut_entry(l1, 2, 0) == (1, 5)
+    assert lut_entry(l1, 0, 0b11111) == (1, 0)  # nothing fits
 
 
 def test_l2_known_answers():
     l2 = build_l2(5)
-    assert l2.query(0, 0, 3) == (1, 10, 0)
+    assert lut_entry(l2, 3, 0, 0) == (1, 10)
     # B1 = 00001 (bit 5 set -> value 16), B2 = 10000 (bit 1 set -> value 1)
-    assert l2.query(16, 1, 1) == (1, 5, 1)  # ties prefer the smaller start
+    assert lut_entry(l2, 1, 16, 1) == (1, 5)  # ties prefer the smaller start
+    assert lut_entry(l2, 0, 31, 31) == (6, 5)  # nothing fits
 
 
 def test_l1_exhaustive_small():
@@ -103,7 +99,7 @@ def test_l1_exhaustive_small():
         l1 = build_l1(b)
         for v in range(1 << b):
             for kp in range(b + 1):
-                assert l1.query(v, kp) == _brute_l1(v, b, kp), (b, v, kp)
+                assert lut_entry(l1, kp, v) == _brute_l1(v, b, kp), (b, v, kp)
 
 
 def test_l2_exhaustive_small():
@@ -112,7 +108,7 @@ def test_l2_exhaustive_small():
         for v1 in range(1 << b):
             for v2 in range(1 << b):
                 for kp in range(2 * b + 1):
-                    assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp)
+                    assert lut_entry(l2, kp, v1, v2) == _brute_l2(v1, v2, b, kp)
 
 
 def test_l2_sampled_at_the_default_block_width():
@@ -120,40 +116,40 @@ def test_l2_sampled_at_the_default_block_width():
     rng = random.Random(8)
     for _ in range(400):
         v1, v2, kp = rng.randrange(256), rng.randrange(256), rng.randrange(17)
-        assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
+        assert lut_entry(l2, kp, v1, v2) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
     for v1, v2 in ((0, 0), (255, 255), (1, 128), (128, 1)):
         for kp in range(17):
-            assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
+            assert lut_entry(l2, kp, v1, v2) == _brute_l2(v1, v2, 8, kp), (v1, v2, kp)
 
 
 @pytest.mark.parametrize("b", [9, 10])
 def test_l2_sampled_past_one_byte_blocks(b):
     """Widths whose block values need two bytes; at b = 10, the widest the
-    size limit admits, the packed (length, suffix length) reaches 230 of a
-    byte's 255."""
+    size limit admits, the key (length, suffix length) reaches 20 << 5 | 10
+    = 650 of uint16's 65,535."""
     l2 = build_l2(b)
     rng = random.Random(b)
     top = (1 << b) - 1
     for _ in range(300):
         v1, v2 = rng.randrange(top + 1), rng.randrange(top + 1)
         kp = rng.randrange(2 * b + 1)
-        assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
+        assert lut_entry(l2, kp, v1, v2) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
     for kp in range(2 * b + 1):
         for v1, v2 in ((0, 0), (top, top), (top, 0), (0, top)):
-            assert l2.query(v1, v2, kp) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
+            assert lut_entry(l2, kp, v1, v2) == _brute_l2(v1, v2, b, kp), (v1, v2, kp)
 
 
 def test_l2_build_peak_memory_is_bounded():
     """The key is built one k' layer at a time in two (256, 256) buffers,
-    so at b = 8 the peak stays near the 3.3 MB of the three outputs: under
-    4.5 MB, where a key of all 17 layers at once would add 2.2 MB."""
+    so at b = 8 the peak stays near the 2.2 MB of the two outputs: under
+    3.25 MiB, where a key of all 17 layers at once would add 2.2 MB."""
     tracemalloc.start()
     try:
         build_l2(8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * (1 << 20)
+    assert peak < 3.25 * (1 << 20)
 
 
 def test_lut_guards():
@@ -162,7 +158,8 @@ def test_lut_guards():
     with pytest.raises(ResourceLimitError):
         build_l1(17)
     with pytest.raises(ResourceLimitError):
-        build_l2(12)  # complete table would not fit the byte limit
+        build_l2(11)  # over the byte limit; b = 10, the widest that fits,
+        # builds in test_l2_sampled_past_one_byte_blocks
 
 
 # -- mismatch blocks ----------------------------------------------------------
@@ -206,21 +203,11 @@ def test_blocks_match_direct_comparison(rng, monkeypatch):
 
 # -- window scan --------------------------------------------------------------
 
-def _mb_from_bits(bits, b):
-    m = -(-len(bits) // b) if bits else 0
-    blocks = np.zeros(max(m, 0), dtype=np.int64)
-    for i, bit in enumerate(bits):
-        if bit:
-            blocks[i // b] |= 1 << (i % b)
-    return MismatchBlocks(b, blocks, len(bits))
-
-
 def test_longest_window_examples():
     l1, l2 = build_l1(8), build_l2(8)
-    assert longest_window_lut(_mb_from_bits([0, 1, 0, 0], 8), 1, l1, l2) == (1, 4)
-    assert longest_window_lut(_mb_from_bits([0] * 30, 8), 0, l1, l2) == (1, 30)
-    assert longest_window_lut(_mb_from_bits([1, 1, 1], 8), 0, l1, l2) == (1, 0)
-    assert longest_window_lut(_mb_from_bits([], 8), 3, l1, l2) == (1, 0)
+    assert lut_window([0, 1, 0, 0], 1, 8, l1, l2) == (1, 4)
+    assert lut_window([0] * 30, 0, 8, l1, l2) == (1, 30)
+    assert lut_window([1, 1, 1], 0, 8, l1, l2) == (1, 0)
 
 
 def test_longest_window_vs_two_pointer(rng):
@@ -230,7 +217,7 @@ def test_longest_window_vs_two_pointer(rng):
         density = rng.choice([0.02, 0.1, 0.3, 0.7])
         bits = [1 if rng.random() < density else 0 for _ in range(n)]
         k = rng.randrange(0, 13)
-        start, end = longest_window_lut(_mb_from_bits(bits, 8), k, l1, l2)
+        start, end = lut_window(bits, k, 8, l1, l2)
         want_len, want_start, _ = two_pointer_window(bits, k)
         assert end - start + 1 == want_len
         if want_len:
@@ -245,7 +232,7 @@ def test_longest_window_other_block_widths(rng):
             n = rng.randrange(1, 70)
             bits = [rng.randrange(2) for _ in range(n)]
             k = rng.randrange(0, 7)
-            start, end = longest_window_lut(_mb_from_bits(bits, b), k, l1, l2)
+            start, end = lut_window(bits, k, b, l1, l2)
             assert end - start + 1 == two_pointer_window(bits, k)[0]
 
 
@@ -289,8 +276,7 @@ def test_tabulation_agrees_with_per_diagonal_scan(rng):
         k = rng.randrange(0, 5)
         best = 0
         for g in range(t.n1 + t.n2 - 1):
-            mb = _mb_from_bits(_direct_bits(t, g), 8)
-            start, end = longest_window_lut(mb, k, l1, l2)
+            start, end = lut_window(_direct_bits(t, g), k, 8, l1, l2)
             best = max(best, end - start + 1)
         assert best == klcf_tabulation(t, k).length
 
