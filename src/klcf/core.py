@@ -67,12 +67,12 @@ class Text:
         if isinstance(s1, bytes) and isinstance(s2, bytes):
             a1 = np.frombuffer(s1, np.uint8)
             a2 = np.frombuffer(s2, np.uint8)
-            present = np.zeros(256, bool)
-            present[a1] = True
-            present[a2] = True
-            code = np.cumsum(present) - 1  # byte -> dense value
+            counts = np.bincount(a1, minlength=256) + np.bincount(a2, minlength=256)
+            present = counts > 0
+            # byte -> dense value, at most 255
+            code = (np.cumsum(present) - 1).astype(np.uint8)
             alphabet = np.flatnonzero(present)
-            return cls(code[a1], code[a2], len(alphabet), alphabet)
+            return cls(code.take(a1), code.take(a2), len(alphabet), alphabet)
         a1 = np.asarray(list(s1), dtype=np.int64)
         a2 = np.asarray(list(s2), dtype=np.int64)
         alphabet = np.unique(np.concatenate([a1, a2]))

@@ -10,20 +10,24 @@ neighborhood, strided with no pass) hold 12 bytes per symbol and never
 pay for a table.
 
 Construction is O(n log n) numpy.  The first q symbols of every suffix
-are packed into one int64 key (q = 16 on DNA, 8 on protein), and one
-sort of those keys groups the suffixes by their q-grams.  Each later
-round doubles the compared length and re-sorts only the suffixes whose
-groups are still tied (Larsson and Sadakane, TCS 2007), keeping its
-ranks as int32; the last round's ranks are the inverse suffix array.
-Two adjacent suffixes with different q-grams get their LCP from the xor
-of their keys.  A pair with equal q-grams descends the kept rounds, as
-in Manber and Myers (SIAM J. Comput. 1993), then finishes on the
-q-grams at its offsets.  On random DNA the build peaks at about 24 bytes
-per symbol, at the first sort, and keeps 12; on a unary text, which
-keeps about log2(n / q) rounds, it peaks near 85.  A sparse table over
-the LCP array answers every query with two rank lookups and one
-range-minimum probe.  Queries come in numpy batches; ``lce_forward`` and
-``lce_backward`` are size-1 batches that check their positions.
+are packed into an int64 key and shifted left past the suffix's position,
+which fills the low bits; one in-place sort of those words groups the
+suffixes by their q-grams and orders each group by position.  q is as
+many symbols as fit in 52 bits beside the position: on DNA 17 up to 2^11
+symbols and 13 at 2^20 a side, on protein 10 and 8.  Each later round doubles
+the compared length and re-sorts only the suffixes whose groups are
+still tied (Larsson and Sadakane, TCS 2007), keeping its ranks as int32;
+the last round's ranks are the inverse suffix array.  Two adjacent
+suffixes with different q-grams get their LCP from the xor of their
+words.  A pair with equal q-grams descends the kept rounds, as in Manber
+and Myers (SIAM J. Comput. 1993), then finishes on the q-grams at its
+offsets.  On random DNA the build peaks at about 20 bytes per symbol,
+where it holds the rebuilt q-grams for that finish, and keeps 12; on a
+unary text, which keeps about log2(n / q) rounds, it peaks near 95.  A
+sparse table over the LCP array answers every query with two rank
+lookups and one range-minimum probe.  Queries come in numpy batches;
+``lce_forward`` and ``lce_backward`` are size-1 batches that check their
+positions.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ MAX_SYMBOLS = (1 << 31) - 1
 # The first sort packs q symbols of f bits each into one int64 key, with
 # q * f at most GRAM_BITS, so a key and the xor of two are exact float64s.
 GRAM_BITS = 52
+# It sorts each key shifted left past its suffix's position, so q * f plus
+# the positions' bit length is at most WORD_BITS: the word stays positive.
+WORD_BITS = 63
 # keys packed, or adjacent pairs' LCPs computed, at a time, so that no
 # temporary of those steps spans the text
 CHUNK = 1 << 14
@@ -49,9 +56,11 @@ def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
     [1, 2^f) and f bits wide, the first in the high bits; 0 pads past the
     end, and key[n] = 0.
 
-    f is the bit length of the largest shifted symbol and q the largest
-    power of two with q * f <= GRAM_BITS.  Symbols are shifted by their
-    minimum, or densified first when their range is at least n wide.
+    f is the bit length of the largest shifted symbol, and q is
+    min(GRAM_BITS, WORD_BITS - b) // f, b the bit length of n - 1, so that
+    a key shifted left by b bits takes its position in those bits.
+    Symbols are shifted by their minimum, or densified first when their
+    range is at least n wide; either way f <= b + 1, so q >= 1.
     """
     n = len(symbols)
     key = np.zeros(n + 1, np.int64)
@@ -64,26 +73,27 @@ def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
         key[:n] += 1
         top = len(alphabet)
     f = top.bit_length()
-    q = 1 << (GRAM_BITS // f).bit_length() - 1
-    # doubling, in place: once every key is shifted left by w symbols,
-    # key[i + w] >> w f is the old key[i + w], and fills key[i]'s low bits;
+    q = min(GRAM_BITS, WORD_BITS - (n - 1).bit_length()) // f
+    # extension, in place, from w symbols to w + d, d = min(w, q - w): once
+    # every key is shifted left by d symbols, key[i + w] >> w f is the first
+    # d symbols of the old key[i + w], and fills key[i]'s low bits;
     # ascending chunks read each such key before its own fill
     w = 1
     while w < q:
-        key <<= w * f
+        d = min(w, q - w)
+        key <<= d * f
         for a in range(0, n + 1 - w, CHUNK):
             b = min(a + CHUNK, n + 1 - w)
             key[a:b] |= key[a + w:b + w] >> w * f
-        w *= 2
+        w += d
     return key, q, f
 
 
-def _gram_lcp(key: np.ndarray, p: np.ndarray, r: np.ndarray, q: int,
-              f: int) -> np.ndarray:
-    """LCP of the packed q-grams at positions p and r, q where they are
-    equal: the xor's leading set bit falls in the first differing symbol's
-    f-bit field, and np.frexp gives its bit length exactly."""
-    return (q * f - np.frexp(key[p] ^ key[r])[1]) // f
+def _gram_lcp(xor: np.ndarray, q: int, f: int) -> np.ndarray:
+    """LCP of two packed q-grams from their xor, q where they are equal:
+    the xor's leading set bit falls in the first differing symbol's f-bit
+    field, and np.frexp gives its bit length exactly."""
+    return (q * f - np.frexp(xor)[1]) // f
 
 
 def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
@@ -91,20 +101,26 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """Suffix array, LCP array (lcp[i] = LCP of the suffixes at sa[i-1]
     and sa[i], lcp[0] = 0) and ranks (rank[sa[i]] = i), all int32.
 
-    One sort of the packed q-grams (``_gram_keys``) groups the suffixes by
-    their first q symbols.  A suffix's rank is the SA index of its group's
-    first suffix, so ranks keep the order and become the inverse suffix
-    array once every group is a singleton.  From h = q, each round sorts
-    only the suffixes of groups still tied, by (rank[i], rank[i + h]),
-    and doubles h (Larsson and Sadakane, TCS 2007).  ``rounds[t][i]``
-    ranks the suffix at i by its first q * 2^t symbols; ``rounds[t][n]``
-    is -1, so an offset that runs off the end never matches.
+    The first sort is one in-place value sort of int64 words, each the
+    packed q-gram of a suffix (``_gram_keys``) shifted left by b bits, b
+    the bit length of n - 1, with the suffix's position in those b bits.
+    The sorted words' low bits are the suffix array, ordered by q-gram and
+    then by position, and an adjacent pair's LCP, where their q-grams
+    differ, comes from the xor of its two words.  A suffix's rank is the
+    SA index of its q-gram group's first suffix, so ranks keep the order
+    and become the inverse suffix array once every group is a singleton.
+    From h = q, each round sorts only the suffixes of groups still tied,
+    by (rank[i], rank[i + h]), and doubles h (Larsson and Sadakane, TCS
+    2007).  ``rounds[t - 1][i]`` ranks the suffix at i by its first
+    q * 2^t symbols, for every round t but the last, whose ranks are the
+    result; ``rounds[t - 1][n]`` is -1, so an offset that runs off the
+    end never matches.
 
-    Adjacent suffixes of two groups differ within their q-grams, so their
-    LCP comes from the xor of the keys after the first sort.  A pair in
-    one group descends the kept rounds as in Manber and Myers (SIAM J.
-    Comput. 1993), by q * 2^t symbols wherever its round-t ranks are
-    equal, and finishes on the q-grams at its offsets.
+    A pair in one q-gram group descends the kept rounds as in Manber and
+    Myers (SIAM J. Comput. 1993), by q * 2^t symbols wherever its round-t
+    ranks are equal.  It finishes on the q-grams at its offsets, rebuilt
+    once the rounds are done: by q more symbols where they are equal, as
+    their first-sort ranks would be, then by the xor of the q-grams there.
     """
     n = len(symbols)
     if n > MAX_SYMBOLS:
@@ -112,13 +128,23 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     if n == 0:
         return (np.empty(0, np.int32),) * 3
     key, q, f = _gram_keys(symbols)
-    sa = np.argsort(key[:n]).astype(np.int32)
+    bits = (n - 1).bit_length()
+    word = key[:n]
+    word <<= bits
+    for a in range(0, n, CHUNK):
+        word[a:a + CHUNK] |= np.arange(a, min(a + CHUNK, n))
+    word.sort()
+    sa = np.empty(n, np.int32)
+    for a in range(0, n, CHUNK):
+        sa[a:a + CHUNK] = word[a:a + CHUNK] & (1 << bits) - 1
     lcp = np.empty(n, np.int32)
     lcp[0] = 0
     for a in range(1, n, CHUNK):
         b = min(a + CHUNK, n)
-        lcp[a:b] = _gram_lcp(key, sa[a - 1:b - 1], sa[a:b], q, f)
-    del key  # rebuilt for the last step, once the rounds are done
+        xor = word[a - 1:b - 1] ^ word[a:b]
+        xor >>= bits
+        lcp[a:b] = _gram_lcp(xor, q, f)
+    del key, word
     # tied[i]: sa[i] has the q-gram of sa[i-1]
     tied = lcp == q
     start = np.arange(n, dtype=np.int32)
@@ -135,7 +161,7 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     grp = start[pos]
     del start
     sub = sa[pos].astype(np.int64)
-    rounds = [rank]
+    rounds = []
     h = q
     while len(pos):
         # a settled suffix may be shorter than h; clipping reads rank[n]
@@ -151,9 +177,12 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         del ranked
         grp = np.where(new, pos, 0)
         np.maximum.accumulate(grp, out=grp)
-        rank = rank.copy()
+        # the first sort's ranks are refined in place: the descent finishes
+        # on q-grams instead
+        if h > q:
+            rounds.append(rank)
+            rank = rank.copy()
         rank[sub] = grp
-        rounds.append(rank)
         h *= 2
         new[:-1] &= new[1:]  # now: a group of its own, settled
         # settled suffixes leave once they are a sixteenth of those sorted;
@@ -163,6 +192,8 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             sa[pos[new]] = sub[new]
             np.logical_not(new, out=new)
             pos, grp, sub = pos[new], grp[new], sub[new]
+    if h == q:  # no q-gram group was tied
+        return sa, lcp, rank[:n]
     # pairs in one q-gram group: LCP >= q, left at q above
     key = _gram_keys(symbols)[0]
     for a in range(1, n, CHUNK):
@@ -171,10 +202,15 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             continue
         p, r = sa[i - 1].astype(np.int64), sa[i].astype(np.int64)
         ext = np.zeros(len(i), np.int32)
-        for t in range(len(rounds) - 2, -1, -1):
-            ranks = rounds[t]
+        for t in range(len(rounds), 0, -1):
+            ranks = rounds[t - 1]
             ext += (ranks[p + ext] == ranks[r + ext]) * np.int32(q << t)
-        lcp[i] = ext + _gram_lcp(key, p + ext, r + ext, q, f)
+        xor = key[p + ext] ^ key[r + ext]
+        # equal q-grams, as equal first-sort ranks would be: q symbols on
+        tie = np.flatnonzero(xor == 0)
+        ext[tie] += q
+        xor[tie] = key[p[tie] + ext[tie]] ^ key[r[tie] + ext[tie]]
+        lcp[i] = ext + _gram_lcp(xor, q, f)
     return sa, lcp, rank[:n]
 
 

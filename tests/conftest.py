@@ -58,6 +58,32 @@ def naive_lce_backward(concat, p: int, q: int) -> int:
     return t
 
 
+def suffix_order_errors(s, sa, lcp) -> list[str]:
+    """What is wrong with sa and lcp as the suffix and LCP arrays of s,
+    checked directly: sa must be a permutation, and every adjacent pair must
+    agree on its first lcp symbols, then have the smaller symbol, or the end
+    of its first suffix, first.  Those two conditions fix both arrays."""
+    s = np.asarray(s, dtype=np.int64)
+    n = len(s)
+    if not np.array_equal(np.sort(sa), np.arange(n)):
+        return ["the suffix array is not a permutation"]
+    errors = [] if n == 0 or lcp[0] == 0 else ["lcp[0] is not 0"]
+    p, q, ext = sa[:-1].astype(np.int64), sa[1:].astype(np.int64), lcp[1:]
+    if (p + ext > n).any() or (q + ext > n).any():
+        return errors + ["an LCP runs past the end of the text"]
+    padded = np.append(s, -1)  # a suffix's end sorts before every symbol
+    if not (padded[p + ext] < padded[q + ext]).all():
+        errors.append("an adjacent pair is out of order, or its LCP is short")
+    t = 0
+    while len(ext):  # offset t of the pairs whose LCP exceeds it
+        live = ext > t
+        p, q, ext = p[live], q[live], ext[live]
+        if not (padded[p + t] == padded[q + t]).all():
+            return errors + [f"an adjacent pair differs at offset {t}, below its LCP"]
+        t += 1
+    return errors
+
+
 def two_pointer_window(bits, k: int) -> tuple[int, int, int]:
     """Longest window with at most k set bits: (length, start, end), 1-based;
     (0, 1, 0) when nothing fits."""

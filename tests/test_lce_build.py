@@ -8,9 +8,11 @@ import pytest
 
 from klcf import cli, lce
 from klcf.cli import RunConfig, run
-from klcf.core import Text
+from klcf.core import Text, generate_instance
 from klcf.lce import MAX_SYMBOLS, SuffixIndex, _gram_keys, build_lce
 from klcf.strided import ScanStats, klcf_strided, scan_pass
+
+from conftest import suffix_order_errors
 
 
 def _naive(seq):
@@ -60,26 +62,42 @@ def test_fibonacci_strings(n):
     _check(_fibonacci(n))
 
 
+def _assert_sorted_with_exact_lcp(s):
+    idx = SuffixIndex(np.asarray(s, dtype=np.int64))
+    assert suffix_order_errors(s, idx.sa, idx.lcp) == []
+
+
 def test_random_dna_concatenation_is_sorted_with_exact_lcp():
-    # every adjacent pair agrees on its first lcp symbols, then either has
-    # the smaller symbol first or its first suffix ends; with sa a
-    # permutation, that fixes both arrays
     rng = np.random.default_rng(17)
     half = 1 << 16
     text = Text.from_symbols(rng.integers(0, 4, half), rng.integers(0, 4, half))
-    s = np.asarray(text.concat, dtype=np.int64)
-    n = len(s)
-    idx = SuffixIndex(s)
-    sa, lcp = idx.sa, idx.lcp
-    assert np.array_equal(np.sort(sa), np.arange(n))
-    assert lcp[0] == 0
-    p, q, ext = sa[:-1], sa[1:], lcp[1:]
-    assert (p + ext <= n).all() and (q + ext <= n).all()
-    padded = np.append(s, -1)  # a suffix's end sorts before every symbol
-    for t in range(int(ext.max())):
-        live = ext > t
-        assert (padded[p[live] + t] == padded[q[live] + t]).all()
-    assert (padded[p + ext] < padded[q + ext]).all()
+    _assert_sorted_with_exact_lcp(text.concat)
+
+
+def _periodic_pair(p, n, rate=0.01):
+    """A random motif of p DNA symbols tiled to n on each side, with a
+    share `rate` of each side's symbols substituted."""
+    rng = np.random.default_rng(0)
+    motif = rng.integers(0, 4, p)
+    sides = []
+    for _ in range(2):
+        s = np.resize(motif, n)
+        at = rng.random(n) < rate
+        s[at] = (s[at] + 1 + rng.integers(0, 3, np.count_nonzero(at))) % 4
+        sides.append(s)
+    return Text.from_symbols(*sides)
+
+
+@pytest.mark.parametrize("kind", ["similar", "periodic"])
+def test_repetitive_dna_pairs_are_sorted_with_exact_lcp(kind):
+    # most suffixes tie on their q-grams here, so the refinement rounds and
+    # the tied pairs' descent set most of both arrays
+    n = 1 << 15
+    if kind == "similar":  # s2 is a 1 % substituted copy of s1
+        text = generate_instance("similar", n, 4, 0, seed=23)
+    else:
+        text = _periodic_pair(7, n)
+    _assert_sorted_with_exact_lcp(text.concat)
 
 
 def _gram_cases(sigma, lengths, rng):
@@ -96,16 +114,17 @@ def _around(q, base=0):
     return [base + n for n in (q - 1, q, q + 1, 2 * q - 1, 2 * q + 1) if base + n >= 2]
 
 
-@pytest.mark.parametrize("sigma, q", [(1, 32), (2, 16), (4, 16), (20, 8), (200, 4)])
+@pytest.mark.parametrize("sigma, q", [(1, 52), (2, 26), (4, 17), (20, 10), (200, 6)])
 def test_first_sort_at_every_alphabet_width(sigma, q):
-    # at least sigma symbols long, so the alphabet is shifted, not densified
+    # at least sigma symbols long, so the alphabet is shifted, not densified;
+    # under 2^11 symbols, so GRAM_BITS // f sets q
     rng = np.random.default_rng(sigma)
     for seq in _gram_cases(sigma, _around(q, sigma), rng):
         assert _gram_keys(np.array(seq, dtype=np.int64))[1] == q
         _check(seq)
 
 
-@pytest.mark.parametrize("q", [16, 8, 4, 2, 1])
+@pytest.mark.parametrize("q", [16, 13, 8, 5, 4, 3, 2, 1])
 def test_first_sort_at_lengths_around_q(monkeypatch, q):
     # two symbols take 2 bits each, so a budget of 2q bits packs q of them
     monkeypatch.setattr(lce, "GRAM_BITS", 2 * q)
@@ -114,6 +133,18 @@ def test_first_sort_at_lengths_around_q(monkeypatch, q):
         assert _gram_keys(np.array(seq, dtype=np.int64))[1] == q
         _check(seq)
     _check([1] * (4 * q + 3))
+
+
+@pytest.mark.parametrize("sigma, q", [(2, 5), (4, 3), (20, 2)])
+def test_first_sort_where_the_positions_set_q(monkeypatch, sigma, q):
+    # 33 to 64 symbols take 6 position bits, which leave a 16-bit word 10
+    # bits for the q-gram, fewer than GRAM_BITS
+    monkeypatch.setattr(lce, "WORD_BITS", 16)
+    rng = np.random.default_rng(sigma)
+    for seq in _gram_cases(sigma, [33, 34, 47, 63, 64], rng):
+        assert _gram_keys(np.array(seq, dtype=np.int64))[1] == q
+        _check(seq)
+    _check([1] * 64)
 
 
 @pytest.mark.parametrize("n", [7, 15, 16, 17, 33, 64])
@@ -126,8 +157,10 @@ def test_sparse_alphabet_is_densified_first(n):
 
 
 def test_forward_build_peak_on_random_dna():
-    # the packed key, argsort's int64 output and the int32 suffix array
-    # at the first sort; prefix doubling peaked near 49 bytes per symbol
+    # 21.0 bytes per symbol, where the tied pairs' finish holds the int32
+    # suffix array, LCP array and ranks with the rebuilt int64 q-gram keys;
+    # the first sort, its int64 words sorted in place beside the suffix and
+    # LCP arrays, holds 16, and prefix doubling peaked near 49
     rng = np.random.default_rng(19)
     half = 1 << 16
     text = Text.from_symbols(rng.integers(0, 4, half), rng.integers(0, 4, half))
@@ -139,7 +172,7 @@ def test_forward_build_peak_on_random_dna():
     finally:
         tracemalloc.stop()
     assert idx.fwd.table is None
-    assert peak <= 32 * idx.n, peak / idx.n
+    assert peak <= 22 * idx.n, peak / idx.n
 
 
 def test_refuses_more_symbols_than_int32_ranks_hold():
