@@ -1,12 +1,12 @@
 """Longest common substring with k mismatches.
 
-A reference sliding-window oracle plus four exact solvers: a deletion-
-neighborhood join, seed-and-extend from the left-maximal exact seeds a
-long window must hold, strided diagonal scanning over an LCE index
-(finished by an exhaustive chunked diagonal scan or by seed-and-extend,
-whichever is priced cheaper), and a tabulation scan, whose lookup tables
-read the exhaustive scan's packed mismatch bits.  All report the optimum
-length with a verifiable witness.
+A reference sliding-window oracle plus five exact solvers: the exhaustive
+chunked diagonal scan (naive), a deletion-neighborhood join, seed-and-
+extend from the left-maximal exact seeds a long window must hold, strided
+diagonal scanning over an LCE index (finished by the exhaustive scan or by
+seed-and-extend, whichever is priced cheaper), and a tabulation scan,
+whose lookup tables read the exhaustive scan's packed mismatch bits.  All
+report the optimum length with a verifiable witness, which ``solve`` checks.
 """
 
 from .core import (MatchSpan, ResourceLimitError, Text, generate_instance,
@@ -16,8 +16,8 @@ from .lce import LceIndex, build_lce, lce_backward, lce_forward, lcf0
 from .neighborhood import (Keyword, enumerate_neighborhood,
                            exists_match_of_length, klcf_neighborhood)
 from .seeds import klcf_seeds, seed_price
-from .strided import (ScanStats, klcf_strided, longest_through_cell,
-                      scan_pass)
+from .route import Solution, solve
+from .strided import ScanStats, klcf_strided, scan_pass
 from .tabulation import (Lut, PackedText, build_l1, build_l2, klcf_tabulation,
                          pack, unpack)
 
@@ -26,9 +26,9 @@ __all__ = [
     "verify_match", "LceIndex", "build_lce", "lce_backward", "lce_forward",
     "lcf0", "Keyword", "enumerate_neighborhood", "exists_match_of_length",
     "klcf_neighborhood", "klcf_seeds", "seed_price", "ScanStats",
-    "klcf_strided", "longest_through_cell", "scan_pass", "Lut", "PackedText",
-    "build_l1", "build_l2", "klcf_tabulation", "pack", "unpack",
-    "generate_instance", "load_inputs", "klcf_diagonal_scan",
+    "klcf_strided", "scan_pass", "Lut", "PackedText", "build_l1", "build_l2",
+    "klcf_tabulation", "pack", "unpack", "generate_instance", "load_inputs",
+    "klcf_diagonal_scan", "Solution", "solve",
 ]
 
 __version__ = "0.1.0"

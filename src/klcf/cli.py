@@ -1,7 +1,8 @@
 """Command-line tool: solve, generate instances, and benchmark.
 
-Exit codes: 0 success, 2 resource budget exceeded (the message names the
-fallback flag), 64 usage error or an unreadable or malformed input file.
+Exit codes: 0 success, 1 a span that failed verification (one ``internal
+error:`` line), 2 resource budget exceeded (the message names the fallback
+flag), 64 usage error or an unreadable or malformed input file.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MatchSpan, ResourceLimitError, Text, generate_instance,
-                   load_inputs, verify_match)
-from .diagonal import klcf_diagonal_scan
+from .core import MatchSpan, ResourceLimitError, generate_instance, load_inputs
 from .lce import build_lce, lcf0
-from .neighborhood import (DEFAULT_MEM_BUDGET_WORDS, NeighborhoodStats,
-                           klcf_neighborhood)
-from .seeds import klcf_seeds
-from .strided import ScanStats, klcf_strided
-from .tabulation import TabulationStats, klcf_tabulation
+from .neighborhood import DEFAULT_MEM_BUDGET_WORDS
+from .route import ALGORITHMS, select_algorithm, solve  # noqa: F401 (bench/)
 
-ALGORITHMS = ("auto", "naive", "neighborhood", "seeds", "strided", "tabulation")
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -35,67 +30,6 @@ class RunConfig:
     input_format: str = "plain"
     mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS
     output_format: str = "text"
-
-
-@dataclass
-class BenchRecord:
-    n: int
-    sigma: int
-    k: int
-    algo: str
-    ell0: int
-    ellk: int
-    time_ms: float
-    work: int
-    agree: int
-
-    def tsv_row(self) -> str:
-        return "\t".join(str(v) for v in (
-            self.n, self.sigma, self.k, self.algo, self.ell0, self.ellk,
-            f"{self.time_ms:.3f}", self.work, self.agree))
-
-
-def select_algorithm(cfg: RunConfig, n1: int, n2: int, sigma: int,
-                     ell0: int, k: int) -> str:
-    """Resolve algo=auto: strided, on every input.
-
-    Strided is the cost model: it prices its passes against the cheaper of
-    two purchases, the block-filtered exhaustive scan and seed-and-extend
-    (ski rental), so the priced choice between scan and seeds is made
-    inside it, and ``auto`` keeps naming strided, which
-    bench/trace_run.py's per-choice counters expect.  Seeds, neighborhood
-    and tabulation are also reachable through --algo; on random pairs
-    with sigma 20 and 64, k = 1, n = 1024-8192, where neighborhood used to
-    tie or beat strided, strided buys seeds and beats it.  The arguments
-    are the quantities known after lcf0; bench/trace_run.py replays the
-    call with them.
-    """
-    return "strided"
-
-
-def _dispatch(cfg: RunConfig, algo: str, text: Text, lce):
-    """Run one algorithm; returns (span, work counter)."""
-    if algo == "naive":
-        return klcf_diagonal_scan(text, cfg.k), text.n1 * text.n2
-    if algo == "neighborhood":
-        stats = NeighborhoodStats()
-        span = klcf_neighborhood(text, lce, cfg.k,
-                                 mem_budget_words=cfg.mem_budget_words,
-                                 stats=stats)
-        return span, stats.keywords_generated
-    if algo == "seeds":
-        stats = ScanStats()
-        span = klcf_seeds(text, lce, cfg.k, stats=stats)
-        return span, stats.seed_cells
-    if algo == "strided":
-        stats = ScanStats()
-        span = klcf_strided(text, lce, cfg.k, stats=stats)
-        return span, stats.cells_visited + stats.scan_cells + stats.seed_cells
-    if algo == "tabulation":
-        stats = TabulationStats()
-        span = klcf_tabulation(text, cfg.k, stats=stats)
-        return span, stats.lut_queries
-    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def format_result(span: MatchSpan, ell0: int, algo: str, time_ms: float,
@@ -125,23 +59,18 @@ def run(cfg: RunConfig, path1: str, path2: str, out=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 64
     t0 = time.perf_counter()
-    lce = build_lce(text)
-    ell0, _, _ = lcf0(lce)
-    algo = cfg.algo
-    if algo == "auto":
-        algo = select_algorithm(cfg, text.n1, text.n2, text.sigma, ell0, cfg.k)
     try:
-        span, _ = _dispatch(cfg, algo, text, lce)
+        sol = solve(text, cfg.k, cfg.algo, mem_budget_words=cfg.mem_budget_words)
     except ResourceLimitError as err:  # only the neighborhood solver's budget
         print(f"error: {err}", file=sys.stderr)
         print("hint: rerun with --algo strided, or raise --mem-budget",
               file=sys.stderr)
         return 2
-    time_ms = (time.perf_counter() - t0) * 1000.0
-    if not verify_match(text, span, cfg.k):
-        print("internal error: reported span failed verification", file=sys.stderr)
+    except RuntimeError as err:  # a span that failed verification
+        print(f"internal error: {err}", file=sys.stderr)
         return 1
-    print(format_result(span, ell0, algo, time_ms, cfg.output_format), file=out)
+    time_ms = (time.perf_counter() - t0) * 1000.0
+    print(format_result(*sol[:3], time_ms, cfg.output_format), file=out)
     return 0
 
 
@@ -173,25 +102,21 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                 text = generate_instance("random", n, sigma, k, seed=inst_seed)
                 lce = build_lce(text)
                 ell0, _, _ = lcf0(lce)
-                run_cfg = RunConfig(k=k)
-                results = []
-                answers = set()  # (length, i1, i2) of every solved run
+                rows, answers = [], set()  # answers: (length, i1, i2) per solve
                 for algo in algos:
                     for rep in range(repeats):
                         t0 = time.perf_counter()
                         try:
-                            span, work = _dispatch(run_cfg, algo, text, lce)
+                            span, _, _, work = solve(text, k, algo, lce=lce)
                             ellk = span.length
                             answers.add((span.length, span.i1, span.i2))
                         except ResourceLimitError:
                             ellk, work = -1, 0
                         dt = (time.perf_counter() - t0) * 1000.0
-                        results.append(BenchRecord(n, sigma, k, algo,
-                                                   ell0, ellk, dt, work, 1))
+                        rows.append((n, sigma, k, algo, ell0, ellk, f"{dt:.3f}", work))
                 agree = 1 if len(answers) <= 1 else 0
-                for record in results:
-                    record.agree = agree if record.ellk >= 0 else 0
-                    print(record.tsv_row(), file=out)
+                for row in rows:
+                    print(*row, agree if row[5] >= 0 else 0, sep="\t", file=out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,7 +131,7 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def _solve_parser() -> _Parser:
+def _main_solve(argv) -> int:
     p = _Parser(prog="klcf", description="longest common substring with k mismatches")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--algo", choices=ALGORITHMS, default="auto")
@@ -215,11 +140,6 @@ def _solve_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.add_argument("file1")
     p.add_argument("file2")
-    return p
-
-
-def _main_solve(argv) -> int:
-    p = _solve_parser()
     args = p.parse_args(argv)
     if args.k < 0:
         p.error("--k must be >= 0")
@@ -272,8 +192,12 @@ def _main_bench(argv) -> int:
     for a in algos:
         if a not in ALGORITHMS or a == "auto":
             p.error(f"unknown algorithm {a!r}")
-    bench(args.n_list, args.sigma_list, args.k_list, algos,
-          repeats=args.repeats, seed=args.seed)
+    try:
+        bench(args.n_list, args.sigma_list, args.k_list, algos,
+              repeats=args.repeats, seed=args.seed)
+    except RuntimeError as err:  # a span that failed verification
+        print(f"internal error: {err}", file=sys.stderr)
+        return 1
     return 0
 
 

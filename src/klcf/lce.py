@@ -265,7 +265,7 @@ class SuffixIndex:
 class LceIndex:
     """Forward and backward LCE queries for a Text's concatenation."""
 
-    __slots__ = ("text", "n1", "n2", "n", "fwd", "bwd")
+    __slots__ = ("text", "n1", "n2", "n", "fwd", "bwd", "exact")
 
     def __init__(self, text: Text):
         self.text = text
@@ -274,6 +274,7 @@ class LceIndex:
         self.n = len(text.concat)
         self.fwd = SuffixIndex(text.concat)
         self.bwd = None  # built by the first backward query
+        self.exact = None  # lcf0's answer, found by its first call
 
     def lce_forward_batch(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.fwd.lce_batch(p, q)
@@ -339,7 +340,7 @@ def cross_runs(idx: LceIndex, t: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lcf0(idx: LceIndex) -> tuple[int, int, int]:
-    """Exact longest common substring length with a witness.
+    """Exact longest common substring length with a witness, kept on idx.
 
     Classical suffix-array method: the optimum is the maximum LCP between
     adjacent suffixes drawn one from s1 and one from s2.  The witness is
@@ -347,6 +348,12 @@ def lcf0(idx: LceIndex) -> tuple[int, int, int]:
     found in the SA runs whose internal LCP stays at the optimum
     (``cross_runs``); only their suffixes are read.
     """
+    if idx.exact is None:
+        idx.exact = _lcf0(idx)
+    return idx.exact
+
+
+def _lcf0(idx: LceIndex) -> tuple[int, int, int]:
     n1, n2 = idx.n1, idx.n2
     if n1 == 0 or n2 == 0:
         return 0, 1, 1

@@ -63,16 +63,6 @@ class ScanStats:
     seed_cells: int = 0
 
 
-def longest_through_cell(text: Text, lce: LceIndex, i1: int, i2: int, k: int) -> MatchSpan:
-    """Longest window on the diagonal through cell (i1, i2) with <= k mismatches.
-
-    Ties go to the smallest start; see ``_batch_longest``.
-    """
-    length, back = _batch_longest(text, lce, np.array([i1]), np.array([i2]), k)
-    back = int(back[0])
-    return make_span(text, int(length[0]), i1 - back, i2 - back)
-
-
 def pass_cells(n1: int, n2: int, h: int) -> int:
     """Cells a pass with stride h visits: n1 + n2 + 1 - 2m for each of the
     M = min(n1, n2) // h multiples m of h, in closed form."""

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from klcf.core import MatchSpan, Text
+from klcf.core import MatchSpan, Text, make_span
+from klcf.strided import _batch_longest
 from klcf.tabulation import _scan_flat
 
 
@@ -115,6 +116,14 @@ def lut_window(bits, k: int, b: int, l1, l2) -> tuple[int, int]:
     best = _scan_flat(blocks, np.array([m]), np.zeros(1, np.int64), np.array([n]),
                       one, one, b, k, l1, l2, MatchSpan(0, 1, 1), None)
     return best.i1, best.i1 + best.length - 1
+
+
+def through_cell(text: Text, lce, i1: int, i2: int, k: int) -> MatchSpan:
+    """Longest window on the diagonal through cell (i1, i2) with <= k
+    mismatches, ties to the smallest start, by strided's kernel on one cell."""
+    length, back = _batch_longest(text, lce, np.array([i1]), np.array([i2]), k)
+    back = int(back[0])
+    return make_span(text, int(length[0]), i1 - back, i2 - back)
 
 
 def lut_entry(lut, *index) -> tuple[int, int]:

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import klcf
-from klcf import cli
+from klcf import cli, lce as lce_module, route
 from klcf.cli import (RunConfig, bench, generate_instance, load_inputs, main,
                       run, select_algorithm)
 from klcf.core import MatchSpan, klcf_oracle, verify_match
-from klcf.lce import build_lce
+from klcf.lce import build_lce, lcf0
+from klcf.route import ALGORITHMS, solve
+from klcf.strided import klcf_strided
 
 
 @pytest.fixture
@@ -241,15 +243,14 @@ def test_bench_tsv_shape():
 
 def test_bench_agree_compares_witnesses(monkeypatch):
     """Equal lengths with a different witness do not agree."""
-    dispatch = cli._dispatch
-
-    def shifted(cfg, algo, text, lce):
-        span, work = dispatch(cfg, algo, text, lce)
+    def shifted(text, k, algo, lce):
+        sol = solve(text, k, algo, lce)
         if algo == "strided":
-            span = MatchSpan(span.length, span.i1 + 1, span.i2)
-        return span, work
+            span = sol.span
+            sol = sol._replace(span=MatchSpan(span.length, span.i1 + 1, span.i2))
+        return sol
 
-    monkeypatch.setattr(cli, "_dispatch", shifted)
+    monkeypatch.setattr(cli, "solve", shifted)
     buf = io.StringIO()
     bench([24], [4], [1], ["naive", "strided"], seed=3, out=buf)
     rows = [ln.split("\t") for ln in buf.getvalue().strip().splitlines()[1:]]
@@ -289,12 +290,71 @@ def test_witness_verifies_for_every_algorithm(tmp_path):
     b.write_bytes(bytes(rng.choice(b"acgt") for _ in range(113)))
     text = load_inputs(str(a), str(b))
     lce = build_lce(text)
-    from klcf.cli import _dispatch
     want = klcf_oracle(text, 3).length
-    for algo in ("naive", "neighborhood", "strided", "tabulation"):
-        span, _ = _dispatch(RunConfig(k=3), algo, text, lce)
-        assert span.length == want
-        assert verify_match(text, span, 3)
+    for algo in ("naive", "neighborhood", "seeds", "strided", "tabulation"):
+        sol = solve(text, 3, algo, lce=lce)
+        assert sol.algo == algo and sol.ell0 == lcf0(lce)[0]
+        assert sol.span.length == want
+        assert verify_match(text, sol.span, 3)
+
+
+def test_solve_resolves_auto_and_builds_its_own_index():
+    text = generate_instance("random", 200, 4, 2, seed=5)
+    sol = solve(text, 2)
+    assert sol.algo == "strided" and sol == solve(text, 2, "strided")
+    assert sol.span.length == klcf_oracle(text, 2).length
+    with pytest.raises(ValueError):
+        solve(text, 2, "bogus")
+
+
+def _count_lcf0(monkeypatch):
+    calls = []
+    body = lce_module._lcf0
+
+    def counted(idx):
+        calls.append(idx)
+        return body(idx)
+
+    monkeypatch.setattr(lce_module, "_lcf0", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_one_run_computes_ell0_once(algo, pair, monkeypatch, capsys):
+    calls = _count_lcf0(monkeypatch)
+    assert run(RunConfig(k=2, algo=algo), *pair) == 0
+    assert "length=4" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_a_solver_reads_the_ell0_already_found(monkeypatch):
+    text = generate_instance("random", 300, 4, 2, seed=1)
+    lce = build_lce(text)
+    calls = _count_lcf0(monkeypatch)
+    ell0 = lcf0(lce)
+    assert klcf_strided(text, lce, 2).length >= ell0[0]
+    assert lcf0(lce) == ell0 and len(calls) == 1
+
+
+def test_a_span_that_fails_verification_exits_1(pair, monkeypatch, capsys):
+    """A tabulation span with its mismatch list dropped still has the
+    optimum's length and witness, which ``agree`` alone would accept."""
+    tabulation = route.klcf_tabulation
+
+    def unlisted(text, k, stats=None):
+        span = tabulation(text, k, stats=stats)
+        return MatchSpan(span.length, span.i1, span.i2)
+
+    monkeypatch.setattr(route, "klcf_tabulation", unlisted)
+    assert main(["bench", "--n-list", "64", "--sigma-list", "4", "--k-list", "2",
+                 "--algos", "naive,tabulation"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["n\tsigma\tk\talgo\tell0\tellk\ttime_ms\twork\tagree"]
+    assert err.startswith("internal error: tabulation ") and err.count("\n") == 1
+    assert run(RunConfig(k=1, algo="tabulation"), *pair) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: tabulation ")
+    assert err.count("\n") == 1
 
 
 def test_import_klcf_leaves_the_cli_unloaded(pair):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klcf import cli, lce
+from klcf import lce, route
 from klcf.cli import RunConfig, run
 from klcf.core import Text, generate_instance
 from klcf.lce import MAX_SYMBOLS, SuffixIndex, _gram_keys, build_lce
@@ -208,7 +208,7 @@ def test_run_without_lce_queries_builds_no_backward_index(algo, tmp_path,
         built.append(build_lce(text))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_lce", build)
+    monkeypatch.setattr(route, "build_lce", build)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     a.write_text("ACGTTGCAAC" * 20)
     b.write_text("TTGCAACGTA" * 20)

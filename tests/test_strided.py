@@ -7,10 +7,10 @@ from klcf import strided
 from klcf.core import MatchSpan, Text, klcf_oracle, verify_match
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce
-from klcf.strided import (ScanStats, klcf_strided, longest_through_cell,
-                          scan_pass, _batch_longest, _pass_cells)
+from klcf.strided import (ScanStats, klcf_strided, scan_pass, _batch_longest,
+                          _pass_cells)
 
-from conftest import random_text
+from conftest import random_text, through_cell
 
 
 def _brute_through_cell(text, i1, i2, k):
@@ -42,7 +42,7 @@ def _brute_through_cell(text, i1, i2, k):
 
 
 def _check_through_cell(t, lce, i1, i2, k):
-    span = longest_through_cell(t, lce, i1, i2, k)
+    span = through_cell(t, lce, i1, i2, k)
     want = _brute_through_cell(t, i1, i2, k)
     assert (span.length, span.i1) == want, (t.s1, t.s2, i1, i2, k)
     assert span.i2 - span.i1 == i2 - i1
@@ -54,25 +54,25 @@ def _check_through_cell(t, lce, i1, i2, k):
 def test_through_cell_examples():
     t = Text.from_strings("abba", "aaba")
     lce = build_lce(t)
-    span = longest_through_cell(t, lce, 3, 3, 1)
+    span = through_cell(t, lce, 3, 3, 1)
     assert (span.length, span.i1, span.i2) == (4, 1, 1)
-    assert longest_through_cell(t, lce, 1, 1, 0).length == 1
+    assert through_cell(t, lce, 1, 1, 0).length == 1
     t2 = Text.from_strings("xyxy", "xyxy")
-    span = longest_through_cell(t2, build_lce(t2), 2, 2, 0)
+    span = through_cell(t2, build_lce(t2), 2, 2, 0)
     assert span.length == 4  # full diagonal when the strings are equal
 
 
 def test_through_cell_mismatching_cell():
     t = Text.from_strings("ab", "cb")
     lce = build_lce(t)
-    assert longest_through_cell(t, lce, 1, 1, 0) == MatchSpan(0, 1, 1, ())
-    assert longest_through_cell(t, lce, 1, 1, 1).length == 2
+    assert through_cell(t, lce, 1, 1, 0) == MatchSpan(0, 1, 1, ())
+    assert through_cell(t, lce, 1, 1, 1).length == 2
     # at k = 0 the window of a mismatching cell is empty and anchored at
     # the cell, even where matching cells precede it
     t = Text.from_strings("xxab", "xxcb")
     lce = build_lce(t)
-    assert longest_through_cell(t, lce, 3, 3, 0) == MatchSpan(0, 3, 3, ())
-    assert longest_through_cell(t, lce, 3, 3, 1) == MatchSpan(4, 1, 1, (2,))
+    assert through_cell(t, lce, 3, 3, 0) == MatchSpan(0, 3, 3, ())
+    assert through_cell(t, lce, 3, 3, 1) == MatchSpan(4, 1, 1, (2,))
 
 
 def test_through_cell_vs_brute(rng):
@@ -109,7 +109,7 @@ def test_batch_matches_scalar(rng):
         assert len(i1s) == t.n1 * t.n2
         length, back = _batch_longest(t, lce, i1s, i2s, k)
         for idx in range(len(i1s)):
-            span = longest_through_cell(t, lce, int(i1s[idx]), int(i2s[idx]), k)
+            span = through_cell(t, lce, int(i1s[idx]), int(i2s[idx]), k)
             assert span.length == int(length[idx])
             if span.length:
                 assert span.i1 == int(i1s[idx] - back[idx])
