@@ -21,9 +21,11 @@ the last round's ranks are the inverse suffix array.  Two adjacent
 suffixes with different q-grams get their LCP from the xor of their
 words.  A pair with equal q-grams descends the kept rounds, as in Manber
 and Myers (SIAM J. Comput. 1993), then finishes on the q-grams at its
-offsets.  On random DNA the build peaks at about 20 bytes per symbol,
-where it holds the rebuilt q-grams for that finish, and keeps 12; on a
-unary text, which keeps about log2(n / q) rounds, it peaks near 95.  A
+offsets: gathered there, q symbols each, when fewer than n / q pairs
+tie, and otherwise rebuilt for the whole text, 8 more bytes per symbol
+beside the kept rounds.  Random DNA ties few pairs, so its build peaks
+at about 17 bytes per symbol, in the first sort, and keeps 12; a unary
+text, which keeps about log2(n / q) rounds, peaks near 95.  A
 sparse table over the LCP array answers every query with two rank
 lookups and one range-minimum probe.  Queries come in numpy batches;
 ``lce_forward`` and ``lce_backward`` are size-1 batches that check their
@@ -31,6 +33,8 @@ positions.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -51,29 +55,44 @@ WORD_BITS = 63
 CHUNK = 1 << 14
 
 
-def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """(key, q, f): key[i] packs the q symbols from i, each shifted to
-    [1, 2^f) and f bits wide, the first in the high bits; 0 pads past the
-    end, and key[n] = 0.
+def _fields(symbols: np.ndarray) -> tuple[Callable, int]:
+    """(field, f): field(values, out) writes the packed q-grams' field of
+    each of values, a symbol of symbols, into the int64 array out.
 
-    f is the bit length of the largest shifted symbol, and q is
-    min(GRAM_BITS, WORD_BITS - b) // f, b the bit length of n - 1, so that
-    a key shifted left by b bits takes its position in those bits.
-    Symbols are shifted by their minimum, or densified first when their
-    range is at least n wide; either way f <= b + 1, so q >= 1.
+    Fields are in [1, 2^f), so 0 can pad past the end.  Symbols are shifted
+    by their minimum, or, when their range is at least n wide, replaced by
+    their index among the distinct symbols; either way f <= b + 1, b the
+    bit length of n - 1.
     """
     n = len(symbols)
-    key = np.zeros(n + 1, np.int64)
     lo, hi = int(symbols.min()), int(symbols.max())
     if hi - lo < n:
-        np.subtract(symbols, lo - 1, out=key[:n], dtype=np.int64)
-        top = hi - lo + 1
-    else:
-        alphabet, key[:n] = np.unique(symbols, return_inverse=True)
-        key[:n] += 1
-        top = len(alphabet)
-    f = top.bit_length()
+        def field(values, out):
+            np.subtract(values, lo - 1, out=out, dtype=np.int64)
+
+        return field, (hi - lo + 1).bit_length()
+    alphabet = np.unique(symbols)
+
+    def field(values, out):
+        np.add(np.searchsorted(alphabet, values), 1, out=out)
+
+    return field, len(alphabet).bit_length()
+
+
+def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int, Callable]:
+    """(key, q, f, field): key[i] packs the q symbols from i, each as its
+    f-bit field (``_fields``, whose field function is returned), the first
+    in the high bits; 0 pads past the end, and key[n] = 0.
+
+    q is min(GRAM_BITS, WORD_BITS - b) // f, b the bit length of n - 1,
+    so that a key shifted left by b bits takes its position in those bits;
+    f <= b + 1, so q >= 1.
+    """
+    n = len(symbols)
+    field, f = _fields(symbols)
     q = min(GRAM_BITS, WORD_BITS - (n - 1).bit_length()) // f
+    key = np.zeros(n + 1, np.int64)
+    field(symbols, key[:n])
     # extension, in place, from w symbols to w + d, d = min(w, q - w): once
     # every key is shifted left by d symbols, key[i + w] >> w f is the first
     # d symbols of the old key[i + w], and fills key[i]'s low bits;
@@ -86,7 +105,25 @@ def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
             b = min(a + CHUNK, n + 1 - w)
             key[a:b] |= key[a + w:b + w] >> w * f
         w += d
-    return key, q, f
+    return key, q, f, field
+
+
+def _grams_at(symbols: np.ndarray, at: np.ndarray, q: int, f: int,
+              field: Callable) -> np.ndarray:
+    """key[at] of ``_gram_keys``, for int64 positions at <= n, gathered
+    from the q symbols at each instead of packed for the whole text."""
+    n = len(symbols)
+    key = np.zeros(len(at), np.int64)
+    sym = np.empty(len(at), np.int64)
+    for j in range(q):
+        # a position past the end reads symbols[n - 1], cut below
+        field(np.take(symbols, at + j, mode="clip"), sym)
+        key <<= f
+        key |= sym
+    cut = np.maximum(at + q - n, 0) * f
+    key >>= cut
+    key <<= cut
+    return key
 
 
 def _gram_lcp(xor: np.ndarray, q: int, f: int) -> np.ndarray:
@@ -108,7 +145,9 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     then by position, and an adjacent pair's LCP, where their q-grams
     differ, comes from the xor of its two words.  A suffix's rank is the
     SA index of its q-gram group's first suffix, so ranks keep the order
-    and become the inverse suffix array once every group is a singleton.
+    and become the inverse suffix array once every group is a singleton;
+    only the tied suffixes' ranks differ from their own SA index, and
+    their groups start where their LCPs are below q.
     From h = q, each round sorts only the suffixes of groups still tied,
     by (rank[i], rank[i + h]), and doubles h (Larsson and Sadakane, TCS
     2007).  ``rounds[t - 1][i]`` ranks the suffix at i by its first
@@ -118,16 +157,20 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
     A pair in one q-gram group descends the kept rounds as in Manber and
     Myers (SIAM J. Comput. 1993), by q * 2^t symbols wherever its round-t
-    ranks are equal.  It finishes on the q-grams at its offsets, rebuilt
-    once the rounds are done: by q more symbols where they are equal, as
-    their first-sort ranks would be, then by the xor of the q-grams there.
+    ranks are equal.  It finishes on the q-grams at its offsets: by q
+    more symbols where they are equal, as their first-sort ranks would be,
+    then by the xor of the q-grams there.  When fewer than n / q adjacent
+    pairs tie, their SA indices are kept from the first sort and their
+    q-grams gathered at those offsets (``_grams_at``); otherwise every
+    q-gram is rebuilt once the rounds are done, and the pairs are found
+    again where lcp is q.
     """
     n = len(symbols)
     if n > MAX_SYMBOLS:
         raise ValueError(f"LCE index supports at most {MAX_SYMBOLS} symbols, got {n}")
     if n == 0:
         return (np.empty(0, np.int32),) * 3
-    key, q, f = _gram_keys(symbols)
+    key, q, f, field = _gram_keys(symbols)
     bits = (n - 1).bit_length()
     word = key[:n]
     word <<= bits
@@ -147,18 +190,25 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     del key, word
     # tied[i]: sa[i] has the q-gram of sa[i-1]
     tied = lcp == q
+    # few tied pairs finish on q-grams gathered at their offsets, so their
+    # SA indices are kept, as int32; many rebuild every q-gram instead
+    pairs = None
+    if np.count_nonzero(tied) * q < n:
+        pairs = np.flatnonzero(tied).astype(np.int32)
+    tied[:-1] |= tied[1:]  # now: sa[i] shares its group
+    # the tied suffixes' SA indices, group starts and positions; positions
+    # are int64, which numpy indexes with no conversion.  A group starts at
+    # its first SA index: a singleton's own, a tied suffix's the last one
+    # whose lcp is below q
+    pos = np.flatnonzero(tied).astype(np.int32)
+    del tied
+    grp = np.where(lcp[pos] == q, 0, pos)
+    np.maximum.accumulate(grp, out=grp)
     start = np.arange(n, dtype=np.int32)
-    start[tied] = 0
-    np.maximum.accumulate(start, out=start)
+    start[pos] = grp
     rank = np.empty(n + 1, np.int32)
     rank[n] = -1
     rank[sa] = start
-    tied[:-1] |= tied[1:]  # now: sa[i] shares its group
-    # the tied suffixes' SA indices, group starts and positions; positions
-    # are int64, which numpy indexes with no conversion
-    pos = np.flatnonzero(tied).astype(np.int32)
-    del tied
-    grp = start[pos]
     del start
     sub = sa[pos].astype(np.int64)
     rounds = []
@@ -195,9 +245,17 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     if h == q:  # no q-gram group was tied
         return sa, lcp, rank[:n]
     # pairs in one q-gram group: LCP >= q, left at q above
-    key = _gram_keys(symbols)[0]
-    for a in range(1, n, CHUNK):
-        i = a + np.flatnonzero(lcp[a:a + CHUNK] == q)
+    if pairs is not None:
+        chunks = (pairs[a:a + CHUNK] for a in range(0, len(pairs), CHUNK))
+
+        def grams(at):
+            return _grams_at(symbols, at, q, f, field)
+    else:
+        grams = _gram_keys(symbols)[0].__getitem__
+        # read lazily: a chunk's pairs are found before their LCPs are set
+        chunks = (a + np.flatnonzero(lcp[a:a + CHUNK] == q)
+                  for a in range(1, n, CHUNK))
+    for i in chunks:
         if len(i) == 0:
             continue
         p, r = sa[i - 1].astype(np.int64), sa[i].astype(np.int64)
@@ -205,11 +263,11 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         for t in range(len(rounds), 0, -1):
             ranks = rounds[t - 1]
             ext += (ranks[p + ext] == ranks[r + ext]) * np.int32(q << t)
-        xor = key[p + ext] ^ key[r + ext]
+        xor = grams(p + ext) ^ grams(r + ext)
         # equal q-grams, as equal first-sort ranks would be: q symbols on
         tie = np.flatnonzero(xor == 0)
         ext[tie] += q
-        xor[tie] = key[p[tie] + ext[tie]] ^ key[r[tie] + ext[tie]]
+        xor[tie] = grams(p[tie] + ext[tie]) ^ grams(r[tie] + ext[tie])
         lcp[i] = ext + _gram_lcp(xor, q, f)
     return sa, lcp, rank[:n]
 

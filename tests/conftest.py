@@ -1,10 +1,12 @@
 """Shared helpers: independent brute-force oracles and instance generators."""
 
+import contextlib
 import random
 
 import numpy as np
 import pytest
 
+from klcf import lce
 from klcf.core import MatchSpan, Text, make_span
 from klcf.strided import _batch_longest
 from klcf.tabulation import _scan_flat
@@ -83,6 +85,25 @@ def suffix_order_errors(s, sa, lcp) -> list[str]:
             return errors + [f"an adjacent pair differs at offset {t}, below its LCP"]
         t += 1
     return errors
+
+
+@contextlib.contextmanager
+def counted_gram_keys():
+    """Record the length of each ``_gram_keys`` call's text while open: one
+    call per build where the tied pairs' finish gathers its q-grams, or no
+    pair ties, and two where it rebuilds every q-gram."""
+    calls = []
+    gram_keys = lce._gram_keys
+
+    def counted(symbols):
+        calls.append(len(symbols))
+        return gram_keys(symbols)
+
+    lce._gram_keys = counted
+    try:
+        yield calls
+    finally:
+        lce._gram_keys = gram_keys
 
 
 def two_pointer_window(bits, k: int) -> tuple[int, int, int]:

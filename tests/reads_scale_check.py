@@ -30,8 +30,10 @@ REF_LEN = 1 << 22
 READ_LEN = 150
 K = 4
 SEED = 11
-# 176 MB with one byte per symbol of text; 228 MB when Text held its
-# symbols twice as int64, and 1,171 MB with an eager forward sparse table
+# 144 MB with one byte per symbol of text and the tied pairs' q-grams
+# gathered at their offsets; 176 MB when every q-gram was rebuilt for them,
+# 228 MB when Text held its symbols twice as int64, and 1,171 MB with an
+# eager forward sparse table
 LIMIT_MB = 208
 
 

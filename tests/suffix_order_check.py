@@ -1,12 +1,21 @@
-"""Suffix order and exact LCPs, checked directly, on a similar pair of
-2^19 DNA symbols a side.
+"""Suffix order and exact LCPs, checked directly, on two DNA pairs whose
+first side has 2^19 symbols.
 
-s2 is a copy of s1 with SIMILAR_MUTATION_RATE of its symbols substituted,
-so most suffixes tie on their packed q-grams (q = 14 at this size), and
-the refinement rounds and the tied pairs' descent set most of both
-arrays.  Builds the forward index, then checks its suffix and LCP arrays
-against the text with ``suffix_order_errors`` from conftest.py.  Exits 1
-on any error.
+- similar: s2 is a copy of s1 with SIMILAR_MUTATION_RATE of its symbols
+  substituted, so most suffixes tie on their packed q-grams (q = 14 at
+  this size), and the refinement rounds and the tied pairs' descent set
+  most of both arrays.  Their finish rebuilds every q-gram.
+- reads: s1 is a random reference and s2 is READS reads of READ_LEN
+  symbols copied from it, each with READ_SUBSTITUTIONS substitutions.
+  Fewer than n / q adjacent pairs tie, but not many fewer, so their finish
+  gathers q-grams at their offsets near the point where it would rebuild
+  them instead.
+
+Builds each forward index, then checks its suffix and LCP arrays against
+the text with ``suffix_order_errors`` from conftest.py.  Prints which
+finish ran, from the number of ``_gram_keys`` calls that conftest.py's
+``counted_gram_keys`` records: one where the q-grams were gathered, two
+where they were rebuilt.  Exits 1 on any error.
 
     PYTHONPATH=src python tests/suffix_order_check.py
 """
@@ -18,32 +27,58 @@ import time
 
 import numpy as np
 
-from conftest import suffix_order_errors
+from conftest import counted_gram_keys, suffix_order_errors
 from klcf.core import SIMILAR_MUTATION_RATE, Text
 from klcf.lce import _gram_keys, build_lce
 
 SIDE = 1 << 19
+READS, READ_LEN, READ_SUBSTITUTIONS = 350, 150, 4
+
+
+def substitute(rng, s: np.ndarray, at: np.ndarray) -> None:
+    """Replace s[at] by different DNA symbols, in place."""
+    s[at] = (s[at] + rng.integers(1, 4, len(at))) % 4
 
 
 def similar_pair(rng) -> Text:
     s1 = rng.integers(0, 4, SIDE)
     s2 = s1.copy()
-    at = rng.random(SIDE) < SIMILAR_MUTATION_RATE
-    s2[at] = (s2[at] + rng.integers(1, 4, np.count_nonzero(at))) % 4
+    substitute(rng, s2, np.flatnonzero(rng.random(SIDE) < SIMILAR_MUTATION_RATE))
     return Text.from_symbols(s1, s2)
 
 
-def main() -> int:
-    text = similar_pair(np.random.default_rng(1))
+def reads_pair(rng) -> Text:
+    ref = rng.integers(0, 4, SIDE)
+    reads = []
+    for start in rng.integers(0, SIDE - READ_LEN + 1, READS):
+        read = ref[start:start + READ_LEN].copy()
+        substitute(rng, read, rng.choice(READ_LEN, READ_SUBSTITUTIONS, replace=False))
+        reads.append(read)
+    return Text.from_symbols(ref, np.concatenate(reads))
+
+
+def check(name: str, text: Text) -> list[str]:
     s = text.concat
+    with counted_gram_keys() as calls:
+        t0 = time.perf_counter()
+        idx = build_lce(text)
+        t1 = time.perf_counter()
     q = _gram_keys(s)[1]
-    t0 = time.perf_counter()
-    idx = build_lce(text)
-    t1 = time.perf_counter()
-    errors = suffix_order_errors(s, idx.fwd.sa, idx.fwd.lcp)
+    sa, lcp = idx.fwd.sa, idx.fwd.lcp
+    errors = suffix_order_errors(s, sa, lcp)
     t2 = time.perf_counter()
-    print(f"symbols={len(s)} q={q} build_s={t1 - t0:.2f} check_s={t2 - t1:.2f} "
-          f"max_lcp={int(idx.fwd.lcp.max())} errors={len(errors)}")
+    ties = int(np.count_nonzero(lcp >= q))
+    finish = {1: "gathered", 2: "rebuilt"}.get(len(calls), f"{len(calls)} _gram_keys calls")
+    print(f"{name}: symbols={len(s)} q={q} tied_pairs={ties} "
+          f"tied_q_per_symbol={ties * q / len(s):.2f} finish={finish} "
+          f"build_s={t1 - t0:.2f} check_s={t2 - t1:.2f} max_lcp={int(lcp.max())} "
+          f"errors={len(errors)}")
+    return [f"{name}: {error}" for error in errors]
+
+
+def main() -> int:
+    rng = np.random.default_rng(1)
+    errors = check("similar", similar_pair(rng)) + check("reads", reads_pair(rng))
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     return 1 if errors else 0

@@ -9,10 +9,10 @@ import pytest
 from klcf import lce, route
 from klcf.cli import RunConfig, run
 from klcf.core import Text, generate_instance
-from klcf.lce import MAX_SYMBOLS, SuffixIndex, _gram_keys, build_lce
+from klcf.lce import MAX_SYMBOLS, SuffixIndex, _gram_keys, _grams_at, build_lce
 from klcf.strided import ScanStats, klcf_strided, scan_pass
 
-from conftest import suffix_order_errors
+from conftest import counted_gram_keys, suffix_order_errors
 
 
 def _naive(seq):
@@ -100,6 +100,65 @@ def test_repetitive_dna_pairs_are_sorted_with_exact_lcp(kind):
     _assert_sorted_with_exact_lcp(text.concat)
 
 
+def _with_copies(values, n, copies, length, rng):
+    """n symbols drawn from values, with `copies` windows of `length`
+    copied from the first half into the second."""
+    s = values[rng.integers(0, len(values), n)]
+    for _ in range(copies):
+        src = int(rng.integers(0, n // 2 - length))
+        dst = int(rng.integers(n // 2, n - length))
+        s[dst:dst + length] = s[src:src + length]
+    return s
+
+
+def _build_counting(s):
+    """(calls of _gram_keys, tied pairs, q) for one checked build of s."""
+    with counted_gram_keys() as calls:
+        idx = SuffixIndex(s)
+    assert suffix_order_errors(s, idx.sa, idx.lcp) == []
+    q = _gram_keys(s)[1]
+    return len(calls), int(np.count_nonzero(idx.lcp >= q)), q
+
+
+def test_few_tied_pairs_gather_their_q_grams():
+    # planted copies tie a few hundred adjacent pairs on their q-grams, far
+    # fewer than n / q, so the finish gathers q-grams at their offsets
+    rng = np.random.default_rng(29)
+    s = _with_copies(np.arange(4), 1 << 15, 4, 100, rng)
+    calls, ties, q = _build_counting(s)
+    assert 0 < ties * q < len(s)
+    assert calls == 1
+
+
+def test_many_tied_pairs_rebuild_every_q_gram():
+    text = generate_instance("similar", 1 << 12, 4, 0, seed=31)
+    calls, ties, q = _build_counting(text.concat)
+    assert ties * q >= len(text.concat)
+    assert calls == 2
+
+
+def test_sparse_alphabet_gathers_its_fields():
+    # a value range at least n wide: the gathered q-grams must map symbols
+    # through the same sorted alphabet as the first sort's
+    rng = np.random.default_rng(37)
+    values = np.sort(rng.choice(10 ** 9, 6, replace=False))
+    s = _with_copies(values, 1 << 12, 2, 40, rng)
+    assert s.max() - s.min() >= len(s)
+    calls, ties, q = _build_counting(s)
+    assert 0 < ties * q < len(s)
+    assert calls == 1
+
+
+@pytest.mark.parametrize("values", [[0, 1, 2, 3], [5, 6], [-3, 10 ** 9, 7]])
+def test_gathered_q_grams_equal_the_packed_ones(values):
+    # every position, the last q - 1 padded with 0 past the end, and n
+    rng = np.random.default_rng(len(values))
+    s = np.array(values, np.int64)[rng.integers(0, len(values), 300)]
+    key, q, f, field = _gram_keys(s)
+    at = np.arange(len(s) + 1, dtype=np.int64)
+    assert np.array_equal(_grams_at(s, at, q, f, field), key)
+
+
 def _gram_cases(sigma, lengths, rng):
     """Random and period-3 sequences over [0, sigma) holding 0 and
     sigma - 1, so that the first sort packs the q their width allows."""
@@ -157,10 +216,11 @@ def test_sparse_alphabet_is_densified_first(n):
 
 
 def test_forward_build_peak_on_random_dna():
-    # 21.0 bytes per symbol, where the tied pairs' finish holds the int32
-    # suffix array, LCP array and ranks with the rebuilt int64 q-gram keys;
-    # the first sort, its int64 words sorted in place beside the suffix and
-    # LCP arrays, holds 16, and prefix doubling peaked near 49
+    # 19.0 bytes per symbol, where the first sort's int64 words, sorted in
+    # place, sit beside the int32 suffix and LCP arrays (16) and one chunk's
+    # temporaries for the LCPs (3 at this size); the few tied pairs gather
+    # their q-grams, where rebuilding every q-gram peaked at 21.0, and
+    # prefix doubling peaked near 49
     rng = np.random.default_rng(19)
     half = 1 << 16
     text = Text.from_symbols(rng.integers(0, 4, half), rng.integers(0, 4, half))
@@ -172,7 +232,7 @@ def test_forward_build_peak_on_random_dna():
     finally:
         tracemalloc.stop()
     assert idx.fwd.table is None
-    assert peak <= 22 * idx.n, peak / idx.n
+    assert peak <= 20 * idx.n, peak / idx.n
 
 
 def test_refuses_more_symbols_than_int32_ranks_hold():
