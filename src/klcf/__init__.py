@@ -9,7 +9,7 @@ whose lookup tables read the exhaustive scan's packed mismatch bits.  All
 report the optimum length with a verifiable witness, which ``solve`` checks.
 """
 
-from .core import (MatchSpan, ResourceLimitError, Text, generate_instance,
+from .core import (MatchSpan, ResourceLimitError, Stats, Text, generate_instance,
                    klcf_bounds, klcf_oracle, load_inputs, verify_match)
 from .diagonal import klcf_diagonal_scan
 from .lce import LceIndex, build_lce, lce_backward, lce_forward, lcf0
@@ -28,7 +28,7 @@ __all__ = [
     "klcf_neighborhood", "klcf_seeds", "seed_price", "ScanStats",
     "klcf_strided", "scan_pass", "Lut", "PackedText", "build_l1", "build_l2",
     "klcf_tabulation", "pack", "unpack", "generate_instance", "load_inputs",
-    "klcf_diagonal_scan", "Solution", "solve",
+    "klcf_diagonal_scan", "Solution", "solve", "Stats",
 ]
 
 __version__ = "0.1.0"

@@ -86,6 +86,7 @@ def _write_sequence(path: str, text_side: np.ndarray, alphabet, sigma: int):
             raise ValueError("cannot write symbols above 255 as plain bytes")
         with open(path, "wb") as fh:
             fh.write(bytes(symbols))
+            fh.write(b"\n")
 
 
 def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
@@ -107,8 +108,8 @@ def bench(n_list, sigma_list, k_list, algos, repeats: int = 1, seed: int = 0,
                     for rep in range(repeats):
                         t0 = time.perf_counter()
                         try:
-                            span, _, _, work = solve(text, k, algo, lce=lce)
-                            ellk = span.length
+                            span, _, _, stats = solve(text, k, algo, lce=lce)
+                            ellk, work = span.length, stats.work
                             answers.add((span.length, span.i1, span.i2))
                         except ResourceLimitError:
                             ellk, work = -1, 0

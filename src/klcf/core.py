@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,45 @@ class MatchSpan:
     i1: int
     i2: int
     mismatches: tuple[int, ...] = ()
+
+
+@dataclass
+class Stats:
+    """Work counters of one solve; each solver fills only its own.
+
+    Strided: ``cells_visited`` counts the cells its passes expanded with
+    LCE queries, ``passes`` and ``pass_strides`` the passes and their
+    strides.  The exhaustive scan, naive or strided's purchase, adds its
+    n1*n2 cells to ``scan_cells``.  Seeds, alone or as strided's purchase:
+    ``seed_pairs`` and ``seed_cells`` count the seed pairs whose strips
+    were compared and the cells of their rows, each row's packed width.
+    Tabulation: ``word_ops`` counts the packed mismatch bytes the block
+    filter reads, one per 8 cells of each batch's row width;
+    ``lut_queries`` and ``max_diag_queries`` the LUT stage's queries on
+    the byte runs the filter keeps, the most on one run for the latter;
+    ``diagonals`` every diagonal, kept or not.  Neighborhood:
+    ``keywords_generated`` counts the keywords its probes enumerate, and
+    ``probes`` holds the probed lengths j in order.
+    """
+
+    cells_visited: int = 0
+    passes: int = 0
+    pass_strides: list = field(default_factory=list)
+    scan_cells: int = 0
+    seed_pairs: int = 0
+    seed_cells: int = 0
+    lut_queries: int = 0
+    max_diag_queries: int = 0
+    word_ops: int = 0
+    diagonals: int = 0
+    keywords_generated: int = 0
+    probes: list = field(default_factory=list)
+
+    @property
+    def work(self) -> int:
+        """The solve's cells, LUT queries and keywords, summed."""
+        return (self.cells_visited + self.scan_cells + self.seed_cells
+                + self.lut_queries + self.keywords_generated)
 
 
 class Text:

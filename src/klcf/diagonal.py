@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import MatchSpan, Text, better_span, make_span
+from .core import MatchSpan, Stats, Text, better_span, make_span
 
 # cells compared per batch of the exhaustive scan, of tabulation and of
 # the seed strips
@@ -318,8 +318,7 @@ def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,
     either side of its cell, clipped to the diagonal, so it holds every
     window of at most u cells through the cell; its row runs 2u - 1 cells
     in whole bytes from there, or to the diagonal's end.  Rows are scanned
-    ``SCAN_CELLS`` cells a batch; ``stats`` (``ScanStats``) counts seeds
-    and row cells."""
+    ``SCAN_CELLS`` cells a batch; ``stats`` counts seeds and row cells."""
     w = -(-(2 * u - 1) // 8) * 8
     view1, view2 = (sliding_window_view(s, w) for s in padded_pair(text, w, w))
     step = max(1, SCAN_CELLS // w)
@@ -337,7 +336,8 @@ def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,
     return best
 
 
-def klcf_diagonal_scan(text: Text, k: int, floor: int = 0) -> MatchSpan:
+def klcf_diagonal_scan(text: Text, k: int, floor: int = 0,
+                       stats: Stats | None = None) -> MatchSpan:
     """Exact optimum and its lexicographically smallest witness, by
     scanning every diagonal of ``packed_batches``: the sliding window on
     the runs the block filter keeps at L = max(best so far, floor).
@@ -346,8 +346,11 @@ def klcf_diagonal_scan(text: Text, k: int, floor: int = 0) -> MatchSpan:
     long as L are kept, so the answer is exact whatever floor at most the
     optimum is given.  At floor 0 the first batch comes in row chunks, so
     the filter has a floor after its first row.  O(n1 n2) time,
-    O(SCAN_CELLS + n1 + n2) memory.
+    O(SCAN_CELLS + n1 + n2) memory.  ``stats`` counts the n1 n2 cells in
+    ``scan_cells``.
     """
+    if stats is not None:
+        stats.scan_cells += text.n1 * text.n2
     best = MatchSpan(0, 1, 1)
     for packed, st1, st2, length in packed_batches(text, k, floor):
         best = best_in_rows(best, packed, length, st1, st2, k, floor)

@@ -18,14 +18,13 @@ is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MatchSpan, ResourceLimitError, Text, klcf_bounds, make_span,
-                   trivial_span)
+from .core import (MatchSpan, ResourceLimitError, Stats, Text, klcf_bounds,
+                   make_span, trivial_span)
 from .diagonal import argmin_pair
 from .lce import LceIndex, lcf0
 
@@ -41,12 +40,6 @@ class Keyword(NamedTuple):
     src_start: int             # 1-based start of the length-j source window
     j: int                     # source length
     deletes: tuple[int, ...]   # k strictly increasing positions in [1, j]
-
-
-@dataclass
-class NeighborhoodStats:
-    keywords_generated: int = 0
-    probes: list = field(default_factory=list)
 
 
 def _delete_tuples(lo: int, hi: int, k: int):
@@ -80,7 +73,7 @@ def _sorted_runs(key: np.ndarray):
 
 def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int,
                            mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
-                           stats: NeighborhoodStats | None = None) -> MatchSpan | None:
+                           stats: Stats | None = None) -> MatchSpan | None:
     """The smallest-(i1, i2) span of length j with <= k mismatches, or None.
 
     Raises ResourceLimitError when the probe's neighborhood,
@@ -144,7 +137,7 @@ def exists_match_of_length(text: Text, lce: LceIndex, j: int, k: int,
 
 def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
                       mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS,
-                      stats: NeighborhoodStats | None = None) -> MatchSpan:
+                      stats: Stats | None = None) -> MatchSpan:
     """Exact optimum by searching the smallest j with no length-j match.
 
     The existence predicate is monotone, so the search keeps a verified
@@ -165,7 +158,7 @@ def klcf_neighborhood(text: Text, lce: LceIndex, k: int,
     else:
         best = make_span(text, lower, 1, 1)  # lower = min(n1, n2, k)
     if stats is None:
-        stats = NeighborhoodStats()
+        stats = Stats()
 
     def probe(j: int) -> MatchSpan | None:
         stats.probes.append(j)

@@ -1,17 +1,16 @@
-"""One solve path: index, l0, routing, solver, work counter, witness check."""
+"""One solve path: index, l0, routing, solver, work record, witness check."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import MatchSpan, Text, verify_match
+from .core import MatchSpan, Stats, Text, verify_match
 from .diagonal import klcf_diagonal_scan
 from .lce import LceIndex, build_lce, lcf0
-from .neighborhood import (DEFAULT_MEM_BUDGET_WORDS, NeighborhoodStats,
-                           klcf_neighborhood)
+from .neighborhood import DEFAULT_MEM_BUDGET_WORDS, klcf_neighborhood
 from .seeds import klcf_seeds
-from .strided import ScanStats, klcf_strided
-from .tabulation import TabulationStats, klcf_tabulation
+from .strided import klcf_strided
+from .tabulation import klcf_tabulation
 
 ALGORITHMS = ("auto", "naive", "neighborhood", "seeds", "strided", "tabulation")
 
@@ -20,7 +19,7 @@ class Solution(NamedTuple):
     span: MatchSpan
     ell0: int
     algo: str  # auto resolved
-    work: int  # the solver's own counter
+    stats: Stats  # the solver's work counters
 
 
 def select_algorithm(cfg, n1: int, n2: int, sigma: int,
@@ -51,24 +50,19 @@ def solve(text: Text, k: int, algo: str = "auto", lce: LceIndex | None = None,
     ell0 = lcf0(lce)[0]
     if algo == "auto":
         algo = select_algorithm(None, text.n1, text.n2, text.sigma, ell0, k)
+    stats = Stats()
     if algo == "naive":
-        span, work = klcf_diagonal_scan(text, k), text.n1 * text.n2
+        span = klcf_diagonal_scan(text, k, stats=stats)
     elif algo == "neighborhood":
-        stats = NeighborhoodStats()
         span = klcf_neighborhood(text, lce, k, mem_budget_words=mem_budget_words,
                                  stats=stats)
-        work = stats.keywords_generated
     elif algo in ("seeds", "strided"):
-        stats = ScanStats()  # seeds count seed cells alone
         solver = klcf_seeds if algo == "seeds" else klcf_strided
         span = solver(text, lce, k, stats=stats)
-        work = stats.cells_visited + stats.scan_cells + stats.seed_cells
     elif algo == "tabulation":
-        stats = TabulationStats()
         span = klcf_tabulation(text, k, stats=stats)
-        work = stats.lut_queries
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     if not verify_match(text, span, k):
         raise RuntimeError(f"{algo} reported a span that failed verification: {span}")
-    return Solution(span, ell0, algo, work)
+    return Solution(span, ell0, algo, stats)

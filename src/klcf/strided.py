@@ -15,11 +15,10 @@ priced by its left-maximal pair count before any pair is extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .core import MatchSpan, Text, better_span, klcf_bounds, make_span, trivial_span
+from .core import (MatchSpan, Stats, Text, better_span, klcf_bounds, make_span,
+                   trivial_span)
 from .diagonal import best_window, klcf_diagonal_scan
 from .lce import LceIndex, lcf0
 from .seeds import run_length, seed_floor, seed_price, seed_search
@@ -43,24 +42,8 @@ SCAN_CELLS_PER_EXTENSION = 100
 SEED_CELL_COST = 8
 
 
-@dataclass
-class ScanStats:
-    """Work counters exposed for the performance bound checks.
-
-    ``cells_visited`` counts the cells the passes expanded with LCE queries;
-    ``scan_cells`` the cells of the exhaustive scan that finished the search
-    instead of further passes, and ``seed_pairs`` and ``seed_cells`` the
-    seed pairs whose strips were compared and the cells of their rows, each
-    row's packed width, when seeds finished the search instead (all 0 when
-    the passes settled it).
-    """
-
-    cells_visited: int = 0
-    passes: int = 0
-    pass_strides: list = field(default_factory=list)
-    scan_cells: int = 0
-    seed_pairs: int = 0
-    seed_cells: int = 0
+# bench/trace_run.py reads klcf.ScanStats; the alias goes with ROADMAP item 1a
+ScanStats = Stats
 
 
 def pass_cells(n1: int, n2: int, h: int) -> int:
@@ -138,7 +121,7 @@ def _batch_longest(text: Text, lce: LceIndex, i1s: np.ndarray, i2s: np.ndarray,
 
 
 def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
-              stats: ScanStats | None = None) -> MatchSpan:
+              stats: Stats | None = None) -> MatchSpan:
     """Best window over the cells visited with stride h.
 
     If h <= l_k the optimum window covers at least one visited cell, so the
@@ -157,7 +140,7 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
 
 
 def klcf_strided(text: Text, lce: LceIndex, k: int,
-                 stats: ScanStats | None = None) -> MatchSpan:
+                 stats: Stats | None = None) -> MatchSpan:
     """Exact optimum by strided passes, finished by the exhaustive scan or
     by seed-and-extend once the passes stop paying off.
 
@@ -174,7 +157,7 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
     the answer is exact, with the smallest witness.
     """
     if stats is None:
-        stats = ScanStats()
+        stats = Stats()
     n1, n2 = text.n1, text.n2
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:
@@ -197,8 +180,7 @@ def klcf_strided(text: Text, lce: LceIndex, k: int,
             if seeds < scan:
                 found = seed_search(text, lce, k, ell0, floor, stats)
             else:
-                stats.scan_cells += scan
-                found = klcf_diagonal_scan(text, k, floor=floor)
+                found = klcf_diagonal_scan(text, k, floor, stats)
             return better_span(best, found)
         spent += cost
         stats.passes += 1

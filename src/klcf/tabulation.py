@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MatchSpan, ResourceLimitError, Text, make_span
+from .core import MatchSpan, ResourceLimitError, Stats, Text, make_span
 from .diagonal import _gather, _kept_runs, best_window, packed_batches
 
 # the solver's block width: one packed byte of mismatch bits
@@ -207,25 +207,12 @@ def _row_blocks(packed: np.ndarray, runs):
 # ---------------------------------------------------------------------------
 # window scans
 
-@dataclass
-class TabulationStats:
-    """Work counters of one ``klcf_tabulation`` call.
-
-    ``word_ops`` counts the packed mismatch bytes the block filter reads,
-    one per 8 cells of each batch's row width.  ``lut_queries`` and
-    ``max_diag_queries`` count the LUT stage's queries on the byte runs
-    the filter keeps, the most on one run for the latter; ``diagonals``
-    counts every diagonal, kept or not.
-    """
-
-    lut_queries: int = 0
-    max_diag_queries: int = 0
-    word_ops: int = 0
-    diagonals: int = 0
+# bench/trace_run.py reads TabulationStats; the alias goes with ROADMAP item 1a
+TabulationStats = Stats
 
 
 def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
-               best: MatchSpan, stats: TabulationStats | None) -> MatchSpan:
+               best: MatchSpan, stats: Stats | None) -> MatchSpan:
     """``best``, or the best window over many diagonals' flat blocks if it
     is at least as long (``best_window``); a diagonal may be a kept run of
     one.
@@ -299,7 +286,7 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
 
 
 def klcf_tabulation(text: Text, k: int,
-                    stats: TabulationStats | None = None) -> MatchSpan:
+                    stats: Stats | None = None) -> MatchSpan:
     """Exact optimum over all diagonals: the LUT window scan on the byte
     blocks of the runs of ``packed_batches`` that the scan's block filter
     keeps at the best length so far."""

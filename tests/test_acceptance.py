@@ -13,15 +13,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from klcf.core import (ResourceLimitError, Text, generate_instance, klcf_bounds,
-                       klcf_oracle, verify_match)
+from klcf.core import (ResourceLimitError, Stats, Text, generate_instance,
+                       klcf_bounds, klcf_oracle, verify_match)
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, lcf0
 from klcf.neighborhood import enumerate_neighborhood, klcf_neighborhood
 from klcf.seeds import klcf_seeds
-from klcf.strided import ScanStats, klcf_strided
-from klcf.tabulation import (TabulationStats, build_l1, build_l2,
-                             klcf_tabulation)
+from klcf.strided import klcf_strided
+from klcf.tabulation import build_l1, build_l2, klcf_tabulation
 
 from conftest import (lut_entry, lut_window, naive_lce_backward,
                       naive_lce_forward, random_text, two_pointer_window)
@@ -265,7 +264,7 @@ def test_criterion_7_strided_work_bound():
                                  length, seed=31337 + i)
         lce = build_lce(text)
         ell0 = lcf0(lce)[0]
-        stats = ScanStats()
+        stats = Stats()
         span = klcf_strided(text, lce, k, stats=stats)
         if span.length < 8:
             continue
@@ -297,7 +296,7 @@ def test_criterion_8_window_scan_oracle():
 def test_criterion_9_desk_scale_smoke():
     build_l1(8)
     text = generate_instance("random", 8192, 4, 8, seed=99)
-    stats = TabulationStats()
+    stats = Stats()
     t0 = time.perf_counter()
     span = klcf_tabulation(text, 8, stats=stats)
     elapsed = time.perf_counter() - t0

@@ -4,8 +4,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import klcf
@@ -225,6 +227,18 @@ def test_gen_subcommand_roundtrip(tmp_path, capsys):
     assert klcf_oracle(text, 1).length >= 20
 
 
+def test_gen_byte_alphabet_roundtrip(tmp_path):
+    # sigma > 26 writes raw bytes; this instance's s2 ends in byte 10, which
+    # the reader would strip as a newline were the file not ended with one
+    out1, out2 = tmp_path / "g1", tmp_path / "g2"
+    assert main(["gen", "--kind", "random", "--n", "50", "--sigma", "64",
+                 "--k", "1", "--seed", "5",
+                 "--out1", str(out1), "--out2", str(out2)]) == 0
+    want = generate_instance("random", 50, 64, 1, seed=5)
+    text = load_inputs(str(out1), str(out2))
+    assert np.array_equal(text.s1, want.s1) and np.array_equal(text.s2, want.s2)
+
+
 def test_bench_tsv_shape():
     buf = io.StringIO()
     bench([24], [4], [1], ["naive", "strided", "tabulation"], repeats=2,
@@ -305,6 +319,46 @@ def test_solve_resolves_auto_and_builds_its_own_index():
     assert sol.span.length == klcf_oracle(text, 2).length
     with pytest.raises(ValueError):
         solve(text, 2, "bogus")
+
+
+# each solver's own counters in Stats; strided's include its purchases
+OWN_COUNTERS = {
+    "naive": {"scan_cells"},
+    "neighborhood": {"keywords_generated", "probes"},
+    "seeds": {"seed_pairs", "seed_cells"},
+    "strided": {"cells_visited", "passes", "pass_strides", "scan_cells",
+                "seed_pairs", "seed_cells"},
+    "tabulation": {"lut_queries", "max_diag_queries", "word_ops", "diagonals"},
+}
+
+
+def test_solve_fills_only_its_solvers_counters():
+    text = generate_instance("random", 200, 4, 2, seed=5)
+    lce = build_lce(text)
+    for algo, own in OWN_COUNTERS.items():
+        st = solve(text, 2, algo, lce=lce).stats
+        filled = {f.name for f in fields(st) if getattr(st, f.name)}
+        assert filled and filled <= own, (algo, filled)
+        # the per-solver work formulas that Stats.work replaced
+        cells = st.cells_visited + st.scan_cells + st.seed_cells
+        old = {"naive": text.n1 * text.n2, "neighborhood": st.keywords_generated,
+               "seeds": cells, "strided": cells, "tabulation": st.lut_queries}
+        assert st.work == old[algo], algo
+
+
+def test_the_names_the_bench_reads_resolve():
+    """bench/run.py and bench/trace_run.py reach these names of klcf."""
+    for record, names in ((klcf.ScanStats, ("cells_visited", "passes",
+                                            "pass_strides")),
+                          (klcf.tabulation.TabulationStats,
+                           ("lut_queries", "word_ops", "diagonals"))):
+        assert all(hasattr(record(), name) for name in names), names
+    for fn in (klcf.scan_pass, klcf.lce_forward, klcf.lce_backward,
+               klcf.tabulation.pack, klcf.build_l1, klcf.build_l2,
+               cli.RunConfig, cli.select_algorithm, cli.format_result,
+               cli.load_inputs):
+        assert callable(fn)
+    assert klcf.tabulation.DEFAULT_BLOCK_BITS == 8
 
 
 def _count_lcf0(monkeypatch):

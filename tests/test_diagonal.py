@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from klcf import diagonal, strided
-from klcf.core import (MatchSpan, Text, generate_instance, klcf_oracle, make_span,
-                       verify_match)
+from klcf.core import (MatchSpan, Stats, Text, generate_instance, klcf_oracle,
+                       make_span, verify_match)
 from klcf.diagonal import argmin_pair, geometry, klcf_diagonal_scan
 from klcf.lce import build_lce
-from klcf.strided import ScanStats, _pass_cells, klcf_strided, pass_cells
+from klcf.strided import _pass_cells, klcf_strided, pass_cells
 from klcf.tabulation import klcf_tabulation
 
 from conftest import brute_klcf, random_text
@@ -160,7 +160,7 @@ def test_strips_around_every_cell_give_the_scan(rng, monkeypatch, scan_cells):
         cells = list(product(range(t.n1), range(t.n2)))
         rng.shuffle(cells)
         for floor in (0, want.length):
-            stats = ScanStats()
+            stats = Stats()
             got = diagonal.best_in_strips(MatchSpan(0, 1, 1), t,
                                           _strip_seeds(cells, rng.randrange(1, 50)),
                                           u, k, floor, stats)
@@ -201,7 +201,7 @@ def _similar(rng, n, rate):
 
 def test_strided_witness_on_both_paths(rng, monkeypatch):
     """Witnesses equal the oracle's whether the passes settle the optimum,
-    the exhaustive scan finishes the search or seeds do; ScanStats tells
+    the exhaustive scan finishes the search or seeds do; Stats tells
     which ran.  Each case runs at the default seed price, then with seeds
     priced out, which leaves the passes and the scan to settle it."""
     seen = {"passes": 0, "scan": 0, "passes then scan": 0, "seeds": 0}
@@ -212,7 +212,7 @@ def test_strided_witness_on_both_paths(rng, monkeypatch):
               for _ in range(10)]
     for t, k, cost in product(cases, (0, 2, 4), (strided.SEED_CELL_COST, 1 << 40)):
         monkeypatch.setattr(strided, "SEED_CELL_COST", cost)
-        stats = ScanStats()
+        stats = Stats()
         span = klcf_strided(t, build_lce(t), k, stats=stats)
         assert span == klcf_oracle(t, k), (t.s1, t.s2, k, stats)
         assert stats.scan_cells in (0, t.n1 * t.n2)
@@ -478,7 +478,7 @@ def test_filter_engages_on_random_dna(monkeypatch):
     reached = _cells_reaching_the_exact_stage(monkeypatch)
     r = np.random.default_rng(7)
     t = Text.from_symbols(r.integers(0, 4, 3072).tolist(), r.integers(0, 4, 3072).tolist())
-    stats = ScanStats()
+    stats = Stats()
     span = klcf_strided(t, build_lce(t), 4, stats=stats)
     assert stats.passes == 0 and stats.scan_cells == t.n1 * t.n2
     assert sum(reached) < 0.05 * t.n1 * t.n2, sum(reached) / (t.n1 * t.n2)

@@ -8,9 +8,9 @@ import pytest
 
 from klcf import lce, route
 from klcf.cli import RunConfig, run
-from klcf.core import Text, generate_instance
+from klcf.core import Stats, Text, generate_instance
 from klcf.lce import MAX_SYMBOLS, SuffixIndex, _gram_keys, _grams_at, build_lce
-from klcf.strided import ScanStats, klcf_strided, scan_pass
+from klcf.strided import klcf_strided, scan_pass
 
 from conftest import counted_gram_keys, suffix_order_errors
 
@@ -253,7 +253,7 @@ def random_dna():
 
 def test_strided_without_a_pass_builds_no_backward_index(random_dna):
     lce = build_lce(random_dna)
-    stats = ScanStats()
+    stats = Stats()
     klcf_strided(random_dna, lce, 4, stats=stats)
     assert stats.passes == 0
     assert lce.bwd is None

@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 
-from klcf.core import Text, generate_instance
+from klcf.core import Stats, Text, generate_instance
 from klcf.lce import build_lce, lce_backward, lce_forward, lcf0
-from klcf.strided import ScanStats, klcf_strided
+from klcf.strided import klcf_strided
 
 
 def _text():
@@ -75,7 +75,7 @@ def test_strided_without_a_pass_builds_no_sparse_table():
     text = generate_instance("random", 3072, 4, 4, seed=1)
     lce = build_lce(text)
     lcf0(lce)
-    stats = ScanStats()
+    stats = Stats()
     klcf_strided(text, lce, 4, stats=stats)
     assert stats.passes == 0
     assert lce.fwd.table is None

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from klcf import seeds, strided
-from klcf.core import Text, klcf_oracle
+from klcf.core import Stats, Text, klcf_oracle
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, cross_runs, lcf0
 from klcf.seeds import klcf_seeds, run_length, seed_floor, seed_price, seed_search
-from klcf.strided import ScanStats, klcf_strided
+from klcf.strided import klcf_strided
 
 from conftest import random_text
 
@@ -90,7 +90,7 @@ def test_seed_chunk_boundaries(rng, monkeypatch, budget):
                         rng.choice([2, 4]))
         k = rng.randrange(0, 5)
         lce = build_lce(t)
-        stats = ScanStats()
+        stats = Stats()
         assert klcf_seeds(t, lce, k, stats=stats) == klcf_oracle(t, k)
         ell0, w1, w2 = lcf0(lce)
         if ell0 and k:
@@ -112,7 +112,7 @@ def test_strided_seed_arm_equals_oracle(rng, monkeypatch):
         t = random_text(rng, rng.randrange(0, 50), rng.randrange(0, 50),
                         rng.choice([1, 2, 4, 20]))
         k = rng.randrange(0, 6)
-        stats = ScanStats()
+        stats = Stats()
         assert klcf_strided(t, build_lce(t), k, stats=stats) == klcf_oracle(t, k)
         assert stats.passes == 0 and stats.scan_cells == 0
         if k and lcf0(build_lce(t))[0]:
@@ -166,7 +166,7 @@ def test_read_in_a_reference_solves_by_seeds():
     read[at] = (read[at] + 1 + r.integers(0, 3, 4)) % 4
     t = Text(ref, read, 4)
     lce = build_lce(t)
-    stats = ScanStats()
+    stats = Stats()
     span = klcf_strided(t, lce, 4, stats=stats)
     assert stats.seed_pairs > 0 and stats.passes == 0 and stats.scan_cells == 0
     assert lce.fwd.table is None and lce.bwd is None

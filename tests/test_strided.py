@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from klcf import strided
-from klcf.core import MatchSpan, Text, klcf_oracle, verify_match
+from klcf.core import MatchSpan, Stats, Text, klcf_oracle, verify_match
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce
-from klcf.strided import (ScanStats, klcf_strided, scan_pass, _batch_longest,
-                          _pass_cells)
+from klcf.strided import klcf_strided, scan_pass, _batch_longest, _pass_cells
 
 from conftest import random_text, through_cell
 
@@ -156,7 +155,7 @@ def test_passes_across_chunk_boundaries(rng, monkeypatch):
         k = rng.randrange(0, 4)
         want = klcf_oracle(t, k)
         for h in {1, max(1, want.length // 2), max(1, want.length)}:
-            stats = ScanStats()
+            stats = Stats()
             span = scan_pass(t, lce, k, h, stats)
             assert stats.cells_visited == strided.pass_cells(t.n1, t.n2, h)
             if h <= want.length:
@@ -172,11 +171,11 @@ def test_scan_pass_rejects_bad_stride():
 
 def test_klcf_strided_examples():
     t = Text.from_strings("abba", "aaba")
-    stats = ScanStats()
+    stats = Stats()
     span = klcf_strided(t, build_lce(t), 1, stats=stats)
     assert span.length == 4 and stats.passes <= 1
     t2 = Text.from_strings("same", "same")
-    stats = ScanStats()
+    stats = Stats()
     assert klcf_strided(t2, build_lce(t2), 0, stats=stats).length == 4
     assert stats.passes == 0  # the exact-match witness already ties h1
 
@@ -207,7 +206,7 @@ def test_passes_alone_solve_a_similar_pair(monkeypatch):
     idx = r.random(4096) < 0.01
     s2[idx] = (s2[idx] + 1 + r.integers(0, 3, idx.sum())) % 4
     t = Text.from_symbols(s1.tolist(), s2.tolist())
-    stats = ScanStats()
+    stats = Stats()
     span = klcf_strided(t, build_lce(t), 4, stats=stats)
     assert stats.passes >= 1 and stats.scan_cells == 0
     assert span == klcf_diagonal_scan(t, 4)
@@ -218,7 +217,7 @@ def test_work_counters(rng):
         t = random_text(rng, rng.randrange(8, 64), rng.randrange(8, 64),
                         rng.choice([2, 4]))
         k = rng.randrange(0, 4)
-        stats = ScanStats()
+        stats = Stats()
         span = klcf_strided(t, build_lce(t), k, stats=stats)
         h1 = min((k + 1) * klcf_oracle(t, 0).length + k, t.n1, t.n2)
         assert stats.passes <= max(1, h1).bit_length() + 1

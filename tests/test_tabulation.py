@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from klcf import diagonal
-from klcf.core import ResourceLimitError, Text, generate_instance, klcf_oracle
+from klcf.core import ResourceLimitError, Stats, Text, generate_instance, klcf_oracle
 from klcf.diagonal import geometry, klcf_diagonal_scan, packed_batches
-from klcf.tabulation import (TabulationStats, _row_blocks, build_l1, build_l2,
-                             klcf_tabulation, pack, unpack)
+from klcf.tabulation import (_row_blocks, build_l1, build_l2, klcf_tabulation,
+                             pack, unpack)
 
 from conftest import lut_entry, lut_window, random_text, two_pointer_window
 
@@ -299,7 +299,7 @@ def test_tabulation_other_word_widths(rng):
 
 def test_tabulation_stats_counters(rng):
     t = random_text(rng, 64, 64, 4)
-    stats = TabulationStats()
+    stats = Stats()
     klcf_tabulation(t, 3, stats=stats)
     assert stats.lut_queries > 0
     assert stats.diagonals == t.n1 + t.n2 - 1
@@ -423,7 +423,7 @@ def test_first_batch_runs_behind_the_filter():
     a floor for the rest of it: under 50,000 LUT queries, where reading
     that batch whole makes 739,324 of 740,433."""
     t = generate_instance("random", 3072, 4, 4, seed=1)
-    stats = TabulationStats()
+    stats = Stats()
     span = klcf_tabulation(t, 4, stats=stats)
     assert span == klcf_diagonal_scan(t, 4)
     assert stats.diagonals == t.n1 + t.n2 - 1
@@ -434,7 +434,7 @@ def test_filter_cuts_lut_queries(monkeypatch):
     """On random DNA, n = 3072 and k = 4, the filter leaves under a quarter
     of the LUT queries, and every diagonal is still counted."""
     t = generate_instance("random", 3072, 4, 4, seed=1)
-    filtered, full = TabulationStats(), TabulationStats()
+    filtered, full = Stats(), Stats()
     span = klcf_tabulation(t, 4, stats=filtered)
     monkeypatch.setattr(diagonal, "_kept_segments", lambda *args: None)
     assert klcf_tabulation(t, 4, stats=full) == span
