@@ -110,8 +110,10 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     counts sum to at most k, and every whole block of it lies in such a
     run: a block is kept when a passing run covers it, and so is one block
     on each side for the window's partial ends.  The run sums are built by
-    doubling and their coverage is merged from the passing starts alone,
-    so the filter costs O(bytes) whatever r is.
+    doubling on the batch's flat blocks, one call on a contiguous array a
+    step, and a start whose r blocks cross its row's end is dropped once it
+    passes.  Coverage is merged from the passing starts alone, so the
+    filter costs O(bytes) whatever r is.
     """
     g = _block_width(floor)
     if not g:
@@ -120,21 +122,24 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     per = 8 // g
     nb = nbytes * per
     r = (floor - g + 1) // g
-    if nb < r:
-        empty = np.empty(0, np.int64)
-        return empty, empty, empty
-    # per-block counts, wide enough for r blocks' sums (r*g can pass 255)
-    counts = np.empty((rows, nbytes, per), np.min_scalar_type(r * g))
-    for i in range(per):
-        counts[:, :, i] = np.bitwise_count((packed >> (8 - g - g * i)) & ((1 << g) - 1))
-    counts = counts.reshape(rows, nb)
-    # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling
-    out = nb - r + 1
+    # per-block counts on the flat batch, wide enough for r blocks' sums
+    # (r*g passes 255 only where g = 8).  With g < 8 each byte is copied into
+    # a little-endian word of per bytes, byte i keeping block i's bits.
+    counts = packed.reshape(-1)
+    if per > 1:
+        counts = counts.astype(f"<u{per}")
+        counts *= sum(1 << 8 * i for i in range(per))
+        counts &= sum((1 << g) - 1 << 8 * i + 8 - g - g * i for i in range(per))
+        counts = counts.view(np.uint8)
+    counts = np.bitwise_count(counts).astype(np.min_scalar_type(r * g), copy=False)
+    # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling;
+    # none where the batch holds fewer than r blocks
+    out = max(len(counts) - r + 1, 0)
     sums = None
     size, done = 1, 0
     while True:
         if r & size:
-            part = counts[:, done:done + out]
+            part = counts[done:done + out]
             # the first part is used as is, not added to a zero-filled array;
             # the doubling below builds each new counts array afresh, so
             # adding into this view later harms nothing
@@ -145,20 +150,21 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
             done += size
         if 2 * size > r:
             break
-        counts = counts[:, :-size] + counts[:, size:]
+        counts = counts[:-size] + counts[size:]
         size *= 2
-    hits = np.flatnonzero(sums <= k)
+    row, j = np.divmod(np.flatnonzero(sums <= k), nb)
+    # starts whose r blocks run past their row's end summed the next row's
+    row, j = row[j <= nb - r], j[j <= nb - r]
     # every passing start keeps its own block
-    if 2 * len(hits) > rows * nb:
+    if 2 * len(j) > rows * nb:
         return None
-    row, j = np.divmod(hits, out)
     lo = np.maximum(j - 1, 0) // per
     hi = (np.minimum(j + r + 1, nb) + per - 1) // per
     # the starts are sorted by row, then block, so are both ends of a row's
     # intervals: one starts a new run unless it meets its predecessor's end
-    first = np.ones(len(hits), bool)
+    first = np.ones(len(j), bool)
     first[1:] = (row[1:] != row[:-1]) | (lo[1:] > hi[:-1])
-    last = np.ones(len(hits), bool)
+    last = np.ones(len(j), bool)
     last[:-1] = first[1:]
     row, lo, hi = row[first], lo[first], hi[last]
     if 2 * int((hi - lo).sum()) > rows * nbytes:

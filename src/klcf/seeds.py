@@ -52,10 +52,12 @@ def run_length(floor: int, k: int) -> int:
     return max(1, -(-(floor - k) // (k + 1)))
 
 
-def _groups(text: Text, lce: LceIndex, m: int):
+def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None):
     """Yield (key, pos, in1) per batch of the SA runs at threshold m that
     hold both sides, at most SEED_BUDGET suffixes a batch (a larger run
-    makes a batch of its own).
+    makes a batch of its own).  Given a pair ``limit``, the first batch
+    ends at the first run by which the runs' pairs could pass it, and the
+    budget doubles from there, so a count stops near its limit.
 
     pos holds the batch's suffixes as 0-based concat positions, in1 marks
     those of s1, and key is (run in the batch) * (sigma + 2) + preceding
@@ -66,9 +68,14 @@ def _groups(text: Text, lce: LceIndex, m: int):
     end = np.cumsum(size)
     sa, concat = lce.fwd.sa, text.concat
     width = text.sigma + 2  # preceding symbols, the two separators included
+    budget = SEED_BUDGET
+    if limit is not None:
+        # a run of c suffixes holds at most c*c // 4 cross pairs
+        first = np.searchsorted(np.cumsum(size * size // 4), limit, side="right")
+        budget = min(budget, int(np.append(end, budget)[first]))
     a = 0
     while a < len(lo):
-        b = max(a + 1, int(np.searchsorted(end, end[a] - size[a] + SEED_BUDGET,
+        b = max(a + 1, int(np.searchsorted(end, end[a] - size[a] + budget,
                                            side="right")))
         sz = size[a:b]
         off = np.cumsum(sz) - sz
@@ -80,7 +87,7 @@ def _groups(text: Text, lce: LceIndex, m: int):
         order = np.argsort(key)
         pos = pos[order]
         yield key[order], pos, pos < text.n1
-        a = b
+        a, budget = b, min(2 * budget, SEED_BUDGET)
 
 
 def seed_price(text: Text, lce: LceIndex, m: int,
@@ -90,7 +97,7 @@ def seed_price(text: Text, lce: LceIndex, m: int,
     preceding symbol a.  Counting stops once the count passes ``limit``."""
     width = text.sigma + 2
     pairs = 0
-    for key, _, in1 in _groups(text, lce, m):
+    for key, _, in1 in _groups(text, lce, m, limit):
         # c1[a] and c2[a] per (run, a), then c1 and c2 per run
         cut = np.flatnonzero(np.diff(key, prepend=-1))
         c1 = np.add.reduceat(in1, cut, dtype=np.int64)

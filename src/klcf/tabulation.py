@@ -35,13 +35,14 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MatchSpan, ResourceLimitError, Stats, Text, make_span
-from .diagonal import _gather, _kept_runs, best_window, packed_batches
+from .diagonal import PACK_CELLS, _gather, _kept_runs, best_window, packed_batches
 
 # the solver's block width: one packed byte of mismatch bits
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
 L2_TABLE_BYTE_LIMIT = 1 << 27
-# byte v bit-reversed, so that a packed byte's first cell is bit 0
+# byte v bit-reversed, so that a packed byte's first cell is bit 0, as the
+# tables read it
 REVERSE = np.packbits(np.arange(256)[:, None] >> np.arange(8) & 1, axis=1)[:, 0]
 
 
@@ -192,19 +193,6 @@ def _tables() -> tuple[Lut, Lut]:
 
 
 # ---------------------------------------------------------------------------
-# mismatch blocks
-
-def _row_blocks(packed: np.ndarray, runs):
-    """(blocks, m, boff): the byte blocks of the runs (row, first byte,
-    cells) of a packed batch, laid end to end by ``_gather``, each byte
-    bit-reversed so that its first cell is bit 0, as the tables read it;
-    bits past a diagonal's end stay set, as the window scan needs.
-    """
-    data, m, boff = _gather(packed, runs)
-    return REVERSE[data], m, boff
-
-
-# ---------------------------------------------------------------------------
 # window scans
 
 # bench/trace_run.py reads TabulationStats; the alias goes with ROADMAP item 1a
@@ -215,71 +203,70 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
                best: MatchSpan, stats: Stats | None) -> MatchSpan:
     """``best``, or the best window over many diagonals' flat blocks if it
     is at least as long (``best_window``); a diagonal may be a kept run of
-    one.
-
-    A diagonal that ends inside its last block has the bits past its end
+    one, and one that ends inside its last block has the bits past its end
     set.
+
+    Row 0 of a (k + 2, blocks) stack is each block's L1 window, and row
+    p + 1 its L2 window to the block that holds the (p+1)-th set bit after
+    it, found by a jump walk.  A diagonal's last block has no L2 window:
+    its rows are gathered and dropped, and ``lut_queries`` counts none.
+    The rows go in slices of at most ``PACK_CELLS`` / 8 queries, each one
+    gather and one ``best_window`` selection.
     """
-    dcount = len(m)
     nb = len(blocks)
-    dia = np.repeat(np.arange(dcount), m)
-    c_in = np.arange(nb, dtype=np.int64) - boff[dia]
+    dia = np.repeat(np.arange(len(m)), m)
+    # the flat blocks' cells are numbered from 1, block t's after cell t*b;
+    # block t's diagonal ends at cell cap[t], inside block lim[t]
+    tb = np.arange(0, nb * b, b)
+    cap = (boff * b + length)[dia]
     last = boff + m - 1
+    lim = last[dia]
     popc = np.bitwise_count(blocks)
-    # pref[e] counts the set bits before block e; block nb, past the end,
-    # holds every bit index from the last one on
+    # pref[e] counts the set bits before block e, and ends[e] those up to
+    # its end; block nb, past the end, holds every bit index from the last
+    # one on
     pref = np.zeros(nb + 2, dtype=np.int64)
     np.cumsum(popc, dtype=np.int64, out=pref[1:-1])
     pref[-1] = np.iinfo(np.int64).max
-    ldia = length[dia]
-
-    def consider(clen, cst, dsel):
-        nonlocal best
-        # only the longest windows, and only if they tie the best or beat
-        # it, reach the selection's gathers
-        mx = clen.max()
-        if mx < best.length:
-            return
-        hits = np.flatnonzero(clen == mx)
-        cst, dsel = cst[hits], dsel[hits]
-        best = best_window(best, clen[hits], st1[dsel] + cst - 1, st2[dsel] + cst - 1)
-
-    k1 = min(k, b)
-    st = c_in * b + l1.start[k1, blocks].astype(np.int64)
-    en = np.minimum(c_in * b + l1.end[k1, blocks].astype(np.int64), ldia)
-    consider(en - st + 1, st, dia)
-    queries = nb
-
-    left = np.flatnonzero(c_in < (m[dia] - 1))
-    if len(left):
-        t1 = left
-        dsel = dia[t1]
-        base = pref[t1 + 1]
-        lv = blocks[t1]
-        lim = last[dsel]
-        ldr = ldia[t1]
-        c_l = c_in[t1]
-        # nxt[e] is the first block from e on with a set bit, or nb
-        nxt = np.full(nb + 2, nb)
-        nxt[:nb] = np.where(popc > 0, np.arange(nb), nb)
-        nxt[:nb] = np.minimum.accumulate(nxt[nb - 1::-1])[::-1]
-        del dia, c_in, ldia, popc, st, en  # full-batch arrays L2 does not read
-        # at step p, at is the block that holds set bit base + p (0-based),
-        # the largest e with pref[e] <= base + p, or nb past the last bit
-        at = nxt[t1 + 1]
-        for p in range(k + 1):
-            if p:
-                at = np.where(pref[at + 1] > base + p, at, nxt[at + 1])
-            e = np.minimum(at, lim)
-            q = pref[e] - base
-            kp = np.minimum(k - q, 2 * b)
-            st = c_l * b + l2.start[kp, lv, blocks[e]].astype(np.int64)
-            en = np.minimum((e - boff[dsel]) * b + l2.end[kp, lv, blocks[e]].astype(np.int64) - b,
-                            ldr)
-            consider(en - st + 1, st, dsel)
-        queries += (k + 1) * len(t1)
+    ends = pref[1:]
+    # nxt[e] is the first block from e on with a set bit, or nb
+    nxt = np.full(nb + 2, nb)
+    nxt[:nb] = np.where(popc > 0, np.arange(nb), nb)
+    nxt[:nb] = np.minimum.accumulate(nxt[nb - 1::-1])[::-1]
+    # first[t] indexes the first set bit after block t (0-based).  From
+    # block t, step p takes at to the block that holds bit first + p, or nb
+    # past the last bit: to nxt[at + 1] where at's bits end at or before
+    # it, else to nxt[at], which is at, a block with a set bit (or nb).
+    first = ends[:nb]
+    at = np.arange(nb)
+    # a slice of int64 rows holds PACK_CELLS bytes, as the packing's
+    # compare does; L1's row alone where no block has an L2 window
+    rows, top = max(1, PACK_CELLS // 8 // nb), k + 2 if nb > len(m) else 1
+    for lo in range(0, top, rows):
+        bits = first + np.arange(max(lo, 1) - 1, min(lo + rows, top) - 1)[:, None]
+        e = np.empty(bits.shape, np.int64)
+        for i, bit in enumerate(bits):
+            e[i] = at = nxt[at + (ends[at] <= bit)]
+        np.minimum(e, lim, out=e)
+        # the L2 key: the budget k less the set bits from block t's end to
+        # e's start, block t and block e
+        key = (np.minimum(first + k - pref[e], 2 * b) << b | blocks) << b | blocks[e]
+        st = tb + l2.start.reshape(-1)[key]
+        en = (e - 1) * b + l2.end.reshape(-1)[key]
+        en[:, last] = -1
+        if lo == 0:
+            st = np.concatenate([(tb + l1.start[min(k, b)][blocks])[None], st])
+            en = np.concatenate([(tb + l1.end[min(k, b)][blocks])[None], en])
+        np.minimum(en, cap, out=en)
+        en -= st - 1
+        mx = int(en.max())
+        if mx >= best.length:
+            hits = np.flatnonzero(en == mx)
+            st, d = st.reshape(-1)[hits], dia[hits % nb]
+            st -= boff[d] * b + 1
+            best = best_window(best, en.reshape(-1)[hits], st1[d] + st, st2[d] + st)
     if stats is not None:
-        stats.lut_queries += queries
+        stats.lut_queries += nb + (k + 1) * (nb - len(m))
         per_diag = int((m + (m - 1) * (k + 1)).max())
         stats.max_diag_queries = max(stats.max_diag_queries, per_diag)
     return best
@@ -298,8 +285,8 @@ def klcf_tabulation(text: Text, k: int,
             stats.diagonals += len(length)
         runs = row, first, cells = _kept_runs(packed, length, k, max(best.length, 1))
         if len(row):
-            blocks, m, boff = _row_blocks(packed, runs)
-            best = _scan_flat(blocks, m, boff, cells, st1[row] + 8 * first,
+            data, m, boff = _gather(packed, runs)
+            best = _scan_flat(REVERSE[data], m, boff, cells, st1[row] + 8 * first,
                               st2[row] + 8 * first, DEFAULT_BLOCK_BITS, k, l1, l2,
                               best, stats)
     return make_span(text, best.length, best.i1, best.i2)

@@ -421,6 +421,30 @@ def test_run_sums_wider_than_a_byte(rng):
     assert klcf_diagonal_scan(t, 3, floor=_seed_floor(t, 3)) == klcf_oracle(t, 3)
 
 
+@pytest.mark.parametrize("floor, k", [(9, 1), (27, 2), (303, 3)])
+def test_sums_across_a_row_end_are_dropped(rng, floor, k):
+    """The filter sums r blocks on the flat batch, across row ends.  Rows of
+    whole bytes (no pad bits) whose heads and tails hold h < r <= 2h
+    mismatch-free blocks, with set bits between, pass an r-block sum only
+    across a row's end, and no byte of theirs may be kept; a few rows with
+    no mismatch keep theirs.  g = 2, 4 and 8, the last at r*g = 296."""
+    g = diagonal._block_width(floor)
+    r = (floor - g + 1) // g
+    h = r // 2 + 1
+    assert h < r <= 2 * h and g > k
+    least = -(-(2 * h + 1) * g // 8)  # bytes for both ends and a set block
+    for _ in range(5):
+        rows, nbytes = rng.randrange(20, 41), rng.randrange(least, least + 6)
+        bits = np.ones((rows, 8 * nbytes), bool)
+        bits[:, :h * g] = bits[:, -h * g:] = False
+        bits[rng.sample(range(rows), 2)] = False
+        packed = np.packbits(bits, axis=1)
+        want = _kept_reference(packed, k, floor)
+        got = diagonal._kept_segments(packed, k, floor)
+        assert want is not None and want.any() and got is not None
+        assert (_mask(got, packed.shape) == want).all()
+
+
 def test_coverage_costs_bytes_not_runs():
     """Coverage is merged from the passing starts, never expanded over r
     blocks each: 4 rows of 2^18 cells whose first 40 % match, at r = 4096

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from klcf import seeds, strided
-from klcf.core import Stats, Text, klcf_oracle
+from klcf.core import Stats, Text, generate_instance, klcf_oracle
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, cross_runs, lcf0
 from klcf.seeds import klcf_seeds, run_length, seed_floor, seed_price, seed_search
@@ -68,6 +68,32 @@ def test_seed_price_stops_past_its_limit():
     full = seed_price(t, lce, 1)
     assert full > 10
     assert 10 < seed_price(t, lce, 1, limit=10) <= full
+
+
+def test_seed_price_stops_near_its_limit(rng, monkeypatch):
+    """A limited count's first batch ends where the runs' pairs could first
+    pass the limit, and its budget doubles from there: on 6,144 random DNA
+    suffixes at m = 3 (one batch of 110,425 pairs unlimited) a limit of
+    10,000 stops it under 30,000, and on any text it passes its limit
+    exactly when the full count does."""
+    t = generate_instance("random", 3072, 4, 4, seed=1)
+    lce = build_lce(t)
+    assert seed_price(t, lce, 3) == 110_425
+    assert 10_000 < seed_price(t, lce, 3, limit=10_000) < 30_000
+    monkeypatch.setattr(seeds, "SEED_BUDGET", 16)
+    for _ in range(100):
+        t = random_text(rng, rng.randrange(0, 60), rng.randrange(0, 60),
+                        rng.choice([1, 2, 4]))
+        lce = build_lce(t)
+        for m in (1, 2, 3):
+            full = seed_price(t, lce, m)
+            for limit in (0, 3, 20, 100):
+                got = seed_price(t, lce, m, limit)
+                assert got == full if full <= limit else limit < got <= full
+            # a batch holds at most the budget's suffixes, or one run
+            for key, _, _ in seeds._groups(t, lce, m, 20):
+                runs = key // (t.sigma + 2)
+                assert len(key) <= 16 or runs[0] == runs[-1]
 
 
 def test_klcf_seeds_equals_oracle(rng):

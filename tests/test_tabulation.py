@@ -6,9 +6,9 @@ import pytest
 
 from klcf import diagonal
 from klcf.core import ResourceLimitError, Stats, Text, generate_instance, klcf_oracle
-from klcf.diagonal import geometry, klcf_diagonal_scan, packed_batches
-from klcf.tabulation import (_row_blocks, build_l1, build_l2, klcf_tabulation,
-                             pack, unpack)
+from klcf.diagonal import _gather, geometry, klcf_diagonal_scan, packed_batches
+from klcf.tabulation import (REVERSE, build_l1, build_l2, klcf_tabulation, pack,
+                             unpack)
 
 from conftest import lut_entry, lut_window, random_text, two_pointer_window
 
@@ -183,8 +183,9 @@ def test_blocks_match_direct_comparison(rng, monkeypatch):
         monkeypatch.setattr(diagonal, "SCAN_CELLS", rng.choice([64, 1 << 20]))
         for packed, st1, st2, length in packed_batches(t, k):
             rows = len(length)
-            blocks, m, boff = _row_blocks(
+            data, m, boff = _gather(
                 packed, (np.arange(rows), np.zeros(rows, np.int64), length))
+            blocks = REVERSE[data]  # as the tables read them
             assert m.tolist() == (-(-length // b)).tolist()
             batch = st2 - st1 + t.n1 - 1  # the diagonals' indices
             assert (length == geometry(t.n1, t.n2, batch)[2]).all()
@@ -306,6 +307,32 @@ def test_tabulation_stats_counters(rng):
     # per-diagonal budget: m blocks of L1 plus (m-1)(k+1) of L2
     m_max = -(-64 // 8)
     assert stats.max_diag_queries <= 2 * m_max * (3 + 1)
+
+
+def _planted_read():
+    """A 150-symbol read copied from a random 4,096-symbol DNA reference at
+    3,001, with 4 substitutions."""
+    r = np.random.default_rng(5)
+    ref = r.integers(0, 4, 4096)
+    read = ref[3000:3150].copy()
+    at = r.choice(150, 4, replace=False)
+    read[at] = (read[at] + 1 + r.integers(0, 3, 4)) % 4
+    return Text.from_symbols(ref.tolist(), read.tolist())
+
+
+@pytest.mark.parametrize("case", ["read", "random"])
+def test_tabulation_work_is_pinned(case):
+    """The span and the work tabulation reports on two fixed pairs, so a
+    rewrite of its batch kernels cannot change what the LUT stage reads."""
+    if case == "read":
+        t, k, want = _planted_read(), 4, ((150, 3001, 1), 7783, 109, 4245, 80655)
+    else:
+        t, k = generate_instance("random", 1024, 20, 1, seed=2), 1
+        want = ((5, 28, 754), 24171, 382, 2047, 259866)
+    stats = Stats()
+    span = klcf_tabulation(t, k, stats=stats)
+    assert ((span.length, span.i1, span.i2), stats.lut_queries, stats.max_diag_queries,
+            stats.diagonals, stats.word_ops) == want
 
 
 def test_tabulation_peak_memory_is_bounded():
