@@ -70,12 +70,15 @@ def best_window(best: MatchSpan, length, i1: np.ndarray, i2: np.ndarray) -> Matc
     selection every solver makes.  ``length`` may be one length for all."""
     if len(i1) == 0:
         return best
-    length = np.broadcast_to(length, np.shape(i1))
-    mx = int(length.max())
+    scalar = np.ndim(length) == 0
+    mx = int(length if scalar else length.max())
     if mx < best.length:
         return best
-    hits = np.flatnonzero(length == mx)
-    h = hits[argmin_pair(i1[hits], i2[hits])]
+    if scalar:
+        h = argmin_pair(i1, i2)
+    else:
+        hits = np.flatnonzero(length == mx)
+        h = hits[argmin_pair(i1[hits], i2[hits])]
     return better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
 
 

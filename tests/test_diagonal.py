@@ -8,7 +8,7 @@ import pytest
 from klcf import diagonal, strided
 from klcf.core import (MatchSpan, Stats, Text, generate_instance, klcf_oracle,
                        make_span, verify_match)
-from klcf.diagonal import argmin_pair, geometry, klcf_diagonal_scan
+from klcf.diagonal import argmin_pair, best_window, geometry, klcf_diagonal_scan
 from klcf.lce import build_lce
 from klcf.strided import _pass_cells, klcf_strided, pass_cells
 from klcf.tabulation import klcf_tabulation
@@ -80,6 +80,22 @@ def test_argmin_pair_is_lexicographic_past_any_key_width(rng):
         b = np.array([rng.choice([0, 5, big, 2 * big]) for _ in range(size)])
         g = argmin_pair(a, b)
         assert (a[g], b[g]) == min(zip(a.tolist(), b.tolist()))
+
+
+def test_best_window_scalar_length_picks_the_array_span(rng):
+    """One length for all windows, as ``best_in_rows`` passes it, selects
+    the same span as that length repeated in an array, ties included."""
+    for _ in range(300):
+        size = rng.randrange(1, 12)
+        i1 = np.array([rng.choice([1, 2, 7, 1 << 40]) for _ in range(size)])
+        i2 = np.array([rng.choice([1, 3, 9, 1 << 41]) for _ in range(size)])
+        ln = rng.randrange(0, 6)
+        best = MatchSpan(rng.randrange(0, 6), rng.choice([1, 2, 8]), rng.choice([1, 4]))
+        got = best_window(best, ln, i1, i2)
+        assert got == best_window(best, np.full(size, ln), i1, i2)
+        assert got == best_window(best, np.int64(ln), i1, i2)
+        if ln > best.length:
+            assert (got.i1, got.i2) == min(zip(i1.tolist(), i2.tolist()))
 
 
 def _seed_floor(t: Text, k: int) -> int:

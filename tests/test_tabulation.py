@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from klcf import diagonal
+from klcf import diagonal, tabulation
 from klcf.core import ResourceLimitError, Stats, Text, generate_instance, klcf_oracle
 from klcf.diagonal import _gather, geometry, klcf_diagonal_scan, packed_batches
 from klcf.tabulation import (REVERSE, build_l1, build_l2, klcf_tabulation, pack,
@@ -160,6 +160,29 @@ def test_lut_guards():
     with pytest.raises(ResourceLimitError):
         build_l2(11)  # over the byte limit; b = 10, the widest that fits,
         # builds in test_l2_sampled_past_one_byte_blocks
+    with pytest.raises(ValueError):
+        build_l1(4, 5)  # past L1's top budget b
+    with pytest.raises(ValueError):
+        build_l2(4, 9)  # past L2's top budget 2b
+    with pytest.raises(ValueError):
+        build_l2(4, -1)
+
+
+def test_tables_to_a_top_budget_are_the_full_tables_first_layers():
+    """Every layer of a table built to a top budget is the full table's,
+    byte for byte, at every width to the default and every top."""
+    for b in range(1, 9):
+        l1, l2 = build_l1(b), build_l2(b)
+        for top in range(b + 1):
+            part = build_l1(b, top)
+            assert part.start.shape == (top + 1, 1 << b)
+            assert part.start.tobytes() == l1.start[:top + 1].tobytes()
+            assert part.end.tobytes() == l1.end[:top + 1].tobytes()
+        for top in range(2 * b + 1):
+            part = build_l2(b, top)
+            assert part.start.shape == (top + 1, 1 << b, 1 << b)
+            assert part.start.tobytes() == l2.start[:top + 1].tobytes()
+            assert part.end.tobytes() == l2.end[:top + 1].tobytes()
 
 
 # -- mismatch blocks ----------------------------------------------------------
@@ -246,6 +269,35 @@ def test_tabulation_examples():
     t2 = Text.from_strings("hello", "hello")
     assert klcf_tabulation(t2, 0).length == 5
     assert klcf_tabulation(Text.from_symbols([], [1]), 2).length == 0
+
+
+def test_held_tables_grow_with_the_budget_and_never_shrink(rng, monkeypatch):
+    """One process solving k = 1, 4, 1, 0 and then 20 holds the layers of
+    the largest budget so far: 2, 5, 5, 5 and all 17 of L2, and every
+    span is the oracle's.  k = 20 reads L1's top layer 8 and caps every
+    L2 key at layer 16."""
+    monkeypatch.setattr(tabulation, "_held", None)
+    texts = [random_text(rng, rng.randrange(20, 120), rng.randrange(20, 120),
+                         rng.choice([2, 4])) for _ in range(6)]
+    for k, layers in ((1, 2), (4, 5), (1, 5), (0, 5), (20, 17)):
+        for t in texts:
+            assert klcf_tabulation(t, k) == klcf_oracle(t, k), (k, t.n1, t.n2)
+        l1, l2 = tabulation._held
+        assert (len(l1.start), len(l2.start)) == (min(layers, 9), layers)
+
+
+def test_first_low_budget_call_builds_few_layers(monkeypatch):
+    """A process's first k = 1 call builds L1 and L2 layers 0..1 only: its
+    peak stays under 1.25 MiB, where all 17 L2 layers take 2.8 MiB."""
+    monkeypatch.setattr(tabulation, "_held", None)
+    t = Text.from_strings("ab", "ba")
+    tracemalloc.start()
+    try:
+        klcf_tabulation(t, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (1 << 20)
 
 
 def test_tabulation_equals_oracle(rng, monkeypatch):
