@@ -7,7 +7,12 @@ out rows of mismatch bits, 8 cells to a byte in whole bytes, every bit
 past a row's cells set: the whole diagonals of ``packed_batches``, which
 the exhaustive scan and tabulation walk a batch at a time with the starts
 and lengths of ``geometry``, and the strips of ``best_in_strips`` around
-the seed cells ``seeds`` hands over.  It alone cuts them into the runs an
+the seed cells ``seeds`` hands over.  A batch's rows are consecutive
+offsets of one sequence against a prefix of the other, so they come from
+xor-ed bit planes of the symbols (``_plane_rows``), 8 cells a byte
+operation and one per plane; a strip's rows are gathered, and those and
+alphabets of ``PLANE_LIMIT`` planes or more are compared a byte per cell
+and packed (``_packed_rows``).  It alone cuts them into the runs an
 exact stage reads (``_kept_runs``) and lays those end to end
 (``_gather``), so the scan and tabulation differ only in that stage.
 Strided passes walk no diagonals: ``strided`` owns the cells they visit.
@@ -30,7 +35,7 @@ window, then the smallest (i1, i2).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import MatchSpan, Stats, Text, better_span, make_span
 
@@ -40,6 +45,12 @@ SCAN_CELLS = 1 << 20
 # cells compared and packed at a time within a batch, so the comparison's
 # one-byte-per-cell result never spans a whole batch
 PACK_CELLS = 1 << 17
+# alphabets of this many bit planes or more (sigma + 2 > 16 symbols with
+# the pads) compare a byte per cell.  At 5 planes the planes' xors and
+# their transpose cost more than the comparison on long rows (tabulation on
+# random sigma = 16 and 20, n = 3072: 4-5 % slower in process), though less
+# on 150-cell ones (8 % faster); at 4 planes and below they are no slower.
+PLANE_LIMIT = 5
 
 
 def geometry(n1: int, n2: int, g: np.ndarray):
@@ -175,16 +186,22 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     return row, lo, hi
 
 
+def _whole_rows(length: np.ndarray):
+    """(row, first byte, cells) of every row of a batch, whole."""
+    return np.arange(len(length)), np.zeros(len(length), np.int64), length
+
+
 def _kept_runs(packed: np.ndarray, length: np.ndarray, k: int, floor: int):
     """(row, first byte, cells) int64 arrays of the byte runs of a packed
-    batch that ``_kept_segments`` keeps at ``floor``, every row whole when
-    it keeps too much.  Row r holds length[r] cells; each run is clipped
-    to its diagonal and holds the cells from its first byte to its end or
-    its diagonal's, whichever comes first, and a run that starts at or
-    past its diagonal's end holds no cell and is dropped."""
+    batch that ``_kept_segments`` keeps at ``floor``, or None when it keeps
+    too much and every row is read whole (``_whole_rows``).  Row r holds
+    length[r] cells; each run is clipped to its diagonal and holds the
+    cells from its first byte to its end or its diagonal's, whichever comes
+    first, and a run that starts at or past its diagonal's end holds no
+    cell and is dropped."""
     kept = _kept_segments(packed, k, floor)
     if kept is None:
-        return np.arange(len(length)), np.zeros(len(length), np.int64), length
+        return None
     row, lo, hi = kept
     keep = 8 * lo < length[row]
     row, lo, hi = row[keep], lo[keep], hi[keep]
@@ -256,6 +273,8 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
     those."""
     least = max(best.length, floor, 1)
     runs = _kept_runs(packed, length, k, least)
+    if runs is None:
+        runs = _whole_rows(length)
     found = _best_in_batch(packed, k, least, runs)
     if found is None:
         return best
@@ -278,6 +297,35 @@ def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return packed.reshape(rows, w // 8)
 
 
+def _plane_rows(seg: np.ndarray, fixed: np.ndarray, rows: int, planes: int) -> np.ndarray:
+    """Rows of mismatch bits seg[x:x + w] != fixed for x < rows, as
+    ``_packed_rows`` lays them out, from the symbols' ``planes`` bit planes.
+
+    Each plane of seg is packed at its 8 bit phases, so that byte y holds
+    the plane's bits from position y on; byte j of row x is then byte
+    x + 8j, and one strided (bytes, rows) view holds every row with the
+    rows innermost.  A cell mismatches where some plane's bits differ, so
+    the rows are the planes' views xor-ed with fixed's packed planes and
+    or-ed together, and one transpose lays them out a row at a time.
+    seg must hold rows + w + 6 symbols.
+    """
+    nbytes = len(fixed) // 8
+    # 8q bytes a plane, to byte rows + w - 9, the last one a row reads
+    q = -(-(rows + len(fixed) - 8) // 8)
+    shifts = np.arange(planes, dtype=seg.dtype)[:, None]
+    bits = seg[:8 * q + 7] >> shifts & 1
+    phased = np.empty((planes, q, 8), np.uint8)
+    for p in range(8):
+        phased[:, :, p] = np.packbits(bits[:, p:p + 8 * q], axis=1)
+    want = np.packbits(fixed >> shifts & 1, axis=1)
+    views = as_strided(phased, (planes, nbytes, rows), (8 * q, 8, 1), writeable=False)
+    acc = views[0] ^ want[0][:, None]
+    part = np.empty_like(acc)
+    for view, ref in zip(views[1:], want[1:]):
+        acc |= np.bitwise_xor(view, ref[:, None], out=part)
+    return np.ascontiguousarray(acc.T)
+
+
 def packed_batches(text: Text, k: int, floor: int = 0):
     """Yield (packed, st1, st2, length) for every diagonal of ``text``, a
     batch of them at a time: one row of mismatch bits each, and the
@@ -286,7 +334,9 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     longer diagonal), less k + 8 separator bits a row for the scan's exact
     stage.  Diagonals with i2 <= i1 slide s1 past s2 and the others s2
     past s1, so a batch is a slice of one padded sequence's windows
-    compared with a prefix of the other.  Both halves run from the longest
+    compared with a prefix of the other: by ``_plane_rows`` from the bit
+    planes of that slice alone, or by ``_packed_rows`` when the alphabet
+    needs ``PLANE_LIMIT`` planes or more.  Both halves run from the longest
     diagonal outwards, so a batch's first row sets its width.
 
     ``floor`` is the length of a window known to exist, or 0.  When it is
@@ -296,27 +346,29 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
-    # padded so every row of a batch's view is in bounds, on either side
-    s1, s2 = padded_pair(text, n2 + 8, n1 + 8)
-    # (sliding side, fixed side, first diagonal, one past the last, step)
-    halves = ((s1, s2, n1 - 1, -1, -1), (s2, s1, n1, n1 + n2 - 1, 1))
+    # padded so every batch's symbols are in bounds, on either side
+    s1, s2 = padded_pair(text, n2 + 16, n1 + 16)
+    planes = (text.sigma + 1).bit_length()  # the pads take sigma and sigma + 1
+    # (sliding side, fixed side, their lengths, first offset, diagonal step):
+    # the row at sliding offset x is diagonal n1 - 1 + step * x
+    halves = ((s1, s2, n1, n2, 0, -1), (s2, s1, n2, n1, 1, 1))
     chunked = not _block_width(floor)
-    for padded, fixed, g, g_end, step in halves:
-        while g != g_end:
-            st1, st2, length = geometry(n1, n2, np.array([g]))
-            w = -(-int(length[0]) // 8) * 8  # whole bytes
-            rows = min(max(1, SCAN_CELLS // (w + k + 8)), abs(g_end - g))
-            x0 = int(max(st1[0], st2[0])) - 1  # the fixed side starts at 1
-            view = sliding_window_view(padded, w)[x0:x0 + rows]
-            packed = _packed_rows(view, fixed[:w])
-            st1, st2, length = geometry(n1, n2, np.arange(g, g + step * rows, step))
+    for padded, fixed, n_slide, n_fixed, x, step in halves:
+        while x < n_slide:
+            w = -(-min(n_slide - x, n_fixed) // 8) * 8  # the first row, whole bytes
+            rows = min(max(1, SCAN_CELLS // (w + k + 8)), n_slide - x)
+            if planes < PLANE_LIMIT:
+                packed = _plane_rows(padded[x:x + rows + w + 6], fixed[:w], rows, planes)
+            else:
+                packed = _packed_rows(sliding_window_view(padded, w)[x:x + rows], fixed[:w])
+            st1, st2, length = geometry(n1, n2, n1 - 1 + step * np.arange(x, x + rows))
             cuts = [0, rows]
             if chunked:
                 cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
                 chunked = False
             for lo, hi in zip(cuts, cuts[1:]):
                 yield packed[lo:hi], st1[lo:hi], st2[lo:hi], length[lo:hi]
-            g += step * rows
+            x += rows
 
 
 def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,

@@ -4,14 +4,20 @@ The paper's tabulation algorithm has two stages.  The first gets each
 diagonal's mismatch bits; the paper packs the symbols into machine words
 and xor-compares them a word at a time, and its O(n^2 log min(k+l0,
 sigma) / log n) bound counts those word operations.  This reproduction
-takes the bits instead from numpy's packed comparison, the batches of
-``packed_batches`` that the exhaustive scan reads too.  The second stage
-is the paper's with b = 8: each packed byte of the bits is a block, and
-two lookup tables, ``Lut``s of window bounds (start, end) and nothing
-else, give the longest window with at most k' set bits inside one block
-(L1) and straddling two blocks (L2).  Combining block-local answers with
-running interior popcounts yields the longest window with at most k set
-bits per diagonal, i.e. the optimum match length.
+reads the batches of ``packed_batches`` that the exhaustive scan reads
+too, which xor the symbols' bit planes, ceil(log2(sigma + 2)) of them
+with the two pad symbols, 8 cells a byte: the paper's word comparison,
+sliced by bit instead of by symbol, on bytes rather than log n-bit
+words.  It departs from the paper twice: the alphabet is not reduced to
+min(k + l0, sigma) symbols, and alphabets of 5 planes or more (sigma >=
+15) compare a byte per cell and pack that (``PLANE_LIMIT``).  The
+second stage is the paper's with b = 8: each packed byte of the bits is
+a block, and two lookup tables, ``Lut``s of window bounds (start, end)
+and nothing else, give the longest window with at most k' set bits
+inside one block (L1) and straddling two blocks (L2).  Combining
+block-local answers with running interior popcounts yields the longest
+window with at most k set bits per diagonal, i.e. the optimum match
+length.
 
 The tables hold only the budgets a solve reads: L1's layers 0..min(k, b)
 and L2's 0..min(k, 2b), each entry a start and an end byte.  ``_tables``
@@ -27,7 +33,9 @@ batches, the first one in row chunks of 1, 2, 4, ... rows, and the same
 byte runs, which ``_kept_runs`` keeps behind the scan's block filter at
 the best length so far.  A window at least that long lies inside one
 kept run, so only those runs reach the tables, each as a diagonal of its
-own, and the LUT stays the only exact stage.  The floor is the running
+own, and the LUT stays the only exact stage.  Kept runs are pooled across
+batches into one LUT scan per ``POOL_BLOCKS`` blocks, so its fixed cost
+is paid a few times a solve, not once a batch.  The floor is the running
 best, not ``lcf0``'s lower bound, so tabulation builds no LCE index.  On
 random DNA, n = 3072 and k = 4 (``generate_instance`` seed 1), the LUT
 stage makes 9,832 of the 7,063,301 queries of the unfiltered scan.
@@ -43,12 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MatchSpan, ResourceLimitError, Stats, Text, make_span
-from .diagonal import PACK_CELLS, _gather, _kept_runs, best_window, packed_batches
+from .diagonal import (PACK_CELLS, _gather, _kept_runs, _whole_rows, best_window,
+                       packed_batches)
 
 # the solver's block width: one packed byte of mismatch bits
 DEFAULT_BLOCK_BITS = 8
 WORD_BITS = 64
 L2_TABLE_BYTE_LIMIT = 1 << 27
+# blocks of kept runs pooled across batches per LUT scan: fewer calls of
+# its fixed cost, while the floor the filter reads stays fresh (a pool of
+# 4,096 blocks was slower on random DNA, n = 3072)
+POOL_BLOCKS = 1 << 9
 # byte v bit-reversed, so that a packed byte's first cell is bit 0, as the
 # tables read it
 REVERSE = np.packbits(np.arange(256)[:, None] >> np.arange(8) & 1, axis=1)[:, 0]
@@ -303,21 +316,46 @@ def _scan_flat(blocks, m, boff, length, st1, st2, b, k, l1, l2,
     return best
 
 
+def _scan_pool(pool, k, l1, l2, best: MatchSpan, stats: Stats | None) -> MatchSpan:
+    """``_scan_flat`` on the pooled runs (blocks, m, cells, i1, i2), laid end
+    to end."""
+    data, m, cells, i1, i2 = (np.concatenate(part) for part in zip(*pool))
+    return _scan_flat(REVERSE[data], m, np.cumsum(m) - m, cells, i1, i2,
+                      DEFAULT_BLOCK_BITS, k, l1, l2, best, stats)
+
+
 def klcf_tabulation(text: Text, k: int,
                     stats: Stats | None = None) -> MatchSpan:
     """Exact optimum over all diagonals: the LUT window scan on the byte
     blocks of the runs of ``packed_batches`` that the scan's block filter
-    keeps at the best length so far."""
+    keeps at the best length so far.
+
+    Kept runs wait in a pool across batches and go to ``_scan_flat`` once
+    it holds ``POOL_BLOCKS`` blocks, and at the end; a batch read whole
+    goes at once, with the pool, so the first batch's row chunks raise the
+    floor before the filter needs it.  Runs kept at an older, lower floor
+    are a superset of those the current floor keeps, and ``best_window``'s
+    selection does not depend on their order, so the answer is the same."""
     l1, l2 = _tables(k)
     best = MatchSpan(0, 1, 1)
+    pool, pooled = [], 0
     for packed, st1, st2, length in packed_batches(text, k):
         if stats is not None:
             stats.word_ops += packed.size
             stats.diagonals += len(length)
-        runs = row, first, cells = _kept_runs(packed, length, k, max(best.length, 1))
+        runs = _kept_runs(packed, length, k, max(best.length, 1))
+        whole = runs is None
+        if whole:
+            runs = _whole_rows(length)
+        row, first, cells = runs
         if len(row):
-            data, m, boff = _gather(packed, runs)
-            best = _scan_flat(REVERSE[data], m, boff, cells, st1[row] + 8 * first,
-                              st2[row] + 8 * first, DEFAULT_BLOCK_BITS, k, l1, l2,
-                              best, stats)
+            data, m, _ = _gather(packed, runs)
+            pool.append((data, m, cells, st1[row] + 8 * first, st2[row] + 8 * first))
+            pooled += len(data)
+        if whole or pooled >= POOL_BLOCKS:
+            best = _scan_pool(pool, k, l1, l2, best, stats)
+            pool, pooled = [], 0
+    if pool:
+        best = _scan_pool(pool, k, l1, l2, best, stats)
     return make_span(text, best.length, best.i1, best.i2)
+

@@ -8,7 +8,8 @@ import pytest
 from klcf import diagonal, strided
 from klcf.core import (MatchSpan, Stats, Text, generate_instance, klcf_oracle,
                        make_span, verify_match)
-from klcf.diagonal import argmin_pair, best_window, geometry, klcf_diagonal_scan
+from klcf.diagonal import (argmin_pair, best_window, geometry, klcf_diagonal_scan,
+                           packed_batches)
 from klcf.lce import build_lce
 from klcf.strided import _pass_cells, klcf_strided, pass_cells
 from klcf.tabulation import klcf_tabulation
@@ -151,6 +152,55 @@ def test_scan_empty_and_large_alphabet():
     t = Text(s1, s2, sigma)
     assert klcf_diagonal_scan(t, 0).length == 3
     assert klcf_diagonal_scan(t, 1) == klcf_oracle(t, 1)
+
+
+def _direct_rows(t: Text, st1, st2, length, nbytes):
+    """Packed rows of a direct comparison: cell i of row r is s1[st1[r] - 1
+    + i] != s2[st2[r] - 1 + i] within its diagonal, and set past its end."""
+    i = np.arange(8 * nbytes)
+    inside = i < length[:, None]
+    a = np.where(inside, st1[:, None] - 1 + i, 0)
+    b = np.where(inside, st2[:, None] - 1 + i, 0)
+    return np.packbits((t.s1[a] != t.s2[b]) | ~inside, axis=1)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 7, 14, 15, 20])
+def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
+    """Every batch of ``packed_batches``, the first one's row chunks too, is
+    byte for byte a direct comparison packed with ``np.packbits``, on
+    either side of ``PLANE_LIMIT``: sigma = 14 takes 4 bit planes and
+    sigma = 15 the 5 at which the byte comparison takes over.  Shapes with
+    n1 < n2 and n1 > n2, 1 x n and n x 1 texts, and diagonals whose lengths
+    are not multiples of 8."""
+    planes = []
+    plane_rows = diagonal._plane_rows
+
+    def spy(seg, fixed, rows, count):
+        planes.append(count)
+        return plane_rows(seg, fixed, rows, count)
+
+    monkeypatch.setattr(diagonal, "_plane_rows", spy)
+    shapes = [(rng.randrange(1, 120), rng.randrange(1, 120)) for _ in range(6)]
+    shapes += [(1, 37), (37, 1), (1, 1), (13, 150), (150, 13), (70, 70), (9, 200)]
+    for n1, n2 in shapes:
+        # the whole alphabet sits in the longer side, so the text has sigma
+        # symbols
+        s = [[rng.randrange(sigma) for _ in range(n)] for n in (n1, n2)]
+        longer = s[n2 > n1]
+        longer[:min(sigma, len(longer))] = range(min(sigma, len(longer)))
+        t = Text.from_symbols(*s)
+        planes.clear()
+        for budget in (1, 64, 1 << 20):
+            monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
+            seen = []
+            for packed, st1, st2, length in packed_batches(t, rng.randrange(0, 5)):
+                assert packed.tobytes() == _direct_rows(
+                    t, st1, st2, length, packed.shape[1]).tobytes(), (n1, n2, budget)
+                seen += (st2 - st1 + n1 - 1).tolist()
+            assert sorted(seen) == list(range(n1 + n2 - 1))
+        count = (t.sigma + 1).bit_length()
+        assert set(planes) == ({count} if count < diagonal.PLANE_LIMIT else set())
+    assert t.sigma == sigma
 
 
 def _strip_seeds(cells, size):
@@ -381,9 +431,10 @@ def test_kept_runs_drop_runs_past_their_diagonal(monkeypatch):
     assert row.tolist() == [0, 1, 2]
     assert first.tolist() == [0, 1, 3]
     assert cells.tolist() == [8, 13, 6]
-    # a filter that keeps too much gives every row whole
+    # a filter that keeps too much gives no runs, and every row is read whole
     monkeypatch.setattr(diagonal, "_kept_segments", lambda *args: None)
-    got = diagonal._kept_runs(packed, length, 1, 40)
+    assert diagonal._kept_runs(packed, length, 1, 40) is None
+    got = diagonal._whole_rows(length)
     assert [a.tolist() for a in got] == [[0, 1, 2], [0, 0, 0], [16, 21, 30]]
 
 
@@ -538,13 +589,28 @@ def test_first_batch_runs_behind_the_filter_at_floor_zero(monkeypatch):
     assert span == klcf_tabulation(t, 4)
 
 
+def _read_pair():
+    """A 150-symbol DNA read copied from a 2^16-symbol random reference at
+    40,001, with one substitution; the read is s2, so a batch's rows are
+    152 cells wide."""
+    r = np.random.default_rng(3)
+    ref = r.integers(0, 4, 1 << 16)
+    read = ref[40000:40150].copy()
+    read[75] = (read[75] + 1) % 4
+    return Text.from_symbols(ref.tolist(), read.tolist())
+
+
 @pytest.mark.parametrize("kind, floor, bound", [("random", 5, 1.25),
-                                                ("planted", 39, 0.75)])
+                                                ("planted", 39, 0.75),
+                                                ("read", 39, 1.0)])
 def test_scan_peak_stays_near_the_packed_batch(monkeypatch, kind, floor, bound):
     """sigma = 20, n = 1024, k = 1 at the default budget: no zero-filled run
     sums (g = 2 at floor 5) and no one-byte-per-cell comparison (which
     dominates at g = 8, floor 39) span a batch, so the scan's peak stays
-    near the packed batch's footprint per compared cell."""
+    near the packed batch's footprint per compared cell.  On the sigma = 4
+    read the batches come from bit planes of the batch's own symbols: the
+    planes of the whole reference would lift the peak from 0.91 to 1.30
+    bytes a cell."""
     cells = []
     kept = diagonal._kept_segments
 
@@ -553,7 +619,7 @@ def test_scan_peak_stays_near_the_packed_batch(monkeypatch, kind, floor, bound):
         return kept(packed, k, floor)
 
     monkeypatch.setattr(diagonal, "_kept_segments", spy)
-    t = generate_instance(kind, 1024, 20, 1, 64, seed=0)
+    t = _read_pair() if kind == "read" else generate_instance(kind, 1024, 20, 1, 64, seed=0)
     tracemalloc.start()
     try:
         span = klcf_diagonal_scan(t, 1, floor=floor)

@@ -375,9 +375,12 @@ def _planted_read():
 @pytest.mark.parametrize("case", ["read", "random"])
 def test_tabulation_work_is_pinned(case):
     """The span and the work tabulation reports on two fixed pairs, so a
-    rewrite of its batch kernels cannot change what the LUT stage reads."""
+    rewrite of its batch kernels cannot change what the LUT stage reads.
+    The read's runs wait in the pool of ``POOL_BLOCKS`` blocks, so some
+    batches are filtered at an older, lower floor than their own: 8,357
+    queries, where scanning each batch's runs at once made 7,783."""
     if case == "read":
-        t, k, want = _planted_read(), 4, ((150, 3001, 1), 7783, 109, 4245, 80655)
+        t, k, want = _planted_read(), 4, ((150, 3001, 1), 8357, 109, 4245, 80655)
     else:
         t, k = generate_instance("random", 1024, 20, 1, seed=2), 1
         want = ((5, 28, 754), 24171, 382, 2047, 259866)
@@ -520,3 +523,55 @@ def test_filter_cuts_lut_queries(monkeypatch):
     assert filtered.diagonals == full.diagonals == t.n1 + t.n2 - 1
     assert filtered.word_ops == full.word_ops
     assert 4 * filtered.lut_queries < full.lut_queries
+
+
+def _diagonal_best(t, k):
+    """The longest window with at most k mismatches on each diagonal, by
+    index, from each diagonal's mismatch offsets."""
+    best = []
+    st1, st2, length = geometry(t.n1, t.n2, np.arange(t.n1 + t.n2 - 1))
+    for a, b, n in zip(st1.tolist(), st2.tolist(), length.tolist()):
+        bad = np.flatnonzero(t.s1[a - 1:a - 1 + n] != t.s2[b - 1:b - 1 + n])
+        ends = np.concatenate([[-1], bad, [n]])  # a window lies between two
+        best.append(n if len(bad) <= k else int((ends[k + 1:] - ends[:-k - 1]).max()) - 1)
+    return np.array(best)
+
+
+@pytest.mark.parametrize("pool", [1, float("inf")])
+def test_pooled_runs_give_the_oracle(rng, monkeypatch, pool):
+    """Kept runs scanned a batch at a time (a pool of one block) and all at
+    the end give the oracle's spans.  On the periodic pairs the tied optima
+    lie in several batches, so whole spans pin the smallest witness across
+    pooled batches."""
+    monkeypatch.setattr(tabulation, "POOL_BLOCKS", pool)
+    monkeypatch.setattr(diagonal, "SCAN_CELLS", 1 << 11)
+    pooled = []
+    scan_pool = tabulation._scan_pool
+
+    def spy(parts, *args):
+        pooled.append(len(parts))
+        return scan_pool(parts, *args)
+
+    monkeypatch.setattr(tabulation, "_scan_pool", spy)
+    # read-like cuts of one periodic copy against the other; without noise
+    # every whole copy of the cut is an optimum
+    cuts = [Text.from_symbols(p.s1.tolist(), p.s2[40:240].tolist())
+            for p in (_periodic_pair(rng, 400, 4, 7, rate) for rate in (0, 0.005))]
+    cases = [(cuts[0], k) for k in (0, 3)]
+    ties_apart = len(cases)
+    cases += [(cuts[1], k) for k in (1, 3, 6)]
+    cases += [(_periodic_pair(rng, 400, 4, 7, 0.01), k) for k in (1, 3)]
+    cases += [(random_text(rng, rng.randrange(200, 401), rng.randrange(200, 401),
+                           sigma), rng.randrange(0, 7)) for sigma in (2, 4, 20)]
+    for i, (t, k) in enumerate(cases):
+        want = klcf_oracle(t, k)
+        assert klcf_tabulation(t, k) == want, (t.n1, t.n2, t.sigma, k)
+        if i < ties_apart:
+            best = _diagonal_best(t, k)
+            assert best.max() == want.length
+            ties = set(np.flatnonzero(best == want.length).tolist())
+            batches = [ties & set((st2 - st1 + t.n1 - 1).tolist())
+                       for _, st1, st2, _ in packed_batches(t, k)]
+            assert sum(map(bool, batches)) > 1
+    # a pool of one block scans each batch alone; the other pools batches
+    assert (max(pooled) == 1) == (pool == 1)
