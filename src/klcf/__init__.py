@@ -2,9 +2,9 @@
 
 A reference sliding-window oracle plus five exact solvers: the exhaustive
 chunked diagonal scan (naive), a deletion-neighborhood join, seed-and-
-extend from the left-maximal exact seeds a long window must hold, strided
-diagonal scanning over an LCE index (finished by the exhaustive scan or by
-seed-and-extend, whichever is priced cheaper), and a tabulation scan,
+extend from the left-maximal exact seeds a long window must hold (or the
+exhaustive scan, whichever is priced cheaper), strided diagonal scanning
+over an LCE index (finished by that same purchase), and a tabulation scan,
 whose lookup tables read the exhaustive scan's packed mismatch bits.  All
 report the optimum length with a verifiable witness, which ``solve`` checks.
 """
@@ -13,8 +13,7 @@ from .core import (MatchSpan, ResourceLimitError, Stats, Text, generate_instance
                    klcf_bounds, klcf_oracle, load_inputs, verify_match)
 from .diagonal import klcf_diagonal_scan
 from .lce import LceIndex, build_lce, lce_backward, lce_forward, lcf0
-from .neighborhood import (Keyword, enumerate_neighborhood,
-                           exists_match_of_length, klcf_neighborhood)
+from .neighborhood import exists_match_of_length, klcf_neighborhood
 from .seeds import klcf_seeds, seed_price
 from .route import Solution, solve
 from .strided import ScanStats, klcf_strided, scan_pass
@@ -24,11 +23,11 @@ from .tabulation import (Lut, PackedText, build_l1, build_l2, klcf_tabulation,
 __all__ = [
     "MatchSpan", "ResourceLimitError", "Text", "klcf_bounds", "klcf_oracle",
     "verify_match", "LceIndex", "build_lce", "lce_backward", "lce_forward",
-    "lcf0", "Keyword", "enumerate_neighborhood", "exists_match_of_length",
-    "klcf_neighborhood", "klcf_seeds", "seed_price", "ScanStats",
-    "klcf_strided", "scan_pass", "Lut", "PackedText", "build_l1", "build_l2",
-    "klcf_tabulation", "pack", "unpack", "generate_instance", "load_inputs",
-    "klcf_diagonal_scan", "Solution", "solve", "Stats",
+    "lcf0", "exists_match_of_length", "klcf_neighborhood", "klcf_seeds",
+    "seed_price", "ScanStats", "klcf_strided", "scan_pass", "Lut",
+    "PackedText", "build_l1", "build_l2", "klcf_tabulation", "pack", "unpack",
+    "generate_instance", "load_inputs", "klcf_diagonal_scan", "Solution",
+    "solve", "Stats",
 ]
 
 __version__ = "0.1.0"

@@ -39,11 +39,12 @@ class Stats:
     """Work counters of one solve; each solver fills only its own.
 
     Strided: ``cells_visited`` counts the cells its passes expanded with
-    LCE queries, ``passes`` and ``pass_strides`` the passes and their
-    strides.  The exhaustive scan, naive or strided's purchase, adds its
-    n1*n2 cells to ``scan_cells``.  Seeds, alone or as strided's purchase:
-    ``seed_pairs`` and ``seed_cells`` count the seed pairs whose strips
-    were compared and the cells of their rows, each row's packed width.
+    LCE queries, ``pass_strides`` the passes' strides and ``passes`` the
+    passes.  The exhaustive scan, naive or the purchase that seeds and
+    strided make, adds its n1*n2 cells to ``scan_cells``.  Seeds, when
+    that purchase buys them: ``seed_pairs`` and ``seed_cells`` count the
+    seed pairs whose strips were compared and the cells of their rows,
+    each row's packed width.
     Tabulation: ``word_ops`` counts the packed mismatch bytes the block
     filter reads, one per 8 cells of each batch's row width;
     ``lut_queries`` and ``max_diag_queries`` the LUT stage's queries on
@@ -54,7 +55,6 @@ class Stats:
     """
 
     cells_visited: int = 0
-    passes: int = 0
     pass_strides: list = field(default_factory=list)
     scan_cells: int = 0
     seed_pairs: int = 0
@@ -65,6 +65,10 @@ class Stats:
     diagonals: int = 0
     keywords_generated: int = 0
     probes: list = field(default_factory=list)
+
+    @property
+    def passes(self) -> int:
+        return len(self.pass_strides)
 
     @property
     def work(self) -> int:

@@ -34,8 +34,6 @@ positions.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from .core import Text
@@ -55,44 +53,35 @@ WORD_BITS = 63
 CHUNK = 1 << 14
 
 
-def _fields(symbols: np.ndarray) -> tuple[Callable, int]:
-    """(field, f): field(values, out) writes the packed q-grams' field of
-    each of values, a symbol of symbols, into the int64 array out.
+def _fields(symbols: np.ndarray) -> tuple[int, int]:
+    """(shift, f): symbol x is packed into the q-grams as the f-bit field
+    x - shift, in [1, 2^f), so 0 can pad past the end.
 
-    Fields are in [1, 2^f), so 0 can pad past the end.  Symbols are shifted
-    by their minimum, or, when their range is at least n wide, replaced by
-    their index among the distinct symbols; either way f <= b + 1, b the
-    bit length of n - 1.
+    Symbols are shifted by their minimum, so f <= b + 1, b the bit length
+    of n - 1; a value range n or more wide raises ValueError (a Text's
+    concatenation spans sigma + 2 < n values).
     """
     n = len(symbols)
     lo, hi = int(symbols.min()), int(symbols.max())
-    if hi - lo < n:
-        def field(values, out):
-            np.subtract(values, lo - 1, out=out, dtype=np.int64)
-
-        return field, (hi - lo + 1).bit_length()
-    alphabet = np.unique(symbols)
-
-    def field(values, out):
-        np.add(np.searchsorted(alphabet, values), 1, out=out)
-
-    return field, len(alphabet).bit_length()
+    if hi - lo >= n:
+        raise ValueError(f"symbol range [{lo}, {hi}] is not below n = {n}")
+    return lo - 1, (hi - lo + 1).bit_length()
 
 
-def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int, Callable]:
-    """(key, q, f, field): key[i] packs the q symbols from i, each as its
-    f-bit field (``_fields``, whose field function is returned), the first
-    in the high bits; 0 pads past the end, and key[n] = 0.
+def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int, int]:
+    """(key, q, f, shift): key[i] packs the q symbols from i, each as its
+    f-bit field (``_fields``), the first in the high bits; 0 pads past the
+    end, and key[n] = 0.
 
     q is min(GRAM_BITS, WORD_BITS - b) // f, b the bit length of n - 1,
     so that a key shifted left by b bits takes its position in those bits;
     f <= b + 1, so q >= 1.
     """
     n = len(symbols)
-    field, f = _fields(symbols)
+    shift, f = _fields(symbols)
     q = min(GRAM_BITS, WORD_BITS - (n - 1).bit_length()) // f
     key = np.zeros(n + 1, np.int64)
-    field(symbols, key[:n])
+    np.subtract(symbols, shift, out=key[:n], dtype=np.int64)
     # extension, in place, from w symbols to w + d, d = min(w, q - w): once
     # every key is shifted left by d symbols, key[i + w] >> w f is the first
     # d symbols of the old key[i + w], and fills key[i]'s low bits;
@@ -105,11 +94,11 @@ def _gram_keys(symbols: np.ndarray) -> tuple[np.ndarray, int, int, Callable]:
             b = min(a + CHUNK, n + 1 - w)
             key[a:b] |= key[a + w:b + w] >> w * f
         w += d
-    return key, q, f, field
+    return key, q, f, shift
 
 
 def _grams_at(symbols: np.ndarray, at: np.ndarray, q: int, f: int,
-              field: Callable) -> np.ndarray:
+              shift: int) -> np.ndarray:
     """key[at] of ``_gram_keys``, for int64 positions at <= n, gathered
     from the q symbols at each instead of packed for the whole text."""
     n = len(symbols)
@@ -117,7 +106,8 @@ def _grams_at(symbols: np.ndarray, at: np.ndarray, q: int, f: int,
     sym = np.empty(len(at), np.int64)
     for j in range(q):
         # a position past the end reads symbols[n - 1], cut below
-        field(np.take(symbols, at + j, mode="clip"), sym)
+        np.subtract(np.take(symbols, at + j, mode="clip"), shift, out=sym,
+                    dtype=np.int64)
         key <<= f
         key |= sym
     cut = np.maximum(at + q - n, 0) * f
@@ -170,7 +160,7 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         raise ValueError(f"LCE index supports at most {MAX_SYMBOLS} symbols, got {n}")
     if n == 0:
         return (np.empty(0, np.int32),) * 3
-    key, q, f, field = _gram_keys(symbols)
+    key, q, f, shift = _gram_keys(symbols)
     bits = (n - 1).bit_length()
     word = key[:n]
     word <<= bits
@@ -249,7 +239,7 @@ def _suffix_array_lcp(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         chunks = (pairs[a:a + CHUNK] for a in range(0, len(pairs), CHUNK))
 
         def grams(at):
-            return _grams_at(symbols, at, q, f, field)
+            return _grams_at(symbols, at, q, f, shift)
     else:
         grams = _gram_keys(symbols)[0].__getitem__
         # read lazily: a chunk's pairs are found before their LCPs are set

@@ -19,7 +19,6 @@ is.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +32,6 @@ from .lce import LceIndex, lcf0
 DEFAULT_MEM_BUDGET_WORDS = 1 << 24
 
 
-class Keyword(NamedTuple):
-    """One deletion-neighborhood element in O(k) space."""
-
-    src_seq: int               # 1 or 2
-    src_start: int             # 1-based start of the length-j source window
-    j: int                     # source length
-    deletes: tuple[int, ...]   # k strictly increasing positions in [1, j]
-
-
 def _delete_tuples(lo: int, hi: int, k: int):
     """Ascending k-tuples over [lo, hi] in reverse-lexicographic order."""
     if k == 0:
@@ -50,14 +40,6 @@ def _delete_tuples(lo: int, hi: int, k: int):
     for first in range(hi - k + 1, lo - 1, -1):
         for rest in _delete_tuples(first + 1, hi, k - 1):
             yield (first, *rest)
-
-
-def enumerate_neighborhood(seq_id: int, start: int, j: int, k: int):
-    """All C(j, k) keywords of one source window, in canonical order."""
-    if k > j:
-        raise ValueError(f"cannot delete {k} positions from a window of length {j}")
-    for deletes in _delete_tuples(1, j, k):
-        yield Keyword(seq_id, start, j, deletes)
 
 
 def _sorted_runs(key: np.ndarray):

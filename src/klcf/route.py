@@ -26,16 +26,17 @@ def select_algorithm(cfg, n1: int, n2: int, sigma: int,
                      ell0: int, k: int) -> str:
     """Resolve algo=auto: strided, on every input.
 
-    Strided is the cost model: it prices its passes against the cheaper of
-    two purchases, the block-filtered exhaustive scan and seed-and-extend
-    (ski rental), so the priced choice between scan and seeds is made
-    inside it, and ``auto`` keeps naming strided, which
-    bench/trace_run.py's per-choice counters expect.  Seeds, neighborhood
-    and tabulation are also reachable through --algo; on random pairs
-    with sigma 20 and 64, k = 1, n = 1024-8192, where neighborhood used to
-    tie or beat strided, strided buys seeds and beats it.  The arguments
-    are the quantities known after lcf0; bench/trace_run.py replays the
-    call with them, ``cfg`` a ``RunConfig`` there and None from ``solve``.
+    Strided is the cost model: it rents passes (ski rental) against
+    ``seeds.purchase``, which prices seed-and-extend against the
+    block-filtered exhaustive scan and buys the cheaper, so ``auto`` keeps
+    naming strided, which bench/trace_run.py's per-choice counters
+    expect.  ``--algo seeds`` makes the same purchase with no pass.
+    Seeds, neighborhood and tabulation are also reachable through --algo;
+    on random pairs with sigma 20 and 64, k = 1, n = 1024-8192, where
+    neighborhood used to tie or beat strided, strided buys seeds and
+    beats it.  The arguments are the quantities known after lcf0;
+    bench/trace_run.py replays the call with them, ``cfg`` a
+    ``RunConfig`` there and None from ``solve``.
     """
     return "strided"
 

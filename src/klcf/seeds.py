@@ -21,6 +21,11 @@ strip, and the smallest starts right after a mismatch or at its
 diagonal's start, where the sliding window looks; every window found is
 real.  No LCE query is made, so neither the forward sparse table nor the
 backward index is built.  Cf. Charalampopoulos et al. (CPM 2018).
+
+Seeds pay off only below the quadratic bound, so ``purchase`` prices them
+before any pair is extended, in cells of the exhaustive scan, and buys
+the cheaper of seeds and the scan.  ``klcf_seeds`` makes that purchase at
+once; ``strided`` rents passes against its price first.
 """
 
 from __future__ import annotations
@@ -28,11 +33,19 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MatchSpan, Text, better_span, klcf_bounds, make_span, trivial_span
-from .diagonal import best_in_strips
+from .diagonal import best_in_strips, klcf_diagonal_scan
 from .lce import LceIndex, cross_runs, lcf0
 
 # suffixes grouped per batch of SA runs, and seed pairs per chunk
 SEED_BUDGET = 1 << 14
+# cost of one cell of a seed row, in cells of the exhaustive scan.  Measured
+# on a 2-core Xeon with Python 3.11 and numpy 2.4: 2-5 ns per row cell on
+# 39-107-cell strips (random, k 2 and 4, n 3072 and 16384, sigma 4 and 20)
+# against 0.7-2.0 ns per scanned cell of those pairs, but 17-24 ns on
+# 17-cell strips (k 1: sigma 20, n 1024, and sigma 64, n 8192) against
+# 1.0-3.3 ns, so narrow strips are priced low.  A wrong value costs time,
+# never exactness.
+SEED_CELL_COST = 8
 
 
 def seed_floor(text: Text, k: int, ell0: int, w1: int, w2: int) -> int:
@@ -147,15 +160,45 @@ def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
     return make_span(text, best.length, best.i1, best.i2)
 
 
-def klcf_seeds(text: Text, lce: LceIndex, k: int, stats=None) -> MatchSpan:
-    """Exact optimum and its lexicographically smallest witness by
-    seed-and-extend at B = ``seed_floor``.  The exact match settles k = 0.
+def purchase(text: Text, lce: LceIndex, k: int):
+    """(best, price, buy): the exact match and the seeds-or-scan purchase,
+    priced once.
+
+    best is ``lcf0``'s exact match, or ``trivial_span``'s when the sides
+    share no symbol; buy is None when best is already the optimum (no
+    shared symbol, or k = 0).  Otherwise buy(floor, stats) searches from
+    max(floor, B), B = ``seed_floor``, given a window of floor cells, and
+    returns the longest window found: by seeds when pairs * (2U - 1) *
+    SEED_CELL_COST, pairs being ``seed_price`` at B and 2U - 1 a strip's
+    row, is below the scan's n1*n2 cells, and by the exhaustive scan
+    otherwise.  price is the cheaper of the two, in scan cells.
     """
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:  # an empty side included
-        return trivial_span(text, k)
+        return trivial_span(text, k), 0, None
     best = MatchSpan(ell0, w1, w2, ())
     if k == 0:
-        return best
-    return better_span(best, seed_search(text, lce, k, ell0,
-                                         seed_floor(text, k, ell0, w1, w2), stats))
+        return best, 0, None
+    # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
+    # n2)) without being the smallest witness, so the purchase still runs
+    least = seed_floor(text, k, ell0, w1, w2)
+    scan = text.n1 * text.n2
+    per_pair = (2 * klcf_bounds(ell0, k, text.n1, text.n2)[1] - 1) * SEED_CELL_COST
+    seeds = per_pair * seed_price(text, lce, run_length(least, k), scan / per_pair)
+
+    def buy(floor: int, stats) -> MatchSpan:
+        floor = max(floor, least)
+        if seeds < scan:
+            return seed_search(text, lce, k, ell0, floor, stats)
+        return klcf_diagonal_scan(text, k, floor, stats)
+
+    return best, min(scan, seeds), buy
+
+
+def klcf_seeds(text: Text, lce: LceIndex, k: int, stats=None) -> MatchSpan:
+    """Exact optimum and its lexicographically smallest witness by the
+    cheaper of seed-and-extend and the exhaustive scan at B =
+    ``seed_floor`` (``purchase``).  The exact match settles k = 0.
+    """
+    best, _, buy = purchase(text, lce, k)
+    return best if buy is None else better_span(best, buy(best.length, stats))

@@ -8,20 +8,19 @@ cell of each diagonal, so it cannot miss a match of length >= h, and
 halving the stride until the best found length reaches it yields the
 exact optimum in O(n^2 k / l_k) extension queries.  When l_k is small
 the last passes cost more than finishing the search another way, so the
-solver rents passes only while they cost less than the cheaper of two
-purchases: one exhaustive diagonal scan, or seed-and-extend (``seeds``),
-priced by its left-maximal pair count before any pair is extended.
+solver rents passes only while they cost less than the purchase that
+``seeds.purchase`` prices in scan cells before any pass: the exhaustive
+scan or seed-and-extend, whichever is cheaper.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (MatchSpan, Stats, Text, better_span, klcf_bounds, make_span,
-                   trivial_span)
-from .diagonal import best_window, klcf_diagonal_scan
-from .lce import LceIndex, lcf0
-from .seeds import run_length, seed_floor, seed_price, seed_search
+from .core import MatchSpan, Stats, Text, better_span, klcf_bounds, make_span
+from .diagonal import best_window
+from .lce import LceIndex
+from .seeds import purchase
 
 # visited cells expanded per chunk of a pass
 PASS_CELLS = 1 << 16
@@ -33,13 +32,6 @@ PASS_CELLS = 1 << 16
 # (DNA, k 4, n 8192, random or 1 %-mutated).  A wrong R costs time, never
 # exactness.
 SCAN_CELLS_PER_EXTENSION = 100
-# cost of one cell of a seed row, in cells of the exhaustive scan.  Same
-# machine: 2-5 ns per row cell on 39-107-cell strips (random, k 2 and 4,
-# n 3072 and 16384, sigma 4 and 20) against 0.7-2.0 ns per scanned cell
-# of those pairs, but 17-24 ns on 17-cell strips (k 1: sigma 20, n 1024,
-# and sigma 64, n 8192) against 1.0-3.3 ns, so narrow strips are priced
-# low.  A wrong value costs time, never exactness.
-SEED_CELL_COST = 8
 
 
 # bench/trace_run.py reads klcf.ScanStats; the alias goes with ROADMAP item 1a
@@ -141,49 +133,31 @@ def scan_pass(text: Text, lce: LceIndex, k: int, h: int,
 
 def klcf_strided(text: Text, lce: LceIndex, k: int,
                  stats: Stats | None = None) -> MatchSpan:
-    """Exact optimum by strided passes, finished by the exhaustive scan or
-    by seed-and-extend once the passes stop paying off.
+    """Exact optimum by strided passes, finished by a purchase once the
+    passes stop paying off.
 
     Starts at h = U = min((k+1)*l0 + k, min(n1, n2)) and halves the stride
-    until a window at least as long as the stride is known.  Two purchases
-    can replace the passes, priced in scanned cells: the exhaustive scan at
-    n1*n2, and seeds at pairs * (2U - 1) * SEED_CELL_COST, pairs being
-    ``seed_price`` at the floor B = max(l0, min(l0 + k, the seed's
-    diagonal)).  Before each pass it weighs the passes' work so far plus
-    this pass, (k+1) * SCAN_CELLS_PER_EXTENSION * cells(h), against the
-    cheaper purchase; once the passes cost at least as much, that purchase
-    replaces every remaining pass (rent until renting costs the purchase
-    price), with the longest window known so far as its floor.  Either way
-    the answer is exact, with the smallest witness.
+    until a window at least as long as the stride is known.  Before each
+    pass it weighs the passes' work so far plus this pass, (k+1) *
+    SCAN_CELLS_PER_EXTENSION * cells(h), against the price of
+    ``purchase``, in scan cells; once the passes cost at least as much,
+    the purchase replaces every remaining pass (rent until renting costs
+    the purchase price), with the longest window known so far as its
+    floor.  Either way the answer is exact, with the smallest witness.
     """
     if stats is None:
         stats = Stats()
     n1, n2 = text.n1, text.n2
-    ell0, w1, w2 = lcf0(lce)
-    if ell0 == 0:
-        return trivial_span(text, k)
-    best = MatchSpan(ell0, w1, w2, ())
-    if k == 0:
+    best, price, buy = purchase(text, lce, k)
+    if buy is None:
         return best
-    # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
-    # n2)) without being the smallest witness, so a pass or a purchase runs
-    h = klcf_bounds(ell0, k, n1, n2)[1]
-    floor = seed_floor(text, k, ell0, w1, w2)
-    scan = n1 * n2
-    per_pair = (2 * h - 1) * SEED_CELL_COST
-    seeds = per_pair * seed_price(text, lce, run_length(floor, k), scan / per_pair)
+    h = klcf_bounds(best.length, k, n1, n2)[1]
     spent = 0
     while True:
         cost = (k + 1) * SCAN_CELLS_PER_EXTENSION * pass_cells(n1, n2, h)
-        if spent + cost >= min(scan, seeds):
-            floor = max(best.length, floor)
-            if seeds < scan:
-                found = seed_search(text, lce, k, ell0, floor, stats)
-            else:
-                found = klcf_diagonal_scan(text, k, floor, stats)
-            return better_span(best, found)
+        if spent + cost >= price:
+            return better_span(best, buy(best.length, stats))
         spent += cost
-        stats.passes += 1
         stats.pass_strides.append(h)
         best = better_span(best, scan_pass(text, lce, k, h, stats))
         if best.length >= h or h == 1:

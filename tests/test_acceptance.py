@@ -17,7 +17,7 @@ from klcf.core import (ResourceLimitError, Stats, Text, generate_instance,
                        klcf_bounds, klcf_oracle, verify_match)
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, lcf0
-from klcf.neighborhood import enumerate_neighborhood, klcf_neighborhood
+from klcf.neighborhood import _delete_tuples, klcf_neighborhood
 from klcf.seeds import klcf_seeds
 from klcf.strided import klcf_strided
 from klcf.tabulation import build_l1, build_l2, klcf_tabulation
@@ -150,20 +150,19 @@ def test_criterion_3_bounds(sweep):
 def test_criterion_4_neighborhood_combinatorics():
     text = Text.from_strings("abbac", "abbac")
 
-    def materialize(kw):
-        window = text.s1[kw.src_start - 1:kw.src_start - 1 + kw.j].tolist()
+    def materialize(deletes):
+        window = text.s1[:5].tolist()
         return "".join(chr(ord("a") + s) for pos, s in enumerate(window, 1)
-                       if pos not in kw.deletes)
+                       if pos not in deletes)
 
-    got = [(materialize(kw), kw.deletes)
-           for kw in enumerate_neighborhood(1, 1, 5, 2)]
+    got = [(materialize(d), d) for d in _delete_tuples(1, 5, 2)]
     want = [("abb", (4, 5)), ("aba", (3, 5)), ("abc", (3, 4)), ("aba", (2, 5)),
             ("abc", (2, 4)), ("aac", (2, 3)), ("bba", (1, 5)), ("bbc", (1, 4)),
             ("bac", (1, 3)), ("bac", (1, 2))]
     ok = got == want
     for j in range(13):
         for k in range(min(j, 4) + 1):
-            tuples = [kw.deletes for kw in enumerate_neighborhood(1, 1, j, k)]
+            tuples = list(_delete_tuples(1, j, k))
             ok = ok and len(tuples) == comb(j, k) == len(set(tuples))
     _report(4, "neighborhood keyword combinatorics", ok)
 

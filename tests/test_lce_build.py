@@ -137,26 +137,27 @@ def test_many_tied_pairs_rebuild_every_q_gram():
     assert calls == 2
 
 
-def test_sparse_alphabet_gathers_its_fields():
-    # a value range at least n wide: the gathered q-grams must map symbols
-    # through the same sorted alphabet as the first sort's
-    rng = np.random.default_rng(37)
-    values = np.sort(rng.choice(10 ** 9, 6, replace=False))
-    s = _with_copies(values, 1 << 12, 2, 40, rng)
-    assert s.max() - s.min() >= len(s)
-    calls, ties, q = _build_counting(s)
-    assert 0 < ties * q < len(s)
-    assert calls == 1
+def test_a_value_range_of_n_or_more_is_rejected():
+    # a Text's concatenation spans sigma + 2 < n values, so symbols are only
+    # shifted by their minimum; a range n wide would not fit its fields
+    n = 300
+    s = np.zeros(n, np.int64)
+    s[-1] = n - 1
+    SuffixIndex(s)
+    s[0] = -1
+    with pytest.raises(ValueError, match="range"):
+        SuffixIndex(s)
 
 
-@pytest.mark.parametrize("values", [[0, 1, 2, 3], [5, 6], [-3, 10 ** 9, 7]])
+@pytest.mark.parametrize("values", [[0, 1, 2, 3], [5, 6], [-3, 250, 7]])
 def test_gathered_q_grams_equal_the_packed_ones(values):
-    # every position, the last q - 1 padded with 0 past the end, and n
+    # every position, the last q - 1 padded with 0 past the end, and n;
+    # negative symbols and a wide range under n are shifted by the minimum
     rng = np.random.default_rng(len(values))
     s = np.array(values, np.int64)[rng.integers(0, len(values), 300)]
-    key, q, f, field = _gram_keys(s)
+    key, q, f, shift = _gram_keys(s)
     at = np.arange(len(s) + 1, dtype=np.int64)
-    assert np.array_equal(_grams_at(s, at, q, f, field), key)
+    assert np.array_equal(_grams_at(s, at, q, f, shift), key)
 
 
 def _gram_cases(sigma, lengths, rng):
@@ -175,7 +176,7 @@ def _around(q, base=0):
 
 @pytest.mark.parametrize("sigma, q", [(1, 52), (2, 26), (4, 17), (20, 10), (200, 6)])
 def test_first_sort_at_every_alphabet_width(sigma, q):
-    # at least sigma symbols long, so the alphabet is shifted, not densified;
+    # at least sigma symbols long, so the symbols span a range under n;
     # under 2^11 symbols, so GRAM_BITS // f sets q
     rng = np.random.default_rng(sigma)
     for seq in _gram_cases(sigma, _around(q, sigma), rng):
@@ -208,11 +209,13 @@ def test_first_sort_where_the_positions_set_q(monkeypatch, sigma, q):
 
 @pytest.mark.parametrize("n", [7, 15, 16, 17, 33, 64])
 def test_sparse_alphabet_is_densified_first(n):
-    # a value range at least n wide is replaced by the values' ranks
+    # a value range at least n wide is replaced by the values' ranks before
+    # the build; an order-preserving map leaves sa and lcp unchanged
     rng = np.random.default_rng(n)
     values = rng.choice(10 ** 9, 5, replace=False) - 10 ** 8
-    _check(values[rng.integers(0, 5, n)].tolist())
-    _check(values[np.resize([0, 1, 1], n)].tolist())
+    for seq in (values[rng.integers(0, 5, n)], values[np.resize([0, 1, 1], n)]):
+        idx = SuffixIndex(np.unique(seq, return_inverse=True)[1])
+        assert (idx.sa.tolist(), idx.lcp.tolist()) == _naive(seq.tolist())
 
 
 def test_forward_build_peak_on_random_dna():

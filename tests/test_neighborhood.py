@@ -7,26 +7,24 @@ import pytest
 from klcf.core import (MatchSpan, ResourceLimitError, Text, generate_instance,
                        klcf_oracle, verify_match)
 from klcf.lce import build_lce, lcf0
-from klcf.neighborhood import (enumerate_neighborhood, exists_match_of_length,
+from klcf.neighborhood import (_delete_tuples, exists_match_of_length,
                                klcf_neighborhood)
 
 from conftest import random_text
 
 
-def _materialize(text, kw):
-    seq = text.s1 if kw.src_seq == 1 else text.s2
-    window = seq[kw.src_start - 1:kw.src_start - 1 + kw.j].tolist()
-    return tuple(sym for pos, sym in enumerate(window, start=1)
-                 if pos not in kw.deletes)
+def _materialize(text, deletes):
+    """s1 with the 1-based positions in deletes removed."""
+    return tuple(sym for pos, sym in enumerate(text.s1.tolist(), start=1)
+                 if pos not in deletes)
 
 
 def test_enumeration_canonical_order():
     # source "abbac", k=2: keywords abb(4,5) aba(3,5) abc(3,4) aba(2,5)
     # abc(2,4) aac(2,3) bba(1,5) bbc(1,4) bac(1,3) bac(1,2)
     text = Text.from_strings("abbac", "abbac")
-    kws = list(enumerate_neighborhood(1, 1, 5, 2))
-    got = [("".join(chr(ord("a") + s) for s in _materialize(text, kw)), kw.deletes)
-           for kw in kws]
+    got = [("".join(chr(ord("a") + s) for s in _materialize(text, d)), d)
+           for d in _delete_tuples(1, 5, 2)]
     assert got == [
         ("abb", (4, 5)), ("aba", (3, 5)), ("abc", (3, 4)), ("aba", (2, 5)),
         ("abc", (2, 4)), ("aac", (2, 3)), ("bba", (1, 5)), ("bbc", (1, 4)),
@@ -37,7 +35,7 @@ def test_enumeration_canonical_order():
 def test_enumeration_cardinality_and_uniqueness():
     for j in range(0, 10):
         for k in range(0, min(j, 4) + 1):
-            tuples = [kw.deletes for kw in enumerate_neighborhood(1, 1, j, k)]
+            tuples = list(_delete_tuples(1, j, k))
             assert len(tuples) == comb(j, k)
             assert len(set(tuples)) == len(tuples)
             assert all(len(d) == k and all(1 <= x <= j for x in d)
@@ -45,13 +43,12 @@ def test_enumeration_cardinality_and_uniqueness():
 
 
 def test_enumeration_k0_single_keyword():
-    kws = list(enumerate_neighborhood(2, 3, 4, 0))
-    assert len(kws) == 1 and kws[0].deletes == ()
+    assert list(_delete_tuples(1, 4, 0)) == [()]
 
 
-def test_enumeration_rejects_k_above_j():
-    with pytest.raises(ValueError):
-        list(enumerate_neighborhood(1, 1, 2, 3))
+def test_enumeration_of_k_above_j_is_empty():
+    # exists_match_of_length answers j <= k before it enumerates
+    assert list(_delete_tuples(1, 2, 3)) == []
 
 
 def test_build_index_budget_error():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from klcf import seeds, strided
+from klcf import seeds
 from klcf.core import Stats, Text, generate_instance, klcf_oracle
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, cross_runs, lcf0
@@ -96,21 +96,28 @@ def test_seed_price_stops_near_its_limit(rng, monkeypatch):
                 assert len(key) <= 16 or runs[0] == runs[-1]
 
 
-def test_klcf_seeds_equals_oracle(rng):
+def test_klcf_seeds_equals_oracle(rng, monkeypatch):
+    # most of these small pairs price seeds above the scan and buy it, so
+    # each is solved again with seeds priced below it
+    costs = (seeds.SEED_CELL_COST, 1e-9)
     for _ in range(400):
         t = random_text(rng, rng.randrange(0, 50), rng.randrange(0, 50),
                         rng.choice([1, 2, 3, 4, 20, 128]))
         k = rng.randrange(0, 7)
         lce = build_lce(t)
-        assert klcf_seeds(t, lce, k) == klcf_oracle(t, k), (t.s1, t.s2, k)
+        for cost in costs:
+            monkeypatch.setattr(seeds, "SEED_CELL_COST", cost)
+            assert klcf_seeds(t, lce, k) == klcf_oracle(t, k), (t.s1, t.s2, k)
         assert lce.fwd.table is None and lce.bwd is None
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_seed_chunk_boundaries(rng, monkeypatch, budget):
     # runs, and the pairs of one s1 suffix, straddle chunks; a budget of 1
-    # also puts every run in a batch of its own
+    # also puts every run in a batch of its own.  Seeds priced below the
+    # scan are bought on every text
     monkeypatch.setattr(seeds, "SEED_BUDGET", budget)
+    monkeypatch.setattr(seeds, "SEED_CELL_COST", 1e-9)
     for _ in range(80):
         t = random_text(rng, rng.randrange(1, 60), rng.randrange(1, 60),
                         rng.choice([2, 4]))
@@ -130,7 +137,7 @@ def test_seed_chunk_boundaries(rng, monkeypatch, budget):
 
 def test_strided_seed_arm_equals_oracle(rng, monkeypatch):
     # seeds priced below any pass and the scan: strided buys them at once
-    monkeypatch.setattr(strided, "SEED_CELL_COST", 1e-9)
+    monkeypatch.setattr(seeds, "SEED_CELL_COST", 1e-9)
     for s1, s2, k in [("ab", "ba", 2), ("abab", "bbbb", 3), ("baaba", "abbaab", 1)]:
         t = Text.from_strings(s1, s2)
         assert klcf_strided(t, build_lce(t), k) == klcf_oracle(t, k)
@@ -143,6 +150,17 @@ def test_strided_seed_arm_equals_oracle(rng, monkeypatch):
         assert stats.passes == 0 and stats.scan_cells == 0
         if k and lcf0(build_lce(t))[0]:
             assert stats.seed_pairs > 0
+
+
+def test_seeds_buy_the_scan_when_it_is_cheaper():
+    """On random DNA, n = 4096, k = 12, B = 23 makes seeds of one symbol:
+    3,148,183 pairs, each a 2U - 1 = 309-cell strip, so seeds price
+    themselves above the n1*n2 cells of the scan and buy it."""
+    t = generate_instance("random", 4096, 4, 12, seed=3)
+    stats = Stats()
+    span = klcf_seeds(t, build_lce(t), 12, stats=stats)
+    assert stats.scan_cells == t.n1 * t.n2 and stats.seed_pairs == 0
+    assert span == klcf_diagonal_scan(t, 12)
 
 
 def test_floor_is_a_window_known_to_exist():

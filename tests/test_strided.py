@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from klcf import strided
+from klcf import seeds, strided
 from klcf.core import MatchSpan, Stats, Text, klcf_oracle, verify_match
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce
@@ -199,7 +199,7 @@ def test_passes_alone_solve_a_similar_pair(monkeypatch):
     # s2 is s1 with 1 % point mutations: the first passes find a window as
     # long as their stride, so no exhaustive scan runs.  Seeds would undercut
     # the passes here, so they are priced out.
-    monkeypatch.setattr(strided, "SEED_CELL_COST", 1 << 40)
+    monkeypatch.setattr(seeds, "SEED_CELL_COST", 1 << 40)
     r = np.random.default_rng(2)
     s1 = r.integers(0, 4, 4096)
     s2 = s1.copy()
