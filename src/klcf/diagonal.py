@@ -7,14 +7,16 @@ out rows of mismatch bits, 8 cells to a byte in whole bytes, every bit
 past a row's cells set: the whole diagonals of ``packed_batches``, which
 the exhaustive scan and tabulation walk a batch at a time with the starts
 and lengths of ``geometry``, and the strips of ``best_in_strips`` around
-the seed cells ``seeds`` hands over.  A batch's rows are consecutive
-offsets of one sequence against a prefix of the other, so they come from
-xor-ed bit planes of the symbols (``_plane_rows``), 8 cells a byte
-operation and one per plane; a strip's rows are gathered, and those and
-alphabets of ``PLANE_LIMIT`` planes or more are compared a byte per cell
-and packed (``_packed_rows``).  It alone cuts them into the runs an
-exact stage reads (``_kept_runs``) and lays those end to end
-(``_gather``), so the scan and tabulation differ only in that stage.
+the seed cells ``seeds`` hands over.  Every batch is a (bytes, rows)
+array, byte j of every row side by side, in whichever memory order made
+it.  A batch's rows are consecutive offsets of one sequence against a
+prefix of the other, so they come from xor-ed bit planes of the symbols
+(``_plane_rows``), 8 cells a byte operation and one per plane, with a
+byte's rows adjacent in memory; a strip's rows are gathered, and those
+and alphabets of ``PLANE_LIMIT`` planes or more are compared a byte per
+cell and packed a row at a time (``_packed_rows``).  It alone cuts them
+into the runs an exact stage reads (``_kept_runs``) and lays those end to
+end (``_gather``), so the scan and tabulation differ only in that stage.
 Strided passes walk no diagonals: ``strided`` owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
@@ -46,10 +48,10 @@ SCAN_CELLS = 1 << 20
 # one-byte-per-cell result never spans a whole batch
 PACK_CELLS = 1 << 17
 # alphabets of this many bit planes or more (sigma + 2 > 16 symbols with
-# the pads) compare a byte per cell.  At 5 planes the planes' xors and
-# their transpose cost more than the comparison on long rows (tabulation on
-# random sigma = 16 and 20, n = 3072: 4-5 % slower in process), though less
-# on 150-cell ones (8 % faster); at 4 planes and below they are no slower.
+# the pads) compare a byte per cell.  At 5 planes the planes' xors cost more
+# than the comparison on long rows while a transpose ended them (tabulation
+# on random sigma = 16 and 20, n = 3072: 4-5 % slower in process); without
+# it they are 7-9 % faster there, and 21 % on 150-cell rows (sigma = 20).
 PLANE_LIMIT = 5
 
 
@@ -59,9 +61,9 @@ def geometry(n1: int, n2: int, g: np.ndarray):
     st1 and st2 are the 1-based starts of the diagonal in s1 and s2.
     """
     a = g - (n1 - 1)
-    st1 = np.where(a < 0, 1 - a, 1)
+    st1 = np.maximum(1 - a, 1)
     st2 = st1 + a
-    length = np.minimum(n1 - st1, n2 - st2) + 1
+    length = np.minimum((n1 + 1) - st1, (n2 + 1) - st2)
     return st1, st2, length
 
 
@@ -117,58 +119,65 @@ def _block_width(floor: int) -> int:
 
 def _kept_segments(packed: np.ndarray, k: int, floor: int):
     """(row, first byte, end byte) int64 arrays of the byte runs of a packed
-    batch that may hold part of a window of at least ``floor`` cells with at
-    most k mismatches, or None when the filter keeps too much to pay off.
+    (bytes, rows) batch that may hold part of a window of at least
+    ``floor`` cells with at most k mismatches, or None when the filter
+    keeps too much to pay off.
 
     Any such window holds r consecutive whole g-cell blocks whose mismatch
     counts sum to at most k, and every whole block of it lies in such a
     run: a block is kept when a passing run covers it, and so is one block
-    on each side for the window's partial ends.  The run sums are built by
-    doubling on the batch's flat blocks, one call on a contiguous array a
-    step, and a start whose r blocks cross its row's end is dropped once it
-    passes.  Coverage is merged from the passing starts alone, so the
-    filter costs O(bytes) whatever r is.
+    on each side for the window's partial ends.  The run sums are built
+    down each row's blocks by doubling, one call on the flat counts a step,
+    in the batch's memory order: where a block's rows are adjacent no sum
+    crosses a row's end, and where a row's blocks are, one that does is
+    dropped once it passes.  Coverage is merged from the passing starts
+    alone, so the filter costs O(bytes) whatever r is.
     """
     g = _block_width(floor)
     if not g:
         return None
-    rows, nbytes = packed.shape
+    nbytes, rows = packed.shape
     per = 8 // g
     nb = nbytes * per
     r = (floor - g + 1) // g
-    # per-block counts on the flat batch, wide enough for r blocks' sums
-    # (r*g passes 255 only where g = 8).  With g < 8 each byte is copied into
-    # a little-endian word of per bytes, byte i keeping block i's bits.
-    counts = packed.reshape(-1)
-    if per > 1:
-        counts = counts.astype(f"<u{per}")
-        counts *= sum(1 << 8 * i for i in range(per))
-        counts &= sum((1 << g) - 1 << 8 * i + 8 - g - g * i for i in range(per))
-        counts = counts.view(np.uint8)
-    counts = np.bitwise_count(counts).astype(np.min_scalar_type(r * g), copy=False)
+    # per-block counts (r*g passes 255 only where g = 8), a block's next one
+    # step entries on: where a row's bytes are adjacent, byte i of a word of
+    # per bytes holds block i's bits, else block i of each byte gets a row
+    dtype = np.min_scalar_type(r * g)
+    if packed.strides[0] < packed.strides[1]:
+        counts, step = packed.T.reshape(-1), 1
+        if per > 1:
+            counts = np.multiply(counts, sum(1 << 8 * i for i in range(per)), dtype=f"<u{per}")
+            counts &= sum((1 << g) - 1 << 8 * i + 8 - g - g * i for i in range(per))
+        counts = np.bitwise_count(counts.view(np.uint8)).astype(dtype, copy=False)
+    else:
+        counts, step = np.empty(nb * rows, dtype), rows
+        for i in range(per):
+            np.bitwise_count(packed & (1 << g) - 1 << 8 - g - g * i if per > 1 else packed,
+                             out=counts.reshape(nb, rows)[i::per])
     # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling;
-    # none where the batch holds fewer than r blocks
-    out = max(len(counts) - r + 1, 0)
-    sums = None
-    size, done = 1, 0
+    # none where a row holds fewer than r blocks
+    out = max(len(counts) - (r - 1) * step, 0)
+    sums, size, done = None, 1, 0
     while True:
         if r & size:
-            part = counts[done:done + out]
-            # the first part is used as is, not added to a zero-filled array;
-            # the doubling below builds each new counts array afresh, so
-            # adding into this view later harms nothing
-            if sums is None:
-                sums = part
-            else:
-                sums += part
+            # the first part is used as is: the doubling below builds each
+            # new counts array afresh, so adding into this view harms nothing
+            part = counts[done * step:done * step + out]
+            sums = part if sums is None else np.add(sums, part, out=sums)
             done += size
         if 2 * size > r:
             break
-        counts = counts[:-size] + counts[size:]
+        counts = counts[:-size * step] + counts[size * step:]
         size *= 2
-    row, j = np.divmod(np.flatnonzero(sums <= k), nb)
-    # starts whose r blocks run past their row's end summed the next row's
-    row, j = row[j <= nb - r], j[j <= nb - r]
+    if step == 1:
+        # a row's blocks are adjacent: starts whose r blocks run past their
+        # row's end summed the next row's
+        row, j = np.divmod(np.flatnonzero(sums <= k), nb)
+        row, j = row[j <= nb - r], j[j <= nb - r]
+    else:  # a block's rows are adjacent, and no sum crosses a row's end
+        j, row = np.divmod(np.flatnonzero(sums <= k), rows)
+        row, j = np.divmod(np.sort(row * nb + j), nb)
     # every passing start keeps its own block
     if 2 * len(j) > rows * nb:
         return None
@@ -209,19 +218,21 @@ def _kept_runs(packed: np.ndarray, length: np.ndarray, k: int, floor: int):
 
 
 def _gather(packed: np.ndarray, runs, sep: int = 0):
-    """(data, m, off): the runs (row, first byte, cells) of a packed batch
-    laid end to end, run j as its m[j] = ceil(cells[j] / 8) bytes from
-    data's byte off[j].  With sep > 0, each run comes after sep bytes of
-    set bits, and sep more close the last."""
+    """(data, m, off): the runs (row, first byte, cells) of a (bytes, rows)
+    batch contiguous in either memory order laid end to end, run j as its
+    m[j] = ceil(cells[j] / 8) bytes from data's byte off[j].  With sep > 0,
+    each run comes after sep bytes of set bits, and sep more close the last."""
     row, first, cells = runs
     m = -(-cells // 8)
     start = np.cumsum(m) - m
-    t = np.arange(int(m.sum()))
-    data = packed.reshape(-1)[np.repeat(row * packed.shape[1] + first - start, m) + t]
+    total = int(m.sum())
+    step, stride = packed.strides  # byte j of row x is at j*step + x*stride
+    data = packed.ravel("K")[np.repeat(row * stride + (first - start) * step, m)
+                             + np.arange(0, total * step, step)]
     off = start + sep * np.arange(1, len(m) + 1)
     if sep:
-        out = np.full(len(t) + sep * (len(m) + 1), 255, np.uint8)
-        out[np.repeat(off - start, m) + t] = data
+        out = np.full(total + sep * (len(m) + 1), 255, np.uint8)
+        out[np.repeat(off - start, m) + np.arange(total)] = data
         data = out
     return data, m, off
 
@@ -232,13 +243,13 @@ def _best_in_batch(packed: np.ndarray, k: int, floor: int, runs):
     when there is none: the index of each window's run, and its first
     cell in the run.
 
-    ``packed`` holds one row of mismatch bits per diagonal, past its end
-    set too.  The runs are laid end to end, each after a separator of at
-    least k+1 set bits, so no window reaches from one into the next, and
-    one more separator closes the last.  A window starts after a set bit
-    and ends before the (k+1)-th set bit after it; windows that start in a
-    separator or past their run's cells are dropped, and windows that run
-    past them are clipped there.
+    ``packed`` is a (bytes, rows) batch of one row of mismatch bits per
+    diagonal, past its end set too.  The runs are laid end to end, each
+    after a separator of at least k+1 set bits, so no window reaches from
+    one into the next, and one more separator closes the last.  A window
+    starts after a set bit and ends before the (k+1)-th set bit after it;
+    windows that start in a separator or past their run's cells are
+    dropped, and windows that run past them are clipped there.
     """
     cells = runs[2]
     if len(cells) == 0:
@@ -284,9 +295,11 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
 
 
 def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows of mismatch bits a != b, 8 to a byte: a holds rows of w cells
-    of a padded sequence, w whole bytes, and b as many rows or one row for
-    all, so one flat packbits packs ``PACK_CELLS`` cells at a time."""
+    """The (bytes, rows) batch of mismatch bits a != b, 8 to a byte, a row's
+    bytes adjacent in memory: a holds rows of w cells of a padded sequence,
+    w whole bytes, and b as many rows or one row for all, so one flat
+    packbits packs ``PACK_CELLS`` cells at a time, and the batch is a view
+    of the packed rows, not a copy."""
     rows, w = a.shape
     packed = np.empty(rows * w // 8, np.uint8)
     step = max(1, PACK_CELLS // w)
@@ -294,20 +307,21 @@ def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         part = slice(lo, lo + step)
         packed[lo * w // 8:(lo + step) * w // 8] = np.packbits(
             a[part] != (b[part] if b.ndim == 2 else b))
-    return packed.reshape(rows, w // 8)
+    return packed.reshape(rows, w // 8).T
 
 
 def _plane_rows(seg: np.ndarray, fixed: np.ndarray, rows: int, planes: int) -> np.ndarray:
-    """Rows of mismatch bits seg[x:x + w] != fixed for x < rows, as
-    ``_packed_rows`` lays them out, from the symbols' ``planes`` bit planes.
+    """The (bytes, rows) batch of mismatch bits seg[x:x + w] != fixed for
+    x < rows, from the symbols' ``planes`` bit planes, a byte's rows
+    adjacent in memory.
 
     Each plane of seg is packed at its 8 bit phases, so that byte y holds
     the plane's bits from position y on; byte j of row x is then byte
     x + 8j, and one strided (bytes, rows) view holds every row with the
     rows innermost.  A cell mismatches where some plane's bits differ, so
-    the rows are the planes' views xor-ed with fixed's packed planes and
-    or-ed together, and one transpose lays them out a row at a time.
-    seg must hold rows + w + 6 symbols.
+    the batch is the planes' views xor-ed with fixed's packed planes and
+    or-ed together, in that layout, which the filter and the gathers read
+    as it is.  seg must hold rows + w + 6 symbols.
     """
     nbytes = len(fixed) // 8
     # 8q bytes a plane, to byte rows + w - 9, the last one a row reads
@@ -323,12 +337,13 @@ def _plane_rows(seg: np.ndarray, fixed: np.ndarray, rows: int, planes: int) -> n
     part = np.empty_like(acc)
     for view, ref in zip(views[1:], want[1:]):
         acc |= np.bitwise_xor(view, ref[:, None], out=part)
-    return np.ascontiguousarray(acc.T)
+    return acc
 
 
 def packed_batches(text: Text, k: int, floor: int = 0):
     """Yield (packed, st1, st2, length) for every diagonal of ``text``, a
-    batch of them at a time: one row of mismatch bits each, and the
+    batch of them at a time: a (bytes, rows) array of one row of mismatch
+    bits each, contiguous in one memory order or the other, and the
     diagonals' ``geometry``; nothing when a sequence is empty.  A batch is
     the rows of a dense matrix of at most ``SCAN_CELLS`` cells (or one
     longer diagonal), less k + 8 separator bits a row for the scan's exact
@@ -342,7 +357,8 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     ``floor`` is the length of a window known to exist, or 0.  When it is
     too short for the block filter to prune, the first batch is yielded in
     row chunks of 1, 2, 4, ... rows, its longest diagonals first, so that
-    the best of the leading chunks is a floor that prunes the rest."""
+    the best of the leading chunks is a floor that prunes the rest; they
+    are mostly read whole, so that batch is copied row-major."""
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
@@ -361,13 +377,15 @@ def packed_batches(text: Text, k: int, floor: int = 0):
                 packed = _plane_rows(padded[x:x + rows + w + 6], fixed[:w], rows, planes)
             else:
                 packed = _packed_rows(sliding_window_view(padded, w)[x:x + rows], fixed[:w])
-            st1, st2, length = geometry(n1, n2, n1 - 1 + step * np.arange(x, x + rows))
+            d = n1 - 1 + step * x  # the first row's diagonal
+            st1, st2, length = geometry(n1, n2, np.arange(d, d + step * rows, step))
             cuts = [0, rows]
             if chunked:
                 cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
                 chunked = False
+                packed = np.ascontiguousarray(packed.T).T
             for lo, hi in zip(cuts, cuts[1:]):
-                yield packed[lo:hi], st1[lo:hi], st2[lo:hi], length[lo:hi]
+                yield packed[:, lo:hi], st1[lo:hi], st2[lo:hi], length[lo:hi]
             x += rows
 
 

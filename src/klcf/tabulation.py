@@ -29,16 +29,17 @@ shared 2-core Xeon: k = 1 holds 0.25 MiB, built in 0.29 ms with a
 k >= 16 all 17 L2 layers, 2.13 MiB in 2.2 ms (2.81 MiB peak).
 
 ``packed_batches`` walks the diagonals for it as for the scan: the same
-batches, the first one in row chunks of 1, 2, 4, ... rows, and the same
-byte runs, which ``_kept_runs`` keeps behind the scan's block filter at
-the best length so far.  A window at least that long lies inside one
-kept run, so only those runs reach the tables, each as a diagonal of its
-own, and the LUT stays the only exact stage.  Kept runs are pooled across
-batches into one LUT scan per ``POOL_BLOCKS`` blocks, so its fixed cost
-is paid a few times a solve, not once a batch.  The floor is the running
-best, not ``lcf0``'s lower bound, so tabulation builds no LCE index.  On
-random DNA, n = 3072 and k = 4 (``generate_instance`` seed 1), the LUT
-stage makes 9,832 of the 7,063,301 queries of the unfiltered scan.
+(bytes, rows) batches, the first one in row chunks of 1, 2, 4, ... rows,
+and the same byte runs, which ``_kept_runs`` keeps behind the scan's
+block filter at the best length so far and ``_gather`` reads in place.
+A window at least that long lies inside one kept run, so only those runs
+reach the tables, each as a diagonal of its own, and the LUT stays the
+only exact stage.  Kept runs are pooled across batches into one LUT scan
+per ``POOL_BLOCKS`` blocks, so its fixed cost is paid a few times a solve,
+not once a batch.  The floor is the running best, not ``lcf0``'s lower
+bound, so tabulation builds no LCE index.  On random DNA, n = 3072 and
+k = 4 (``generate_instance`` seed 1), the LUT stage makes 9,832 of the
+7,063,301 queries of the unfiltered scan.
 
 ``pack`` and ``unpack`` keep the word-packed symbol layout for the
 benchmark's traced runs; the solver does not use them.

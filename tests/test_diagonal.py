@@ -167,7 +167,8 @@ def _direct_rows(t: Text, st1, st2, length, nbytes):
 @pytest.mark.parametrize("sigma", [1, 2, 3, 4, 7, 14, 15, 20])
 def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
     """Every batch of ``packed_batches``, the first one's row chunks too, is
-    byte for byte a direct comparison packed with ``np.packbits``, on
+    byte for byte a direct comparison packed with ``np.packbits``, read a
+    row at a time from its (bytes, rows) layout, on
     either side of ``PLANE_LIMIT``: sigma = 14 takes 4 bit planes and
     sigma = 15 the 5 at which the byte comparison takes over.  Shapes with
     n1 < n2 and n1 > n2, 1 x n and n x 1 texts, and diagonals whose lengths
@@ -194,8 +195,8 @@ def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
             monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
             seen = []
             for packed, st1, st2, length in packed_batches(t, rng.randrange(0, 5)):
-                assert packed.tobytes() == _direct_rows(
-                    t, st1, st2, length, packed.shape[1]).tobytes(), (n1, n2, budget)
+                assert np.ascontiguousarray(packed.T).tobytes() == _direct_rows(
+                    t, st1, st2, length, packed.shape[0]).tobytes(), (n1, n2, budget)
                 seen += (st2 - st1 + n1 - 1).tolist()
             assert sorted(seen) == list(range(n1 + n2 - 1))
         count = (t.sigma + 1).bit_length()
@@ -383,7 +384,7 @@ def test_windows_never_cross_a_separator(rng, monkeypatch):
     that starts in a separator is dropped, one that runs into it clipped."""
     # two one-byte runs with no mismatch, at k = 8: a separator of only k
     # set bits lets the first run's window reach into the second
-    packed = np.array([[0, 12, 2, 132, 0, 255]], np.uint8)
+    packed = np.array([[0, 12, 2, 132, 0, 255]], np.uint8).T
     runs = (np.array([0, 0]), np.array([0, 4]), np.array([8, 8]))
     got = diagonal._best_in_batch(packed, 8, 1, runs)
     assert got[0] == 8 and got[1].tolist() == [0, 1] and got[2].tolist() == [0, 0]
@@ -392,6 +393,7 @@ def test_windows_never_cross_a_separator(rng, monkeypatch):
     # and a run that starts past its diagonal's end is dropped
     packed = np.packbits(np.arange(24) >= np.array([[13], [5]]), axis=1)
     packed[0, 0] = 255
+    packed = np.ascontiguousarray(packed.T)
     segments = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 2]), np.array([1, 2, 1, 3]))
     for k in (0, 1, 2, 4):
         got = _exact_stage(monkeypatch, packed, np.array([13, 5]), k, segments)
@@ -410,7 +412,8 @@ def test_windows_never_cross_a_separator(rng, monkeypatch):
         segments = tuple(np.array(col, np.int64) for col in zip(*runs)) if runs \
             else (np.empty(0, np.int64),) * 3
         best, found = _brute_in_segments(bits, lens, k, segments)
-        got = _exact_stage(monkeypatch, np.packbits(bits, axis=1), lens, k, segments)
+        got = _exact_stage(monkeypatch, np.ascontiguousarray(np.packbits(bits, axis=1).T),
+                           lens, k, segments)
         if best == 0:
             assert got is None
             continue
@@ -418,7 +421,7 @@ def test_windows_never_cross_a_separator(rng, monkeypatch):
 
 
 def test_kept_runs_drop_runs_past_their_diagonal(monkeypatch):
-    packed = np.zeros((3, 4), np.uint8)
+    packed = np.zeros((4, 3), np.uint8)  # 4 bytes of 3 rows
     length = np.array([16, 21, 30])
     segments = (np.array([0, 0, 1, 1, 2]), np.array([0, 2, 1, 3, 3]),
                 np.array([1, 4, 4, 4, 4]))
@@ -462,6 +465,13 @@ def _mask(segments, shape):
     return keep
 
 
+def _layouts(packed):
+    """Packed rows as the (bytes, rows) batches the filter reads: a byte's
+    rows adjacent in memory (the bit planes' batches), and a row's bytes
+    adjacent (the byte comparison's and the seed strips')."""
+    return np.ascontiguousarray(packed.T), packed.T
+
+
 def test_run_sums_wider_than_a_byte(rng):
     """r*g >= 256 needs sums wider than uint8: at floor 303 (g = 8, r = 37)
     a run of 296 cells with 257 mismatches must not wrap to 1 and pass."""
@@ -473,11 +483,12 @@ def test_run_sums_wider_than_a_byte(rng):
                              for _ in range(rows)])
             packed = np.packbits(bits, axis=1)
             want = _kept_reference(packed, k, floor)
-            got = diagonal._kept_segments(packed, k, floor)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and (_mask(got, packed.shape) == want).all()
+            for batch in _layouts(packed):
+                got = diagonal._kept_segments(batch, k, floor)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and (_mask(got, packed.shape) == want).all()
     # a 300-symbol exact match: l0 + k = 303, so the scan's filter runs at r*g = 296
     s1 = [rng.randrange(4) for _ in range(700)]
     s2 = [rng.randrange(4) for _ in range(700)]
@@ -489,11 +500,12 @@ def test_run_sums_wider_than_a_byte(rng):
 
 @pytest.mark.parametrize("floor, k", [(9, 1), (27, 2), (303, 3)])
 def test_sums_across_a_row_end_are_dropped(rng, floor, k):
-    """The filter sums r blocks on the flat batch, across row ends.  Rows of
-    whole bytes (no pad bits) whose heads and tails hold h < r <= 2h
-    mismatch-free blocks, with set bits between, pass an r-block sum only
-    across a row's end, and no byte of theirs may be kept; a few rows with
-    no mismatch keep theirs.  g = 2, 4 and 8, the last at r*g = 296."""
+    """The filter sums r blocks on a batch's flat memory, and where a row's
+    bytes are adjacent those sums cross row ends.  Rows of whole bytes (no
+    pad bits) whose heads and tails hold h < r <= 2h mismatch-free blocks,
+    with set bits between, pass an r-block sum only across a row's end, and
+    no byte of theirs may be kept; a few rows with no mismatch keep theirs.
+    g = 2, 4 and 8, the last at r*g = 296, in both memory orders."""
     g = diagonal._block_width(floor)
     r = (floor - g + 1) // g
     h = r // 2 + 1
@@ -506,9 +518,10 @@ def test_sums_across_a_row_end_are_dropped(rng, floor, k):
         bits[rng.sample(range(rows), 2)] = False
         packed = np.packbits(bits, axis=1)
         want = _kept_reference(packed, k, floor)
-        got = diagonal._kept_segments(packed, k, floor)
-        assert want is not None and want.any() and got is not None
-        assert (_mask(got, packed.shape) == want).all()
+        assert want is not None and want.any()
+        for batch in _layouts(packed):
+            got = diagonal._kept_segments(batch, k, floor)
+            assert got is not None and (_mask(got, packed.shape) == want).all()
 
 
 def test_coverage_costs_bytes_not_runs():
@@ -518,14 +531,77 @@ def test_coverage_costs_bytes_not_runs():
     packed = np.full((4, 1 << 15), 255, np.uint8)
     packed[:, :13107] = 0
     floor = 8 * 4096 + 7
-    tracemalloc.start()
-    try:
-        got = diagonal._kept_segments(packed, 2, floor)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [a.tolist() for a in got] == [[0, 1, 2, 3], [0] * 4, [13108] * 4]
-    assert peak < 64 * packed.size
+    for batch in _layouts(packed):
+        tracemalloc.start()
+        try:
+            got = diagonal._kept_segments(batch, 2, floor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [a.tolist() for a in got] == [[0, 1, 2, 3], [0] * 4, [13108] * 4]
+        assert peak < 64 * packed.size
+
+
+def _row_end_text(floor: int, sigma: int) -> Text:
+    """s2 of whole bytes whose first and last h blocks (h < r <= 2h) match
+    the all-zero head of s1 and whose middle mismatches it, so the first
+    rows of the first batch (and the strips of seeds (x, 0) at U = n2 / 2)
+    pass an r-block sum at k < g only across a row's end; the rest of s1
+    holds the alphabet's other symbols."""
+    g = diagonal._block_width(floor)
+    r = (floor - g + 1) // g
+    h = r // 2 + 1
+    n2 = -(-(2 * h + 1) * g // 8) * 8
+    s2 = [0] * (h * g) + [1] * (n2 - 2 * h * g) + [0] * (h * g)
+    return Text.from_symbols([0] * (n2 + 4) + list(range(sigma)) * 2, s2)
+
+
+def _strip_batches(monkeypatch, t: Text, cells, u: int):
+    """The (packed, st1, st2, length) batches ``best_in_strips`` scans for
+    the 0-based seed cells."""
+    got = []
+
+    def spy(best, packed, length, st1, st2, k, floor):
+        got.append((packed, st1, st2, length))
+        return best
+
+    with monkeypatch.context() as m:
+        m.setattr(diagonal, "best_in_rows", spy)
+        diagonal.best_in_strips(MatchSpan(0, 1, 1), t, _strip_seeds(cells, 5), u, 1, 0)
+    return got
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 7, 14, 15, 20])
+def test_filter_keeps_the_reference_bytes_of_real_batches(rng, monkeypatch, sigma):
+    """Every batch of ``packed_batches`` and of ``best_in_strips``, in the
+    memory order each lays out (a byte's rows adjacent from the bit planes,
+    a row's bytes adjacent from the byte comparison and in strips), keeps
+    the bytes ``_kept_reference`` keeps on its rows compared directly, at
+    g = 2, 4 and 8 and at r*g = 296 (floor 303).  Shapes have n1 < n2 and
+    n1 > n2 and rows whose lengths are not multiples of 8; the row-end
+    texts have rows whose head and tail blocks match, which a sum across a
+    row's end would keep."""
+    orders = set()
+    for floor, k in ((5, 1), (19, 2), (39, 3), (303, 3)):
+        texts = [_row_end_text(floor, sigma)]
+        if floor < 303:
+            texts += [random_text(rng, n1, n2, sigma) for n1, n2 in
+                      ((rng.randrange(30, 60), rng.randrange(61, 90)),
+                       (rng.randrange(61, 90), rng.randrange(30, 60)))]
+        for t in texts:
+            cells = [(x, 0) for x in range(5)] + [
+                (rng.randrange(t.n1), rng.randrange(t.n2)) for _ in range(10)]
+            batches = list(packed_batches(t, k))
+            batches += _strip_batches(monkeypatch, t, cells, max(1, t.n2 // 2))
+            for packed, st1, st2, length in batches:
+                rows = _direct_rows(t, st1, st2, length, packed.shape[0])
+                want = _kept_reference(rows, k, floor)
+                got = diagonal._kept_segments(packed, k, floor)
+                assert (got is None) == (want is None), (t.n1, t.n2, floor)
+                if want is not None:
+                    assert (_mask(got, rows.shape) == want).all(), (t.n1, t.n2, floor)
+                orders.add(packed.strides[0] < packed.strides[1])
+    assert orders == ({True} if sigma >= 15 else {True, False})
 
 
 def test_batch_that_cannot_be_pruned_falls_back(monkeypatch):
@@ -601,7 +677,8 @@ def _read_pair():
 
 @pytest.mark.parametrize("kind, floor, bound", [("random", 5, 1.25),
                                                 ("planted", 39, 0.75),
-                                                ("read", 39, 1.0)])
+                                                ("read", 39, 1.0),
+                                                ("read", 19, 1.005)])
 def test_scan_peak_stays_near_the_packed_batch(monkeypatch, kind, floor, bound):
     """sigma = 20, n = 1024, k = 1 at the default budget: no zero-filled run
     sums (g = 2 at floor 5) and no one-byte-per-cell comparison (which
@@ -609,7 +686,10 @@ def test_scan_peak_stays_near_the_packed_batch(monkeypatch, kind, floor, bound):
     near the packed batch's footprint per compared cell.  On the sigma = 4
     read the batches come from bit planes of the batch's own symbols: the
     planes of the whole reference would lift the peak from 0.91 to 1.30
-    bytes a cell."""
+    bytes a cell.  At floor 19 (g = 4, the bench ``reads`` regime) the
+    filter counts two blocks a byte down the (bytes, rows) batch and reads
+    it in place: 0.914 bytes a cell, where a transpose of every batch to
+    rows read 0.920."""
     cells = []
     kept = diagonal._kept_segments
 

@@ -219,7 +219,7 @@ def test_blocks_match_direct_comparison(rng, monkeypatch):
                        for i in range(m[r] * b)]
                 assert got[:len(want)] == want
                 assert all(got[len(want):])  # past the end, bits are set
-                shorter += -(-len(want) // 8) < packed.shape[1]
+                shorter += -(-len(want) // 8) < packed.shape[0]
             seen += batch.tolist()
         assert sorted(seen) == list(range(t.n1 + t.n2 - 1))
     assert shorter  # rows a byte or more narrower than their batch were checked
@@ -460,7 +460,7 @@ def test_runs_past_a_diagonal_end_are_dropped(rng, monkeypatch):
 
     def with_tails(packed, k, floor):
         segments = kept_segments(packed, k, floor)
-        rows, nbytes = packed.shape
+        nbytes, rows = packed.shape
         if segments is None or rows <= 16:
             return segments
         tail = np.arange(16, rows)
