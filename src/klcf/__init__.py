@@ -17,15 +17,14 @@ from .neighborhood import exists_match_of_length, klcf_neighborhood
 from .seeds import klcf_seeds, seed_price
 from .route import Solution, solve
 from .strided import ScanStats, klcf_strided, scan_pass
-from .tabulation import (Lut, PackedText, build_l1, build_l2, klcf_tabulation,
-                         pack, unpack)
+from .tabulation import Lut, PackedText, build_l1, build_l2, klcf_tabulation, pack
 
 __all__ = [
     "MatchSpan", "ResourceLimitError", "Text", "klcf_bounds", "klcf_oracle",
     "verify_match", "LceIndex", "build_lce", "lce_backward", "lce_forward",
     "lcf0", "exists_match_of_length", "klcf_neighborhood", "klcf_seeds",
     "seed_price", "ScanStats", "klcf_strided", "scan_pass", "Lut",
-    "PackedText", "build_l1", "build_l2", "klcf_tabulation", "pack", "unpack",
+    "PackedText", "build_l1", "build_l2", "klcf_tabulation", "pack",
     "generate_instance", "load_inputs", "klcf_diagonal_scan", "Solution",
     "solve", "Stats",
 ]

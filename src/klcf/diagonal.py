@@ -3,21 +3,23 @@
 Diagonal g (0-based) of the n1 x n2 alignment matrix pairs s1 and s2 at
 alignment a = i2 - i1 = g - (n1 - 1), so g runs over n1 + n2 - 1 values
 from the bottom-left corner to the top-right one.  This module alone lays
-out rows of mismatch bits, 8 cells to a byte in whole bytes, every bit
-past a row's cells set: the whole diagonals of ``packed_batches``, which
-the exhaustive scan and tabulation walk a batch at a time with the starts
-and lengths of ``geometry``, and the strips of ``best_in_strips`` around
-the seed cells ``seeds`` hands over.  Every batch is a (bytes, rows)
-array, byte j of every row side by side, in whichever memory order made
-it.  A batch's rows are consecutive offsets of one sequence against a
-prefix of the other, so they come from xor-ed bit planes of the symbols
+out rows of mismatch bits, 8 cells to a byte in whole bytes, a byte's
+first cell in bit 0 (as tabulation's tables read it), every bit past a
+row's cells set: the whole diagonals of ``packed_batches``, which the
+exhaustive scan and tabulation walk a batch at a time with the starts and
+lengths of ``geometry``, and the strips of ``best_in_strips`` around the
+seed cells ``seeds`` hands over.  Every batch is a (bytes, rows) array,
+byte j of every row side by side, in whichever memory order made it.  A
+batch's rows are consecutive offsets of one sequence against a prefix of
+the other, so they come from xor-ed bit planes of the symbols
 (``_plane_rows``), 8 cells a byte operation and one per plane, with a
 byte's rows adjacent in memory; a strip's rows are gathered, and those
 and alphabets of ``PLANE_LIMIT`` planes or more are compared a byte per
 cell and packed a row at a time (``_packed_rows``).  It alone cuts them
 into the runs an exact stage reads (``_kept_runs``) and lays those end to
-end (``_gather``), so the scan and tabulation differ only in that stage.
-Strided passes walk no diagonals: ``strided`` owns the cells they visit.
+end from any view of a batch (``_gather``), so the scan and tabulation
+differ only in that stage.  Strided passes walk no diagonals: ``strided``
+owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
@@ -48,10 +50,11 @@ SCAN_CELLS = 1 << 20
 # one-byte-per-cell result never spans a whole batch
 PACK_CELLS = 1 << 17
 # alphabets of this many bit planes or more (sigma + 2 > 16 symbols with
-# the pads) compare a byte per cell.  At 5 planes the planes' xors cost more
-# than the comparison on long rows while a transpose ended them (tabulation
-# on random sigma = 16 and 20, n = 3072: 4-5 % slower in process); without
-# it they are 7-9 % faster there, and 21 % on 150-cell rows (sigma = 20).
+# the pads) compare a byte per cell.  Planes for every alphabet are mixed
+# (tabulation at k = 4, medians in process on a shared 2-core Xeon): faster
+# at n = 3072 (sigma 16: 8.7 -> 8.4 ms, sigma 20: 7.7 -> 7.3) and on a
+# 150-symbol sigma 20 read (14.4 -> 12.1), slower on long rows (sigma 20,
+# n = 16384: 125 -> 147) and at 7 planes (sigma 64, n = 3072: 16.0 -> 17.6).
 PLANE_LIMIT = 5
 
 
@@ -148,12 +151,12 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
         counts, step = packed.T.reshape(-1), 1
         if per > 1:
             counts = np.multiply(counts, sum(1 << 8 * i for i in range(per)), dtype=f"<u{per}")
-            counts &= sum((1 << g) - 1 << 8 * i + 8 - g - g * i for i in range(per))
+            counts &= sum((1 << g) - 1 << 8 * i + g * i for i in range(per))
         counts = np.bitwise_count(counts.view(np.uint8)).astype(dtype, copy=False)
     else:
         counts, step = np.empty(nb * rows, dtype), rows
         for i in range(per):
-            np.bitwise_count(packed & (1 << g) - 1 << 8 - g - g * i if per > 1 else packed,
+            np.bitwise_count(packed & (1 << g) - 1 << g * i if per > 1 else packed,
                              out=counts.reshape(nb, rows)[i::per])
     # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling;
     # none where a row holds fewer than r blocks
@@ -218,17 +221,15 @@ def _kept_runs(packed: np.ndarray, length: np.ndarray, k: int, floor: int):
 
 
 def _gather(packed: np.ndarray, runs, sep: int = 0):
-    """(data, m, off): the runs (row, first byte, cells) of a (bytes, rows)
-    batch contiguous in either memory order laid end to end, run j as its
-    m[j] = ceil(cells[j] / 8) bytes from data's byte off[j].  With sep > 0,
-    each run comes after sep bytes of set bits, and sep more close the last."""
+    """(data, m, off): the runs (row, first byte, cells) of any (bytes, rows)
+    view, read by (byte, row) index and laid end to end, run j as its m[j]
+    = ceil(cells[j] / 8) bytes from data's byte off[j].  With sep > 0, each
+    run comes after sep bytes of set bits, and sep more close the last."""
     row, first, cells = runs
     m = -(-cells // 8)
     start = np.cumsum(m) - m
     total = int(m.sum())
-    step, stride = packed.strides  # byte j of row x is at j*step + x*stride
-    data = packed.ravel("K")[np.repeat(row * stride + (first - start) * step, m)
-                             + np.arange(0, total * step, step)]
+    data = packed[np.repeat(first - start, m) + np.arange(total), np.repeat(row, m)]
     off = start + sep * np.arange(1, len(m) + 1)
     if sep:
         out = np.full(total + sep * (len(m) + 1), 255, np.uint8)
@@ -255,7 +256,7 @@ def _best_in_batch(packed: np.ndarray, k: int, floor: int, runs):
     if len(cells) == 0:
         return None
     compact, _, off = _gather(packed, runs, (k + 8) // 8)
-    pos = np.flatnonzero(np.unpackbits(compact).view(bool))
+    pos = np.flatnonzero(np.unpackbits(compact, bitorder="little").view(bool))
     raw = pos[k + 1:] - pos[:len(pos) - k - 1] - 1
     # a window runs at most k cells into a separator or past its run's
     # cells, and one that starts in a separator is no longer than the
@@ -296,17 +297,16 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
 
 def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (bytes, rows) batch of mismatch bits a != b, 8 to a byte, a row's
-    bytes adjacent in memory: a holds rows of w cells of a padded sequence,
-    w whole bytes, and b as many rows or one row for all, so one flat
-    packbits packs ``PACK_CELLS`` cells at a time, and the batch is a view
-    of the packed rows, not a copy."""
+    bytes adjacent in memory: a and b hold as many rows of w cells of the
+    padded sequences, w whole bytes (b may broadcast one row to all), so
+    one flat packbits packs ``PACK_CELLS`` cells at a time, and the batch
+    is a view of the packed rows, not a copy."""
     rows, w = a.shape
     packed = np.empty(rows * w // 8, np.uint8)
     step = max(1, PACK_CELLS // w)
     for lo in range(0, rows, step):
-        part = slice(lo, lo + step)
         packed[lo * w // 8:(lo + step) * w // 8] = np.packbits(
-            a[part] != (b[part] if b.ndim == 2 else b))
+            a[lo:lo + step] != b[lo:lo + step], bitorder="little")
     return packed.reshape(rows, w // 8).T
 
 
@@ -330,8 +330,8 @@ def _plane_rows(seg: np.ndarray, fixed: np.ndarray, rows: int, planes: int) -> n
     bits = seg[:8 * q + 7] >> shifts & 1
     phased = np.empty((planes, q, 8), np.uint8)
     for p in range(8):
-        phased[:, :, p] = np.packbits(bits[:, p:p + 8 * q], axis=1)
-    want = np.packbits(fixed >> shifts & 1, axis=1)
+        phased[:, :, p] = np.packbits(bits[:, p:p + 8 * q], axis=1, bitorder="little")
+    want = np.packbits(fixed >> shifts & 1, axis=1, bitorder="little")
     views = as_strided(phased, (planes, nbytes, rows), (8 * q, 8, 1), writeable=False)
     acc = views[0] ^ want[0][:, None]
     part = np.empty_like(acc)
@@ -357,8 +357,8 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     ``floor`` is the length of a window known to exist, or 0.  When it is
     too short for the block filter to prune, the first batch is yielded in
     row chunks of 1, 2, 4, ... rows, its longest diagonals first, so that
-    the best of the leading chunks is a floor that prunes the rest; they
-    are mostly read whole, so that batch is copied row-major."""
+    the best of the leading chunks is a floor that prunes the rest; the
+    chunks are views of the batch's columns."""
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
@@ -376,14 +376,14 @@ def packed_batches(text: Text, k: int, floor: int = 0):
             if planes < PLANE_LIMIT:
                 packed = _plane_rows(padded[x:x + rows + w + 6], fixed[:w], rows, planes)
             else:
-                packed = _packed_rows(sliding_window_view(padded, w)[x:x + rows], fixed[:w])
+                packed = _packed_rows(sliding_window_view(padded, w)[x:x + rows],
+                                      np.broadcast_to(fixed[:w], (rows, w)))
             d = n1 - 1 + step * x  # the first row's diagonal
             st1, st2, length = geometry(n1, n2, np.arange(d, d + step * rows, step))
             cuts = [0, rows]
             if chunked:
                 cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
                 chunked = False
-                packed = np.ascontiguousarray(packed.T).T
             for lo, hi in zip(cuts, cuts[1:]):
                 yield packed[:, lo:hi], st1[lo:hi], st2[lo:hi], length[lo:hi]
             x += rows

@@ -12,12 +12,12 @@ words.  It departs from the paper twice: the alphabet is not reduced to
 min(k + l0, sigma) symbols, and alphabets of 5 planes or more (sigma >=
 15) compare a byte per cell and pack that (``PLANE_LIMIT``).  The
 second stage is the paper's with b = 8: each packed byte of the bits is
-a block, and two lookup tables, ``Lut``s of window bounds (start, end)
-and nothing else, give the longest window with at most k' set bits
-inside one block (L1) and straddling two blocks (L2).  Combining
-block-local answers with running interior popcounts yields the longest
-window with at most k set bits per diagonal, i.e. the optimum match
-length.
+a block, read as packed (its first cell in bit 0), and two lookup tables,
+``Lut``s of window bounds (start, end) and nothing else, give the longest
+window with at most k' set bits inside one block (L1) and straddling two
+blocks (L2).  Combining block-local answers with running interior
+popcounts yields the longest window with at most k set bits per
+diagonal, i.e. the optimum match length.
 
 The tables hold only the budgets a solve reads: L1's layers 0..min(k, b)
 and L2's 0..min(k, 2b), each entry a start and an end byte.  ``_tables``
@@ -41,8 +41,8 @@ bound, so tabulation builds no LCE index.  On random DNA, n = 3072 and
 k = 4 (``generate_instance`` seed 1), the LUT stage makes 9,832 of the
 7,063,301 queries of the unfiltered scan.
 
-``pack`` and ``unpack`` keep the word-packed symbol layout for the
-benchmark's traced runs; the solver does not use them.
+``pack`` keeps the word-packed symbol layout for the benchmark's traced
+runs; the solver does not use it.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ L2_TABLE_BYTE_LIMIT = 1 << 27
 # its fixed cost, while the floor the filter reads stays fresh (a pool of
 # 4,096 blocks was slower on random DNA, n = 3072)
 POOL_BLOCKS = 1 << 9
-# byte v bit-reversed, so that a packed byte's first cell is bit 0, as the
-# tables read it
-REVERSE = np.packbits(np.arange(256)[:, None] >> np.arange(8) & 1, axis=1)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +106,6 @@ def pack(text: Text, w: int = WORD_BITS) -> PackedText:
     return PackedText(f, w, spw,
                       _pack_seq(text.s1, f, spw), _pack_seq(text.s2, f, spw),
                       text.n1, text.n2)
-
-
-def unpack(packed: PackedText) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of pack, for round-trip checks."""
-    f, spw = packed.f, packed.spw
-    mask = np.uint64((1 << f) - 1)
-
-    def one(words, n):
-        nw = -(-n // spw) if n else 0
-        vals = np.empty(max(nw, 1) * spw, dtype=np.int64)
-        for i in range(spw):
-            vals[i::spw] = ((words[:max(nw, 1)] >> np.uint64(i * f)) & mask).astype(np.int64)
-        return vals[:n]
-
-    return one(packed.words1, packed.n1), one(packed.words2, packed.n2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +303,7 @@ def _scan_pool(pool, k, l1, l2, best: MatchSpan, stats: Stats | None) -> MatchSp
     """``_scan_flat`` on the pooled runs (blocks, m, cells, i1, i2), laid end
     to end."""
     data, m, cells, i1, i2 = (np.concatenate(part) for part in zip(*pool))
-    return _scan_flat(REVERSE[data], m, np.cumsum(m) - m, cells, i1, i2,
+    return _scan_flat(data, m, np.cumsum(m) - m, cells, i1, i2,
                       DEFAULT_BLOCK_BITS, k, l1, l2, best, stats)
 
 

@@ -161,18 +161,18 @@ def _direct_rows(t: Text, st1, st2, length, nbytes):
     inside = i < length[:, None]
     a = np.where(inside, st1[:, None] - 1 + i, 0)
     b = np.where(inside, st2[:, None] - 1 + i, 0)
-    return np.packbits((t.s1[a] != t.s2[b]) | ~inside, axis=1)
+    return np.packbits((t.s1[a] != t.s2[b]) | ~inside, axis=1, bitorder="little")
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 3, 4, 7, 14, 15, 20])
 def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
     """Every batch of ``packed_batches``, the first one's row chunks too, is
-    byte for byte a direct comparison packed with ``np.packbits``, read a
-    row at a time from its (bytes, rows) layout, on
-    either side of ``PLANE_LIMIT``: sigma = 14 takes 4 bit planes and
-    sigma = 15 the 5 at which the byte comparison takes over.  Shapes with
-    n1 < n2 and n1 > n2, 1 x n and n x 1 texts, and diagonals whose lengths
-    are not multiples of 8."""
+    byte for byte a direct comparison packed with ``np.packbits``, each
+    byte's first cell in bit 0, read a row at a time from its (bytes, rows)
+    layout, on either side of ``PLANE_LIMIT``: sigma = 14 takes 4 bit
+    planes and sigma = 15 the 5 at which the byte comparison takes over.
+    Shapes with n1 < n2 and n1 > n2, 1 x n and n x 1 texts, and diagonals
+    whose lengths are not multiples of 8."""
     planes = []
     plane_rows = diagonal._plane_rows
 
@@ -391,7 +391,7 @@ def test_windows_never_cross_a_separator(rng, monkeypatch):
     # runs that end mid-byte at their diagonal's end, of 13 and 5 cells:
     # the set bits past it must not count towards a window's k mismatches;
     # and a run that starts past its diagonal's end is dropped
-    packed = np.packbits(np.arange(24) >= np.array([[13], [5]]), axis=1)
+    packed = np.packbits(np.arange(24) >= np.array([[13], [5]]), axis=1, bitorder="little")
     packed[0, 0] = 255
     packed = np.ascontiguousarray(packed.T)
     segments = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 2]), np.array([1, 2, 1, 3]))
@@ -412,8 +412,8 @@ def test_windows_never_cross_a_separator(rng, monkeypatch):
         segments = tuple(np.array(col, np.int64) for col in zip(*runs)) if runs \
             else (np.empty(0, np.int64),) * 3
         best, found = _brute_in_segments(bits, lens, k, segments)
-        got = _exact_stage(monkeypatch, np.ascontiguousarray(np.packbits(bits, axis=1).T),
-                           lens, k, segments)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        got = _exact_stage(monkeypatch, np.ascontiguousarray(packed.T), lens, k, segments)
         if best == 0:
             assert got is None
             continue
@@ -440,13 +440,42 @@ def test_kept_runs_drop_runs_past_their_diagonal(monkeypatch):
     assert [a.tolist() for a in got] == [[0, 1, 2], [0, 0, 0], [16, 21, 30]]
 
 
+def test_gather_reads_column_chunks_in_place(rng):
+    """``_gather`` on the row chunks of a batch, views of its columns as
+    ``packed_batches`` yields them, lays out the runs it lays out from
+    contiguous copies, and their bytes, whether a byte's rows or a row's
+    bytes are adjacent in the batch."""
+    for _ in range(40):
+        rows, nbytes = rng.randrange(1, 40), rng.randrange(1, 12)
+        packed = np.array([[rng.randrange(256) for _ in range(nbytes)]
+                           for _ in range(rows)], np.uint8)
+        cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]
+        for batch in _layouts(packed):
+            for lo, hi in zip(cuts, cuts[1:]):
+                chunk = batch[:, lo:hi]
+                runs = []
+                for row in range(hi - lo):
+                    a = rng.randrange(nbytes)
+                    runs.append((row, a, rng.randrange(1, 8 * (nbytes - a) + 1)))
+                runs = tuple(np.array(col, np.int64) for col in zip(*runs))
+                want = np.concatenate([packed[lo + row, a:a + -(-cells // 8)]
+                                       for row, a, cells in zip(*runs)])
+                for sep in (0, 2):
+                    got = diagonal._gather(chunk, runs, sep)
+                    copy = diagonal._gather(np.ascontiguousarray(chunk), runs, sep)
+                    assert all((x == y).all() for x, y in zip(got, copy))
+                data, m, off = got
+                assert np.concatenate([data[o:o + n] for o, n in zip(off, m)]).tolist() \
+                    == want.tolist()
+
+
 def _kept_reference(packed, k, floor):
     """Byte mask of the filter, from each start's r-block sum in Python
     integers, or None when more than half the bytes are kept."""
     g = diagonal._block_width(floor)
     r = (floor - g + 1) // g
     rows, nbytes = packed.shape
-    bits = np.unpackbits(packed, axis=1).astype(int)
+    bits = np.unpackbits(packed, axis=1, bitorder="little").astype(int)
     counts = bits.reshape(rows, -1, g).sum(axis=2)
     nb = counts.shape[1]
     keep = np.zeros((rows, nbytes), bool)
@@ -481,7 +510,7 @@ def test_run_sums_wider_than_a_byte(rng):
             rows, nbytes = rng.randrange(1, 4), rng.randrange(1, 70)
             bits = np.array([[rng.random() < density for _ in range(8 * nbytes)]
                              for _ in range(rows)])
-            packed = np.packbits(bits, axis=1)
+            packed = np.packbits(bits, axis=1, bitorder="little")
             want = _kept_reference(packed, k, floor)
             for batch in _layouts(packed):
                 got = diagonal._kept_segments(batch, k, floor)
@@ -516,7 +545,7 @@ def test_sums_across_a_row_end_are_dropped(rng, floor, k):
         bits = np.ones((rows, 8 * nbytes), bool)
         bits[:, :h * g] = bits[:, -h * g:] = False
         bits[rng.sample(range(rows), 2)] = False
-        packed = np.packbits(bits, axis=1)
+        packed = np.packbits(bits, axis=1, bitorder="little")
         want = _kept_reference(packed, k, floor)
         assert want is not None and want.any()
         for batch in _layouts(packed):

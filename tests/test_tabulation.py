@@ -7,8 +7,7 @@ import pytest
 from klcf import diagonal, tabulation
 from klcf.core import ResourceLimitError, Stats, Text, generate_instance, klcf_oracle
 from klcf.diagonal import _gather, geometry, klcf_diagonal_scan, packed_batches
-from klcf.tabulation import (REVERSE, build_l1, build_l2, klcf_tabulation, pack,
-                             unpack)
+from klcf.tabulation import build_l1, build_l2, klcf_tabulation, pack
 
 from conftest import lut_entry, lut_window, random_text, two_pointer_window
 
@@ -26,16 +25,23 @@ def test_pack_field_arrangement():
     assert int(p4.words1[0]) == (1 << 2) | (1 << 4)
 
 
-def test_pack_roundtrip_random(rng):
+def _words(seq, f, spw):
+    """The words of ``seq`` packed spw fields of f bits a word, the first
+    symbol in the lowest field, then the two zero words ``pack`` appends."""
+    seq = [int(v) for v in seq]
+    return [sum(v << i * f for i, v in enumerate(seq[lo:lo + spw]))
+            for lo in range(0, len(seq), spw)] + [0, 0]
+
+
+def test_pack_words_hold_the_symbols(rng):
     for _ in range(40):
         sigma = rng.choice([1, 2, 3, 5, 17, 200])
         t = random_text(rng, rng.randrange(0, 80), rng.randrange(0, 80), sigma)
         if t.sigma == 0:
             continue
         p = pack(t)
-        u1, u2 = unpack(p)
-        assert u1.tolist() == t.s1.tolist()
-        assert u2.tolist() == t.s2.tolist()
+        assert p.words1.tolist() == _words(t.s1, p.f, p.spw)
+        assert p.words2.tolist() == _words(t.s2, p.f, p.spw)
         assert p.spw == 64 // p.f
 
 
@@ -43,7 +49,7 @@ def test_pack_sigma_one():
     t = Text.from_symbols([0, 0, 0], [0, 0])
     p = pack(t)
     assert p.f == 1
-    assert unpack(p)[0].tolist() == [0, 0, 0]
+    assert p.words1.tolist() == [0, 0, 0]
 
 
 # -- lookup tables -----------------------------------------------------------
@@ -206,9 +212,9 @@ def test_blocks_match_direct_comparison(rng, monkeypatch):
         monkeypatch.setattr(diagonal, "SCAN_CELLS", rng.choice([64, 1 << 20]))
         for packed, st1, st2, length in packed_batches(t, k):
             rows = len(length)
-            data, m, boff = _gather(
+            # the blocks as the tables read them, a byte's first cell in bit 0
+            blocks, m, boff = _gather(
                 packed, (np.arange(rows), np.zeros(rows, np.int64), length))
-            blocks = REVERSE[data]  # as the tables read them
             assert m.tolist() == (-(-length // b)).tolist()
             batch = st2 - st1 + t.n1 - 1  # the diagonals' indices
             assert (length == geometry(t.n1, t.n2, batch)[2]).all()
@@ -344,8 +350,9 @@ def test_tabulation_other_word_widths(rng):
     for w in (8, 16, 32):
         t = random_text(rng, 60, 45, rng.choice([2, 5, 17]))
         p = pack(t, w)
-        u1, u2 = unpack(p)
-        assert u1.tolist() == t.s1.tolist() and u2.tolist() == t.s2.tolist()
+        assert p.spw == w // p.f
+        assert p.words1.tolist() == _words(t.s1, p.f, p.spw)
+        assert p.words2.tolist() == _words(t.s2, p.f, p.spw)
     with pytest.raises(ValueError):
         pack(Text.from_symbols(range(17), range(17)), 4)  # 5-bit symbols need w >= 5
 
