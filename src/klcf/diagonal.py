@@ -362,8 +362,10 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
-    # padded so every batch's symbols are in bounds, on either side
-    s1, s2 = padded_pair(text, n2 + 16, n1 + 16)
+    # a batch's slice ends at x + rows + w + 6 <= n_slide + min(n1, n2) + 13,
+    # so this pad keeps every batch's symbols in bounds, on either side
+    pad = min(n1, n2) + 16
+    s1, s2 = padded_pair(text, pad, pad)
     planes = (text.sigma + 1).bit_length()  # the pads take sigma and sigma + 1
     # (sliding side, fixed side, their lengths, first offset, diagonal step):
     # the row at sliding offset x is diagonal n1 - 1 + step * x

@@ -24,8 +24,11 @@ backward index is built.  Cf. Charalampopoulos et al. (CPM 2018).
 
 Seeds pay off only below the quadratic bound, so ``purchase`` prices them
 before any pair is extended, in cells of the exhaustive scan, and buys
-the cheaper of seeds and the scan.  ``klcf_seeds`` makes that purchase at
-once; ``strided`` rents passes against its price first.
+the cheaper of seeds and the scan.  It walks the SA runs once, at B's m:
+the price counts their pairs, and the seeds it buys expand those same
+pairs, even after ``strided``'s passes have raised the floor, as the
+pairs at m include those at any higher threshold.  ``klcf_seeds`` makes
+that purchase at once; ``strided`` rents passes against its price first.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ def run_length(floor: int, k: int) -> int:
     return max(1, -(-(floor - k) // (k + 1)))
 
 
-def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None):
+def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None,
+            runs=None):
     """Yield (key, pos, in1) per batch of the SA runs at threshold m that
-    hold both sides, at most SEED_BUDGET suffixes a batch (a larger run
+    hold both sides, ``runs`` when the caller has walked them already
+    (``cross_runs``), at most SEED_BUDGET suffixes a batch (a larger run
     makes a batch of its own).  Given a pair ``limit``, the first batch
     ends at the first run by which the runs' pairs could pass it, and the
     budget doubles from there, so a count stops near its limit.
@@ -76,7 +81,7 @@ def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None):
     those of s1, and key is (run in the batch) * (sigma + 2) + preceding
     symbol, sorted ascending.
     """
-    lo, hi = cross_runs(lce, m)
+    lo, hi = cross_runs(lce, m) if runs is None else runs
     size = hi - lo
     end = np.cumsum(size)
     sa, concat = lce.fwd.sa, text.concat
@@ -104,13 +109,14 @@ def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None):
 
 
 def seed_price(text: Text, lce: LceIndex, m: int,
-               limit: float | None = None) -> int:
-    """Left-maximal cross pairs of the SA runs at threshold m, counted
-    without enumerating them: c1*c2 - sum_a c1[a]*c2[a] per run, over the
-    preceding symbol a.  Counting stops once the count passes ``limit``."""
+               limit: float | None = None, runs=None) -> int:
+    """Left-maximal cross pairs of the SA runs at threshold m (or of
+    ``runs``, as ``_groups``), counted without enumerating them: c1*c2 -
+    sum_a c1[a]*c2[a] per run, over the preceding symbol a.  Counting
+    stops once the count passes ``limit``."""
     width = text.sigma + 2
     pairs = 0
-    for key, _, in1 in _groups(text, lce, m, limit):
+    for key, _, in1 in _groups(text, lce, m, limit, runs):
         # c1[a] and c2[a] per (run, a), then c1 and c2 per run
         cut = np.flatnonzero(np.diff(key, prepend=-1))
         c1 = np.add.reduceat(in1, cut, dtype=np.int64)
@@ -123,11 +129,12 @@ def seed_price(text: Text, lce: LceIndex, m: int,
     return pairs
 
 
-def _pairs(text: Text, lce: LceIndex, m: int):
-    """Left-maximal cross pairs at threshold m as (p1, p2) chunks of at most
-    ``SEED_BUDGET`` pairs, 0-based positions in s1 and s2."""
+def _pairs(text: Text, lce: LceIndex, m: int, runs=None):
+    """Left-maximal cross pairs at threshold m (or of ``runs``, as
+    ``_groups``) as (p1, p2) chunks of at most ``SEED_BUDGET`` pairs,
+    0-based positions in s1 and s2."""
     width = text.sigma + 2
-    for key, pos, in1 in _groups(text, lce, m):
+    for key, pos, in1 in _groups(text, lce, m, runs=runs):
         key1, p1 = key[in1], pos[in1]
         key2, p2 = key[~in1], pos[~in1] - (text.n1 + 1)
         # p1[j] pairs with the s2 suffixes of its run, key2 in
@@ -149,20 +156,23 @@ def _pairs(text: Text, lce: LceIndex, m: int):
 
 
 def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
-                stats=None) -> MatchSpan:
+                stats=None, runs=None) -> MatchSpan:
     """The optimum, given that a window of ``floor`` >= 1 cells exists:
     the longest window of at least floor cells in the seed strips of the
     left-maximal pairs, or ``trivial_span``'s, which covers optima of at
-    most k (they need hold no exact run).  ``stats`` is ``best_in_strips``'s."""
+    most k (they need hold no exact run).  The pairs are those at
+    threshold ``run_length(floor, k)``, or those of ``runs``, the runs at
+    a threshold no higher, whose pairs include them.  ``stats`` is
+    ``best_in_strips``'s."""
     u = klcf_bounds(ell0, k, text.n1, text.n2)[1]
-    cells = _pairs(text, lce, run_length(floor, k))
+    cells = _pairs(text, lce, run_length(floor, k), runs)
     best = best_in_strips(trivial_span(text, k), text, cells, u, k, floor, stats)
     return make_span(text, best.length, best.i1, best.i2)
 
 
 def purchase(text: Text, lce: LceIndex, k: int):
     """(best, price, buy): the exact match and the seeds-or-scan purchase,
-    priced once.
+    priced once, from one walk of the SA runs.
 
     best is ``lcf0``'s exact match, or ``trivial_span``'s when the sides
     share no symbol; buy is None when best is already the optimum (no
@@ -172,6 +182,13 @@ def purchase(text: Text, lce: LceIndex, k: int):
     SEED_CELL_COST, pairs being ``seed_price`` at B and 2U - 1 a strip's
     row, is below the scan's n1*n2 cells, and by the exhaustive scan
     otherwise.  price is the cheaper of the two, in scan cells.
+
+    The runs at m = ``run_length(B, k)`` are walked once (``cross_runs``),
+    and buy's seeds expand the pairs of those runs, the pairs priced: a
+    floor above B only raises the window length kept, since the pairs at
+    m include every left-maximal pair at a higher threshold.  Until buy,
+    only the runs' (lo, hi) bounds are held, two int64s a run, and each
+    run holds a suffix of each side, so at most 16 min(n1, n2) bytes.
     """
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:  # an empty side included
@@ -182,14 +199,18 @@ def purchase(text: Text, lce: LceIndex, k: int):
     # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
     # n2)) without being the smallest witness, so the purchase still runs
     least = seed_floor(text, k, ell0, w1, w2)
+    m = run_length(least, k)
+    runs = cross_runs(lce, m)
     scan = text.n1 * text.n2
     per_pair = (2 * klcf_bounds(ell0, k, text.n1, text.n2)[1] - 1) * SEED_CELL_COST
-    seeds = per_pair * seed_price(text, lce, run_length(least, k), scan / per_pair)
+    seeds = per_pair * seed_price(text, lce, m, scan / per_pair, runs)
+    if seeds >= scan:
+        runs = None  # the scan is bought, so the runs are not held
 
     def buy(floor: int, stats) -> MatchSpan:
         floor = max(floor, least)
-        if seeds < scan:
-            return seed_search(text, lce, k, ell0, floor, stats)
+        if runs is not None:
+            return seed_search(text, lce, k, ell0, floor, stats, runs)
         return klcf_diagonal_scan(text, k, floor, stats)
 
     return best, min(scan, seeds), buy

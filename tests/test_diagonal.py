@@ -204,6 +204,29 @@ def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
     assert t.sigma == sigma
 
 
+def test_every_plane_slice_holds_its_symbols(rng, monkeypatch):
+    """Both sides are padded by min(n1, n2) + 16 symbols, and every slice
+    ``packed_batches`` hands ``_plane_rows`` still holds rows + w + 6 of
+    them, w the fixed prefix's length: 1 x n and n x 1 texts reach the
+    bound, n_slide + min(n1, n2) + 13, with w = 8 against one symbol."""
+    sizes = []
+    plane_rows = diagonal._plane_rows
+
+    def spy(seg, fixed, rows, count):
+        sizes.append((len(seg), rows + len(fixed) + 6))
+        return plane_rows(seg, fixed, rows, count)
+
+    monkeypatch.setattr(diagonal, "_plane_rows", spy)
+    for n1, n2 in [(1, 37), (37, 1), (13, 150), (150, 13), (1, 1)]:
+        t = Text.from_symbols([rng.randrange(4) for _ in range(n1)],
+                              [rng.randrange(4) for _ in range(n2)])
+        for budget in (1, 64, 1 << 20):
+            monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
+            sizes.clear()
+            assert klcf_diagonal_scan(t, 1) == klcf_oracle(t, 1)
+            assert sizes and all(got == want for got, want in sizes), (n1, n2, budget)
+
+
 def _strip_seeds(cells, size):
     """The 0-based seed cells as (p1, p2) chunks of ``size`` cells."""
     p1 = np.array([c[0] for c in cells], dtype=np.int64)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from klcf import seeds
-from klcf.core import Stats, Text, generate_instance, klcf_oracle
+from klcf import seeds, strided
+from klcf.core import Stats, Text, generate_instance, klcf_bounds, klcf_oracle
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, cross_runs, lcf0
-from klcf.seeds import klcf_seeds, run_length, seed_floor, seed_price, seed_search
-from klcf.strided import klcf_strided
+from klcf.seeds import (klcf_seeds, purchase, run_length, seed_floor, seed_price,
+                        seed_search)
+from klcf.strided import klcf_strided, pass_cells
 
 from conftest import random_text
 
@@ -199,16 +200,22 @@ def test_seed_floor_raised_by_the_caller(rng):
             assert seed_search(t, lce, k, ell0, max(floor, least)) == want
 
 
+def _read_in_reference(ref_len, at_ref, seed):
+    """A 150-symbol DNA read with 4 substitutions, copied from a random
+    reference of ``ref_len`` symbols at 0-based ``at_ref``."""
+    r = np.random.default_rng(seed)
+    ref = r.integers(0, 4, ref_len)
+    read = ref[at_ref:at_ref + 150].copy()
+    at = r.choice(150, 4, replace=False)
+    read[at] = (read[at] + 1 + r.integers(0, 3, 4)) % 4
+    return Text(ref, read, 4)
+
+
 def test_read_in_a_reference_solves_by_seeds():
     """A 150-symbol read with 4 substitutions, copied from a 20k-symbol DNA
     reference: strided buys seeds before any pass, never scans, and makes
     no LCE query."""
-    r = np.random.default_rng(11)
-    ref = r.integers(0, 4, 20_000)
-    read = ref[12_345:12_495].copy()
-    at = r.choice(150, 4, replace=False)
-    read[at] = (read[at] + 1 + r.integers(0, 3, 4)) % 4
-    t = Text(ref, read, 4)
+    t = _read_in_reference(20_000, 12_345, 11)
     lce = build_lce(t)
     stats = Stats()
     span = klcf_strided(t, lce, 4, stats=stats)
@@ -216,3 +223,62 @@ def test_read_in_a_reference_solves_by_seeds():
     assert lce.fwd.table is None and lce.bwd is None
     assert (span.length, span.i1, span.i2) == (150, 12_346, 1)
     assert span == klcf_diagonal_scan(t, 4)
+
+
+def _count_cross_runs(monkeypatch):
+    """A list that grows by one entry per call of ``seeds.cross_runs``."""
+    calls = []
+
+    def spy(lce, t):
+        calls.append(t)
+        return cross_runs(lce, t)
+
+    monkeypatch.setattr(seeds, "cross_runs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["read", "sigma20", "dna"])
+def test_purchase_walks_the_runs_once(monkeypatch, case):
+    """One ``cross_runs`` walk per purchase, priced and bought, whether it
+    buys seeds (a read in a 2^16 reference; sigma 20, n 1024, k 1) or the
+    scan (random DNA, n 3072, k 4), and again on the next solve of the same
+    index: the index keeps no runs between solves."""
+    t, k = {"read": (_read_in_reference(1 << 16, 40_000, 5), 4),
+            "sigma20": (generate_instance("random", 1024, 20, 1, seed=3), 1),
+            "dna": (generate_instance("random", 3072, 4, 4, seed=1), 4)}[case]
+    lce = build_lce(t)
+    calls = _count_cross_runs(monkeypatch)
+    for solve in (klcf_seeds, klcf_strided, klcf_strided):
+        calls.clear()
+        stats = Stats()
+        assert solve(t, lce, k, stats=stats) == klcf_diagonal_scan(t, k)
+        bought = (stats.seed_pairs > 0, stats.scan_cells > 0)
+        assert bought == ((False, True) if case == "dna" else (True, False))
+        assert len(calls) == 1
+    # buy(floor) reads the runs priced, at whatever floor it is handed
+    calls.clear()
+    best, _, buy = purchase(t, lce, k)
+    buy(best.length, Stats())
+    buy(best.length + 1, Stats())
+    assert len(calls) == 1
+
+
+def test_rented_passes_then_seeds_expand_the_priced_runs(monkeypatch):
+    """On a 1 % similar pair (n 600, k 2) an extension priced so that the
+    first pass is rented and the second is not makes strided buy seeds
+    after a pass has raised the floor past B (m 40 to 94 here).  The
+    search still expands the pairs priced at B's m, a superset of those at
+    the higher floor's, and gives the oracle's span."""
+    t, k = generate_instance("similar", 600, 4, 2, seed=0), 2
+    lce = build_lce(t)
+    best, price, _ = purchase(t, lce, k)
+    h = klcf_bounds(best.length, k, t.n1, t.n2)[1]
+    first, second = ((k + 1) * pass_cells(t.n1, t.n2, s) for s in (h, h // 2))
+    monkeypatch.setattr(strided, "SCAN_CELLS_PER_EXTENSION", price / (first + second / 2))
+    stats = Stats()
+    span = klcf_strided(t, lce, k, stats=stats)
+    assert span == klcf_oracle(t, k)
+    assert stats.pass_strides == [h] and stats.scan_cells == 0
+    m = run_length(seed_floor(t, k, *lcf0(lce)), k)
+    assert run_length(span.length, k) > m
+    assert stats.seed_pairs == seed_price(t, lce, m) > seed_price(t, lce, run_length(span.length, k))
