@@ -14,7 +14,7 @@ from .core import (MatchSpan, ResourceLimitError, Stats, Text, generate_instance
 from .diagonal import klcf_diagonal_scan
 from .lce import LceIndex, build_lce, lce_backward, lce_forward, lcf0
 from .neighborhood import exists_match_of_length, klcf_neighborhood
-from .seeds import klcf_seeds, seed_price
+from .seeds import klcf_seeds
 from .route import Solution, solve
 from .strided import ScanStats, klcf_strided, scan_pass
 from .tabulation import Lut, PackedText, build_l1, build_l2, klcf_tabulation, pack
@@ -23,10 +23,9 @@ __all__ = [
     "MatchSpan", "ResourceLimitError", "Text", "klcf_bounds", "klcf_oracle",
     "verify_match", "LceIndex", "build_lce", "lce_backward", "lce_forward",
     "lcf0", "exists_match_of_length", "klcf_neighborhood", "klcf_seeds",
-    "seed_price", "ScanStats", "klcf_strided", "scan_pass", "Lut",
-    "PackedText", "build_l1", "build_l2", "klcf_tabulation", "pack",
-    "generate_instance", "load_inputs", "klcf_diagonal_scan", "Solution",
-    "solve", "Stats",
+    "ScanStats", "klcf_strided", "scan_pass", "Lut", "PackedText",
+    "build_l1", "build_l2", "klcf_tabulation", "pack", "generate_instance",
+    "load_inputs", "klcf_diagonal_scan", "Solution", "solve", "Stats",
 ]
 
 __version__ = "0.1.0"

@@ -98,13 +98,13 @@ def best_window(best: MatchSpan, length, i1: np.ndarray, i2: np.ndarray) -> Matc
     return better_span(best, MatchSpan(mx, int(i1[h]), int(i2[h])))
 
 
-def padded_pair(text: Text, pad1: int, pad2: int):
-    """s1 padded with pad1 cells of sigma and s2 with pad2 of sigma+1, in
-    the text's dtype: the pads match no symbol and not each other, so
+def padded_pair(text: Text, pad: int):
+    """s1 padded with ``pad`` cells of sigma and s2 with ``pad`` of sigma+1,
+    in the text's dtype: the pads match no symbol and not each other, so
     every cell past either sequence's end compares as a mismatch."""
     dtype = text.concat.dtype
-    return (np.concatenate([text.s1, np.full(pad1, text.sigma, dtype)]),
-            np.concatenate([text.s2, np.full(pad2, text.sigma + 1, dtype)]))
+    return (np.concatenate([text.s1, np.full(pad, text.sigma, dtype)]),
+            np.concatenate([text.s2, np.full(pad, text.sigma + 1, dtype)]))
 
 
 def _block_width(floor: int) -> int:
@@ -365,7 +365,7 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     # a batch's slice ends at x + rows + w + 6 <= n_slide + min(n1, n2) + 13,
     # so this pad keeps every batch's symbols in bounds, on either side
     pad = min(n1, n2) + 16
-    s1, s2 = padded_pair(text, pad, pad)
+    s1, s2 = padded_pair(text, pad)
     planes = (text.sigma + 1).bit_length()  # the pads take sigma and sigma + 1
     # (sliding side, fixed side, their lengths, first offset, diagonal step):
     # the row at sliding offset x is diagonal n1 - 1 + step * x
@@ -401,7 +401,7 @@ def best_in_strips(best: MatchSpan, text: Text, cells, u: int, k: int,
     in whole bytes from there, or to the diagonal's end.  Rows are scanned
     ``SCAN_CELLS`` cells a batch; ``stats`` counts seeds and row cells."""
     w = -(-(2 * u - 1) // 8) * 8
-    view1, view2 = (sliding_window_view(s, w) for s in padded_pair(text, w, w))
+    view1, view2 = (sliding_window_view(s, w) for s in padded_pair(text, w))
     step = max(1, SCAN_CELLS // w)
     for p1, p2 in cells:
         if stats is not None:

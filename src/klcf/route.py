@@ -44,8 +44,13 @@ def select_algorithm(cfg, n1: int, n2: int, sigma: int,
 def solve(text: Text, k: int, algo: str = "auto", lce: LceIndex | None = None,
           mem_budget_words: int = DEFAULT_MEM_BUDGET_WORDS) -> Solution:
     """Solve with ``algo`` on ``lce``, built when not given; naive and
-    tabulation read only its l0.  Raises RuntimeError, naming the algorithm
+    tabulation read only its l0.  Raises ValueError on k < 0 or an unknown
+    algo, before any index is built, and RuntimeError, naming the algorithm
     and the span, when the span fails ``verify_match``."""
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     if lce is None:
         lce = build_lce(text)
     ell0 = lcf0(lce)[0]
@@ -60,10 +65,8 @@ def solve(text: Text, k: int, algo: str = "auto", lce: LceIndex | None = None,
     elif algo in ("seeds", "strided"):
         solver = klcf_seeds if algo == "seeds" else klcf_strided
         span = solver(text, lce, k, stats=stats)
-    elif algo == "tabulation":
-        span = klcf_tabulation(text, k, stats=stats)
     else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+        span = klcf_tabulation(text, k, stats=stats)
     if not verify_match(text, span, k):
         raise RuntimeError(f"{algo} reported a span that failed verification: {span}")
     return Solution(span, ell0, algo, stats)

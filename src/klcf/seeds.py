@@ -11,9 +11,11 @@ concatenation, s2's by the first separator) that no suffix of the other
 side shares, so starts need no case of their own.  The pairs are the cross
 pairs of the forward SA runs at threshold m (``cross_runs``) less those
 with equal preceding symbols, and ``seed_price`` counts them before any is
-enumerated: c1*c2 - sum_a c1[a]*c2[a] per run.
+enumerated: c1*c2 - sum_a c1[a]*c2[a] per run.  The helpers that read the
+runs (``_groups``, ``seed_price``, ``_pairs``) take their (lo, hi) bounds
+and never walk the LCP array themselves.
 
-``klcf_seeds`` hands the pairs' seed cells, in budgeted chunks, to
+``purchase`` hands the pairs' seed cells, in budgeted chunks, to
 ``best_in_strips`` with U = min(n1, n2, (k+1)*l0 + k), the longest a
 window can be, and floor B; ``diagonal`` owns the strips.  Every optimal
 window holds a seed cell and is at most U long, so it lies in that cell's
@@ -68,20 +70,19 @@ def run_length(floor: int, k: int) -> int:
     return max(1, -(-(floor - k) // (k + 1)))
 
 
-def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None,
-            runs=None):
-    """Yield (key, pos, in1) per batch of the SA runs at threshold m that
-    hold both sides, ``runs`` when the caller has walked them already
-    (``cross_runs``), at most SEED_BUDGET suffixes a batch (a larger run
-    makes a batch of its own).  Given a pair ``limit``, the first batch
-    ends at the first run by which the runs' pairs could pass it, and the
-    budget doubles from there, so a count stops near its limit.
+def _groups(text: Text, lce: LceIndex, runs, limit: float | None = None):
+    """Yield (key, pos, in1) per batch of ``runs``, the (lo, hi) bounds of
+    the SA runs at a threshold that hold both sides (``cross_runs``), at
+    most SEED_BUDGET suffixes a batch (a larger run makes a batch of its
+    own).  Given a pair ``limit``, the first batch ends at the first run by
+    which the runs' pairs could pass it, and the budget doubles from there,
+    so a count stops near its limit.
 
     pos holds the batch's suffixes as 0-based concat positions, in1 marks
     those of s1, and key is (run in the batch) * (sigma + 2) + preceding
     symbol, sorted ascending.
     """
-    lo, hi = cross_runs(lce, m) if runs is None else runs
+    lo, hi = runs
     size = hi - lo
     end = np.cumsum(size)
     sa, concat = lce.fwd.sa, text.concat
@@ -108,15 +109,13 @@ def _groups(text: Text, lce: LceIndex, m: int, limit: float | None = None,
         a, budget = b, min(2 * budget, SEED_BUDGET)
 
 
-def seed_price(text: Text, lce: LceIndex, m: int,
-               limit: float | None = None, runs=None) -> int:
-    """Left-maximal cross pairs of the SA runs at threshold m (or of
-    ``runs``, as ``_groups``), counted without enumerating them: c1*c2 -
-    sum_a c1[a]*c2[a] per run, over the preceding symbol a.  Counting
-    stops once the count passes ``limit``."""
+def seed_price(text: Text, lce: LceIndex, runs, limit: float | None = None) -> int:
+    """Left-maximal cross pairs of ``runs`` (as ``_groups``), counted
+    without enumerating them: c1*c2 - sum_a c1[a]*c2[a] per run, over the
+    preceding symbol a.  Counting stops once the count passes ``limit``."""
     width = text.sigma + 2
     pairs = 0
-    for key, _, in1 in _groups(text, lce, m, limit, runs):
+    for key, _, in1 in _groups(text, lce, runs, limit):
         # c1[a] and c2[a] per (run, a), then c1 and c2 per run
         cut = np.flatnonzero(np.diff(key, prepend=-1))
         c1 = np.add.reduceat(in1, cut, dtype=np.int64)
@@ -129,12 +128,12 @@ def seed_price(text: Text, lce: LceIndex, m: int,
     return pairs
 
 
-def _pairs(text: Text, lce: LceIndex, m: int, runs=None):
-    """Left-maximal cross pairs at threshold m (or of ``runs``, as
-    ``_groups``) as (p1, p2) chunks of at most ``SEED_BUDGET`` pairs,
-    0-based positions in s1 and s2."""
+def _pairs(text: Text, lce: LceIndex, runs):
+    """Left-maximal cross pairs of ``runs`` (as ``_groups``) as (p1, p2)
+    chunks of at most ``SEED_BUDGET`` pairs, 0-based positions in s1 and
+    s2."""
     width = text.sigma + 2
-    for key, pos, in1 in _groups(text, lce, m, runs=runs):
+    for key, pos, in1 in _groups(text, lce, runs):
         key1, p1 = key[in1], pos[in1]
         key2, p2 = key[~in1], pos[~in1] - (text.n1 + 1)
         # p1[j] pairs with the s2 suffixes of its run, key2 in
@@ -155,33 +154,21 @@ def _pairs(text: Text, lce: LceIndex, m: int, runs=None):
             yield src[j], p2[start[j] + at - (end[j] - size[j])]
 
 
-def seed_search(text: Text, lce: LceIndex, k: int, ell0: int, floor: int,
-                stats=None, runs=None) -> MatchSpan:
-    """The optimum, given that a window of ``floor`` >= 1 cells exists:
-    the longest window of at least floor cells in the seed strips of the
-    left-maximal pairs, or ``trivial_span``'s, which covers optima of at
-    most k (they need hold no exact run).  The pairs are those at
-    threshold ``run_length(floor, k)``, or those of ``runs``, the runs at
-    a threshold no higher, whose pairs include them.  ``stats`` is
-    ``best_in_strips``'s."""
-    u = klcf_bounds(ell0, k, text.n1, text.n2)[1]
-    cells = _pairs(text, lce, run_length(floor, k), runs)
-    best = best_in_strips(trivial_span(text, k), text, cells, u, k, floor, stats)
-    return make_span(text, best.length, best.i1, best.i2)
-
-
 def purchase(text: Text, lce: LceIndex, k: int):
     """(best, price, buy): the exact match and the seeds-or-scan purchase,
     priced once, from one walk of the SA runs.
 
     best is ``lcf0``'s exact match, or ``trivial_span``'s when the sides
     share no symbol; buy is None when best is already the optimum (no
-    shared symbol, or k = 0).  Otherwise buy(floor, stats) searches from
-    max(floor, B), B = ``seed_floor``, given a window of floor cells, and
-    returns the longest window found: by seeds when pairs * (2U - 1) *
+    shared symbol, or k = 0).  Otherwise buy(floor, stats), given a window
+    of floor >= 1 cells, returns the longest window of at least max(floor,
+    B) cells, B = ``seed_floor``: by seeds when pairs * (2U - 1) *
     SEED_CELL_COST, pairs being ``seed_price`` at B and 2U - 1 a strip's
     row, is below the scan's n1*n2 cells, and by the exhaustive scan
-    otherwise.  price is the cheaper of the two, in scan cells.
+    otherwise.  price is the cheaper of the two, in scan cells.  Seeds
+    search the strips of the left-maximal pairs (``best_in_strips``, whose
+    counters ``stats`` are), or fall back to ``trivial_span``'s, which
+    covers optima of at most k (they need hold no exact run).
 
     The runs at m = ``run_length(B, k)`` are walked once (``cross_runs``),
     and buy's seeds expand the pairs of those runs, the pairs priced: a
@@ -189,6 +176,7 @@ def purchase(text: Text, lce: LceIndex, k: int):
     m include every left-maximal pair at a higher threshold.  Until buy,
     only the runs' (lo, hi) bounds are held, two int64s a run, and each
     run holds a suffix of each side, so at most 16 min(n1, n2) bytes.
+    When the scan is bought, no run is held.
     """
     ell0, w1, w2 = lcf0(lce)
     if ell0 == 0:  # an empty side included
@@ -199,21 +187,21 @@ def purchase(text: Text, lce: LceIndex, k: int):
     # with k > 0 the exact-match witness may tie the optimum (l0 = min(n1,
     # n2)) without being the smallest witness, so the purchase still runs
     least = seed_floor(text, k, ell0, w1, w2)
-    m = run_length(least, k)
-    runs = cross_runs(lce, m)
+    runs = cross_runs(lce, run_length(least, k))
     scan = text.n1 * text.n2
-    per_pair = (2 * klcf_bounds(ell0, k, text.n1, text.n2)[1] - 1) * SEED_CELL_COST
-    seeds = per_pair * seed_price(text, lce, m, scan / per_pair, runs)
+    u = klcf_bounds(ell0, k, text.n1, text.n2)[1]
+    per_pair = (2 * u - 1) * SEED_CELL_COST
+    seeds = per_pair * seed_price(text, lce, runs, scan / per_pair)
     if seeds >= scan:
-        runs = None  # the scan is bought, so the runs are not held
+        return best, scan, (lambda floor, stats:
+                            klcf_diagonal_scan(text, k, max(floor, least), stats))
 
     def buy(floor: int, stats) -> MatchSpan:
-        floor = max(floor, least)
-        if runs is not None:
-            return seed_search(text, lce, k, ell0, floor, stats, runs)
-        return klcf_diagonal_scan(text, k, floor, stats)
+        found = best_in_strips(trivial_span(text, k), text, _pairs(text, lce, runs),
+                               u, k, max(floor, least), stats)
+        return make_span(text, found.length, found.i1, found.i2)
 
-    return best, min(scan, seeds), buy
+    return best, seeds, buy
 
 
 def klcf_seeds(text: Text, lce: LceIndex, k: int, stats=None) -> MatchSpan:

@@ -321,6 +321,19 @@ def test_solve_resolves_auto_and_builds_its_own_index():
         solve(text, 2, "bogus")
 
 
+def test_solve_rejects_a_negative_budget_and_an_unknown_algo_before_the_index(
+        monkeypatch):
+    text = generate_instance("random", 50, 4, 1, seed=2)
+    built = []
+    monkeypatch.setattr(route, "build_lce", lambda t: built.append(t))
+    for algo in ALGORITHMS:
+        with pytest.raises(ValueError, match="k must be"):
+            solve(text, -1, algo)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        solve(text, 1, "bogus")
+    assert built == []
+
+
 # each solver's own counters in Stats; seeds' and strided's include the
 # purchase of seeds or the scan
 OWN_COUNTERS = {

@@ -5,8 +5,7 @@ from klcf import seeds, strided
 from klcf.core import Stats, Text, generate_instance, klcf_bounds, klcf_oracle
 from klcf.diagonal import klcf_diagonal_scan
 from klcf.lce import build_lce, cross_runs, lcf0
-from klcf.seeds import (klcf_seeds, purchase, run_length, seed_floor, seed_price,
-                        seed_search)
+from klcf.seeds import klcf_seeds, purchase, run_length, seed_floor, seed_price
 from klcf.strided import klcf_strided, pass_cells
 
 from conftest import random_text
@@ -57,8 +56,9 @@ def test_seed_price_counts_left_maximal_pairs(rng, monkeypatch):
         lce = build_lce(t)
         for m in (1, 2, 3, 6):
             pairs = _left_maximal_pairs(t, m)
-            assert seed_price(t, lce, m) == len(pairs), (t.s1, t.s2, m)
-            got = [(int(a), int(b)) for p1, p2 in seeds._pairs(t, lce, m)
+            runs = cross_runs(lce, m)
+            assert seed_price(t, lce, runs) == len(pairs), (t.s1, t.s2, m)
+            got = [(int(a), int(b)) for p1, p2 in seeds._pairs(t, lce, runs)
                    for a, b in zip(p1, p2)]
             assert len(got) == len(set(got)) and set(got) == pairs
 
@@ -66,9 +66,10 @@ def test_seed_price_counts_left_maximal_pairs(rng, monkeypatch):
 def test_seed_price_stops_past_its_limit():
     t = Text.from_symbols([0, 1] * 30, [1, 0] * 30)
     lce = build_lce(t)
-    full = seed_price(t, lce, 1)
+    runs = cross_runs(lce, 1)
+    full = seed_price(t, lce, runs)
     assert full > 10
-    assert 10 < seed_price(t, lce, 1, limit=10) <= full
+    assert 10 < seed_price(t, lce, runs, limit=10) <= full
 
 
 def test_seed_price_stops_near_its_limit(rng, monkeypatch):
@@ -79,20 +80,22 @@ def test_seed_price_stops_near_its_limit(rng, monkeypatch):
     exactly when the full count does."""
     t = generate_instance("random", 3072, 4, 4, seed=1)
     lce = build_lce(t)
-    assert seed_price(t, lce, 3) == 110_425
-    assert 10_000 < seed_price(t, lce, 3, limit=10_000) < 30_000
+    runs = cross_runs(lce, 3)
+    assert seed_price(t, lce, runs) == 110_425
+    assert 10_000 < seed_price(t, lce, runs, limit=10_000) < 30_000
     monkeypatch.setattr(seeds, "SEED_BUDGET", 16)
     for _ in range(100):
         t = random_text(rng, rng.randrange(0, 60), rng.randrange(0, 60),
                         rng.choice([1, 2, 4]))
         lce = build_lce(t)
         for m in (1, 2, 3):
-            full = seed_price(t, lce, m)
+            runs = cross_runs(lce, m)
+            full = seed_price(t, lce, runs)
             for limit in (0, 3, 20, 100):
-                got = seed_price(t, lce, m, limit)
+                got = seed_price(t, lce, runs, limit)
                 assert got == full if full <= limit else limit < got <= full
             # a batch holds at most the budget's suffixes, or one run
-            for key, _, _ in seeds._groups(t, lce, m, 20):
+            for key, _, _ in seeds._groups(t, lce, runs, 20):
                 runs = key // (t.sigma + 2)
                 assert len(key) <= 16 or runs[0] == runs[-1]
 
@@ -128,10 +131,10 @@ def test_seed_chunk_boundaries(rng, monkeypatch, budget):
         assert klcf_seeds(t, lce, k, stats=stats) == klcf_oracle(t, k)
         ell0, w1, w2 = lcf0(lce)
         if ell0 and k:
-            m = run_length(seed_floor(t, k, ell0, w1, w2), k)
-            assert stats.seed_pairs == seed_price(t, lce, m)
+            runs = cross_runs(lce, run_length(seed_floor(t, k, ell0, w1, w2), k))
+            assert stats.seed_pairs == seed_price(t, lce, runs)
             # a batch holds at most the budget's suffixes, or one run
-            for key, _, _ in seeds._groups(t, lce, m):
+            for key, _, _ in seeds._groups(t, lce, runs):
                 runs = key // (t.sigma + 2)
                 assert len(key) <= budget or runs[0] == runs[-1]
 
@@ -187,8 +190,10 @@ def test_small_exact_optima(s1, s2, k):
     assert klcf_seeds(t, build_lce(t), k) == klcf_oracle(t, k)
 
 
-def test_seed_floor_raised_by_the_caller(rng):
-    # strided raises seed_floor to the longest window its passes found
+def test_seed_floor_raised_by_the_caller(rng, monkeypatch):
+    # strided raises seed_floor to the longest window its passes found;
+    # seeds priced below the scan are bought on every text
+    monkeypatch.setattr(seeds, "SEED_CELL_COST", 1e-9)
     for _ in range(60):
         t = random_text(rng, rng.randrange(1, 40), rng.randrange(1, 40), 2)
         k = rng.randrange(1, 4)
@@ -196,8 +201,14 @@ def test_seed_floor_raised_by_the_caller(rng):
         lce = build_lce(t)
         ell0, w1, w2 = lcf0(lce)
         least = seed_floor(t, k, ell0, w1, w2)
+        best, _, buy = purchase(t, lce, k)
+        if buy is None:  # the sides share no symbol
+            assert best == want
+            continue
         for floor in (want.length - 1, want.length):
-            assert seed_search(t, lce, k, ell0, max(floor, least)) == want
+            stats = Stats()
+            assert buy(max(floor, least), stats) == want
+            assert stats.seed_pairs > 0 and stats.scan_cells == 0
 
 
 def _read_in_reference(ref_len, at_ref, seed):
@@ -281,4 +292,5 @@ def test_rented_passes_then_seeds_expand_the_priced_runs(monkeypatch):
     assert stats.pass_strides == [h] and stats.scan_cells == 0
     m = run_length(seed_floor(t, k, *lcf0(lce)), k)
     assert run_length(span.length, k) > m
-    assert stats.seed_pairs == seed_price(t, lce, m) > seed_price(t, lce, run_length(span.length, k))
+    assert (stats.seed_pairs == seed_price(t, lce, cross_runs(lce, m))
+            > seed_price(t, lce, cross_runs(lce, run_length(span.length, k))))
