@@ -11,15 +11,15 @@ lengths of ``geometry``, and the strips of ``best_in_strips`` around the
 seed cells ``seeds`` hands over.  Every batch is a (bytes, rows) array,
 byte j of every row side by side, in whichever memory order made it.  A
 batch's rows are consecutive offsets of one sequence against a prefix of
-the other, so they come from xor-ed bit planes of the symbols
-(``_plane_rows``), 8 cells a byte operation and one per plane, with a
-byte's rows adjacent in memory; a strip's rows are gathered, and those
-and alphabets of ``PLANE_LIMIT`` planes or more are compared a byte per
-cell and packed a row at a time (``_packed_rows``).  It alone cuts them
-into the runs an exact stage reads (``_kept_runs``) and lays those end to
-end from any view of a batch (``_gather``), so the scan and tabulation
-differ only in that stage.  Strided passes walk no diagonals: ``strided``
-owns the cells they visit.
+the other, so for every alphabet they come from xor-ed bit planes of the
+symbols (``_plane_rows``), 8 cells a byte operation and one per plane,
+with a byte's rows adjacent in memory, the planes packed once a slice of
+rows (``_phase_planes``); a strip's rows are gathered, so they are
+compared a byte per cell and packed a row at a time (``_packed_rows``), a
+row's bytes adjacent.  It alone cuts them into the runs an exact stage
+reads (``_kept_runs``) and lays those end to end from any view of a batch
+(``_gather``), so the scan and tabulation differ only in that stage.
+Strided passes walk no diagonals: ``strided`` owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
 Kobert and Ukkonen, IPL 2015), vectorised: a window with at most k
@@ -46,16 +46,9 @@ from .core import MatchSpan, Stats, Text, better_span, make_span
 # cells compared per batch of the exhaustive scan, of tabulation and of
 # the seed strips
 SCAN_CELLS = 1 << 20
-# cells compared and packed at a time within a batch, so the comparison's
-# one-byte-per-cell result never spans a whole batch
+# cells compared and packed at a time within a batch of seed strips, so
+# the comparison's one-byte-per-cell result never spans a whole batch
 PACK_CELLS = 1 << 17
-# alphabets of this many bit planes or more (sigma + 2 > 16 symbols with
-# the pads) compare a byte per cell.  Planes for every alphabet are mixed
-# (tabulation at k = 4, medians in process on a shared 2-core Xeon): faster
-# at n = 3072 (sigma 16: 8.7 -> 8.4 ms, sigma 20: 7.7 -> 7.3) and on a
-# 150-symbol sigma 20 read (14.4 -> 12.1), slower on long rows (sigma 20,
-# n = 16384: 125 -> 147) and at 7 planes (sigma 64, n = 3072: 16.0 -> 17.6).
-PLANE_LIMIT = 5
 
 
 def geometry(n1: int, n2: int, g: np.ndarray):
@@ -296,9 +289,9 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
 
 
 def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (bytes, rows) batch of mismatch bits a != b, 8 to a byte, a row's
-    bytes adjacent in memory: a and b hold as many rows of w cells of the
-    padded sequences, w whole bytes (b may broadcast one row to all), so
+    """The (bytes, rows) batch of mismatch bits a != b of the seed strips'
+    gathered rows, 8 to a byte, a row's bytes adjacent in memory: a and b
+    hold as many rows of w cells of the padded sequences, w whole bytes, so
     one flat packbits packs ``PACK_CELLS`` cells at a time, and the batch
     is a view of the packed rows, not a copy."""
     rows, w = a.shape
@@ -310,29 +303,34 @@ def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return packed.reshape(rows, w // 8).T
 
 
-def _plane_rows(seg: np.ndarray, fixed: np.ndarray, rows: int, planes: int) -> np.ndarray:
-    """The (bytes, rows) batch of mismatch bits seg[x:x + w] != fixed for
-    x < rows, from the symbols' ``planes`` bit planes, a byte's rows
-    adjacent in memory.
-
-    Each plane of seg is packed at its 8 bit phases, so that byte y holds
-    the plane's bits from position y on; byte j of row x is then byte
-    x + 8j, and one strided (bytes, rows) view holds every row with the
-    rows innermost.  A cell mismatches where some plane's bits differ, so
-    the batch is the planes' views xor-ed with fixed's packed planes and
-    or-ed together, in that layout, which the filter and the gathers read
-    as it is.  seg must hold rows + w + 6 symbols.
-    """
-    nbytes = len(fixed) // 8
-    # 8q bytes a plane, to byte rows + w - 9, the last one a row reads
-    q = -(-(rows + len(fixed) - 8) // 8)
-    shifts = np.arange(planes, dtype=seg.dtype)[:, None]
-    bits = seg[:8 * q + 7] >> shifts & 1
+def _phase_planes(seg: np.ndarray, planes: int) -> np.ndarray:
+    """(planes, 8q) bytes, q = (len(seg) - 7) // 8: seg's ``planes`` bit
+    planes, from bools (packbits' fast input for any dtype), each packed at
+    its 8 bit phases, so byte y of a plane holds its bits from position y
+    on, and byte j of the row at offset x is byte x + 8j."""
+    q = (len(seg) - 7) // 8
+    bits = seg[:8 * q + 7] & (1 << np.arange(planes, dtype=seg.dtype))[:, None] != 0
     phased = np.empty((planes, q, 8), np.uint8)
     for p in range(8):
         phased[:, :, p] = np.packbits(bits[:, p:p + 8 * q], axis=1, bitorder="little")
-    want = np.packbits(fixed >> shifts & 1, axis=1, bitorder="little")
-    views = as_strided(phased, (planes, nbytes, rows), (8 * q, 8, 1), writeable=False)
+    return phased.reshape(planes, 8 * q)
+
+
+def _plane_rows(phased: np.ndarray, want: np.ndarray, rows: int) -> np.ndarray:
+    """The (bytes, rows) batch of mismatch bits of rows x < rows, a byte's
+    rows adjacent in memory, from ``phased``, the sliding side's
+    ``_phase_planes`` from the first row's offset on, rows + 8 * bytes - 8
+    bytes a plane or more, and ``want``, the fixed prefix's packed planes.
+
+    Byte j of row x is each plane's byte x + 8j, so one strided (bytes,
+    rows) view holds every row with the rows innermost.  A cell mismatches
+    where some plane's bits differ, so the batch is the planes' views
+    xor-ed with want and or-ed together, in that layout, which the filter
+    and the gathers read as it is.
+    """
+    planes, nbytes = want.shape
+    views = as_strided(phased, (planes, nbytes, rows), (phased.strides[0], 8, 1),
+                       writeable=False)
     acc = views[0] ^ want[0][:, None]
     part = np.empty_like(acc)
     for view, ref in zip(views[1:], want[1:]):
@@ -343,16 +341,18 @@ def _plane_rows(seg: np.ndarray, fixed: np.ndarray, rows: int, planes: int) -> n
 def packed_batches(text: Text, k: int, floor: int = 0):
     """Yield (packed, st1, st2, length) for every diagonal of ``text``, a
     batch of them at a time: a (bytes, rows) array of one row of mismatch
-    bits each, contiguous in one memory order or the other, and the
-    diagonals' ``geometry``; nothing when a sequence is empty.  A batch is
-    the rows of a dense matrix of at most ``SCAN_CELLS`` cells (or one
-    longer diagonal), less k + 8 separator bits a row for the scan's exact
-    stage.  Diagonals with i2 <= i1 slide s1 past s2 and the others s2
-    past s1, so a batch is a slice of one padded sequence's windows
-    compared with a prefix of the other: by ``_plane_rows`` from the bit
-    planes of that slice alone, or by ``_packed_rows`` when the alphabet
-    needs ``PLANE_LIMIT`` planes or more.  Both halves run from the longest
-    diagonal outwards, so a batch's first row sets its width.
+    bits each, a byte's rows adjacent in memory, and the diagonals'
+    ``geometry``; nothing when a sequence is empty.  A batch is the rows of
+    a dense matrix of at most ``SCAN_CELLS`` cells (or one longer
+    diagonal), less k + 8 separator bits a row for the scan's exact stage.
+    Diagonals with i2 <= i1 slide s1 past s2 and the others s2 past s1, so
+    a batch is ``_plane_rows`` of a slice of one padded sequence's windows
+    against a prefix of the other.  Both halves run from the longest
+    diagonal outwards, so the fixed side's planes are packed once a half,
+    for its first and widest row.  The sliding side's are packed once a
+    slice of max(rows, w) rows, which every batch that fits in it reads in
+    place: a slice is one batch where rows outnumber cells a row, and on
+    long rows the w + 6 symbols past a slice are packed once per w rows.
 
     ``floor`` is the length of a window known to exist, or 0.  When it is
     too short for the block filter to prune, the first batch is yielded in
@@ -362,8 +362,8 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     n1, n2 = text.n1, text.n2
     if n1 == 0 or n2 == 0:
         return
-    # a batch's slice ends at x + rows + w + 6 <= n_slide + min(n1, n2) + 13,
-    # so this pad keeps every batch's symbols in bounds, on either side
+    # a slice's symbols end at end + w + 6 <= n_slide + min(n1, n2) + 13 and
+    # the fixed side's at w + 7, so this pad keeps them in bounds on either side
     pad = min(n1, n2) + 16
     s1, s2 = padded_pair(text, pad)
     planes = (text.sigma + 1).bit_length()  # the pads take sigma and sigma + 1
@@ -372,16 +372,17 @@ def packed_batches(text: Text, k: int, floor: int = 0):
     halves = ((s1, s2, n1, n2, 0, -1), (s2, s1, n2, n1, 1, 1))
     chunked = not _block_width(floor)
     for padded, fixed, n_slide, n_fixed, x, step in halves:
+        w = -(-min(n_slide - x, n_fixed) // 8) * 8  # the first row, whole bytes
+        want = _phase_planes(fixed[:w + 7], planes)[:, ::8]  # phase 0: packed planes
+        end = x  # the sliding side's phase planes cover offsets base to end
         while x < n_slide:
-            w = -(-min(n_slide - x, n_fixed) // 8) * 8  # the first row, whole bytes
+            w = -(-min(n_slide - x, n_fixed) // 8) * 8
             rows = min(max(1, SCAN_CELLS // (w + k + 8)), n_slide - x)
-            if planes < PLANE_LIMIT:
-                packed = _plane_rows(padded[x:x + rows + w + 6], fixed[:w], rows, planes)
-            else:
-                packed = _packed_rows(sliding_window_view(padded, w)[x:x + rows],
-                                      np.broadcast_to(fixed[:w], (rows, w)))
-            d = n1 - 1 + step * x  # the first row's diagonal
-            st1, st2, length = geometry(n1, n2, np.arange(d, d + step * rows, step))
+            if x + rows > end:
+                base, end = x, x + min(max(rows, w), n_slide - x)
+                phased = _phase_planes(padded[base:end + w + 6], planes)
+            packed = _plane_rows(phased[:, x - base:], want[:, :w // 8], rows)
+            st1, st2, length = geometry(n1, n2, n1 - 1 + step * np.arange(x, x + rows))
             cuts = [0, rows]
             if chunked:
                 cuts = [min(2 ** j - 1, rows) for j in range(rows.bit_length() + 1)]

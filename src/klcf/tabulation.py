@@ -2,21 +2,19 @@
 
 The paper's tabulation algorithm has two stages.  The first gets each
 diagonal's mismatch bits; the paper packs the symbols into machine words
-and xor-compares them a word at a time, and its O(n^2 log min(k+l0,
-sigma) / log n) bound counts those word operations.  This reproduction
-reads the batches of ``packed_batches`` that the exhaustive scan reads
-too, which xor the symbols' bit planes, ceil(log2(sigma + 2)) of them
-with the two pad symbols, 8 cells a byte: the paper's word comparison,
-sliced by bit instead of by symbol, on bytes rather than log n-bit
-words.  It departs from the paper twice: the alphabet is not reduced to
-min(k + l0, sigma) symbols, and alphabets of 5 planes or more (sigma >=
-15) compare a byte per cell and pack that (``PLANE_LIMIT``).  The
-second stage is the paper's with b = 8: each packed byte of the bits is
-a block, read as packed (its first cell in bit 0), and two lookup tables,
-``Lut``s of window bounds (start, end) and nothing else, give the longest
-window with at most k' set bits inside one block (L1) and straddling two
-blocks (L2).  Combining block-local answers with running interior
-popcounts yields the longest window with at most k set bits per
+and xor-compares them a word at a time, and its O(n^2 log min(k+l0, sigma)
+/ log n) bound counts those word operations.  This reproduction reads the
+batches of ``packed_batches`` that the exhaustive scan reads too, which
+xor the symbols' bit planes, ceil(log2(sigma + 2)) of them with the two
+pad symbols, 8 cells a byte: the paper's word comparison, sliced by bit
+instead of by symbol, on bytes rather than log n-bit words.  It departs
+from the paper once: the alphabet is not reduced to min(k+l0, sigma)
+symbols.  The second stage is the paper's with b = 8: each packed byte of
+the bits is a block, read as packed (its first cell in bit 0), and two
+lookup tables, ``Lut``s of window bounds (start, end) and nothing else,
+give the longest window with at most k' set bits inside one block (L1) and
+straddling two blocks (L2).  Combining block-local answers with running
+interior popcounts yields the longest window with at most k set bits per
 diagonal, i.e. the optimum match length.
 
 The tables hold only the budgets a solve reads: L1's layers 0..min(k, b)

@@ -164,25 +164,35 @@ def _direct_rows(t: Text, st1, st2, length, nbytes):
     return np.packbits((t.s1[a] != t.s2[b]) | ~inside, axis=1, bitorder="little")
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 7, 14, 15, 20])
+def _slice_offset(phased: np.ndarray) -> int:
+    """The byte offset of a batch's view of its slice's phase planes."""
+    return phased.ctypes.data - phased.base.ctypes.data
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 7, 14, 15, 20, 255, 300])
 def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
     """Every batch of ``packed_batches``, the first one's row chunks too, is
     byte for byte a direct comparison packed with ``np.packbits``, each
     byte's first cell in bit 0, read a row at a time from its (bytes, rows)
-    layout, on either side of ``PLANE_LIMIT``: sigma = 14 takes 4 bit
-    planes and sigma = 15 the 5 at which the byte comparison takes over.
-    Shapes with n1 < n2 and n1 > n2, 1 x n and n x 1 texts, and diagonals
-    whose lengths are not multiples of 8."""
-    planes = []
+    layout, and every batch comes from the symbols' bit planes, whatever
+    the alphabet: sigma = 14 takes 4 planes, 15 and 20 take 5, and 255 and
+    300 take 9 planes of uint16 symbols.  Shapes with n1 < n2 and n1 > n2,
+    1 x n and n x 1 texts, and diagonals whose lengths are not multiples of
+    8.  A budget of 1,024 cells gives 2 to 15 rows a batch on the 100- to
+    400-cell rows, so one slice of planes feeds several batches, most at a
+    non-zero offset into it."""
+    planes, offsets = [], []
     plane_rows = diagonal._plane_rows
 
-    def spy(seg, fixed, rows, count):
-        planes.append(count)
-        return plane_rows(seg, fixed, rows, count)
+    def spy(phased, want, rows):
+        planes.append(len(want))
+        offsets.append(_slice_offset(phased))
+        return plane_rows(phased, want, rows)
 
     monkeypatch.setattr(diagonal, "_plane_rows", spy)
     shapes = [(rng.randrange(1, 120), rng.randrange(1, 120)) for _ in range(6)]
     shapes += [(1, 37), (37, 1), (1, 1), (13, 150), (150, 13), (70, 70), (9, 200)]
+    shapes += [(rng.randrange(100, 400), rng.randrange(100, 400)) for _ in range(2)]
     for n1, n2 in shapes:
         # the whole alphabet sits in the longer side, so the text has sigma
         # symbols
@@ -190,41 +200,57 @@ def test_batches_equal_a_direct_comparison(rng, monkeypatch, sigma):
         longer = s[n2 > n1]
         longer[:min(sigma, len(longer))] = range(min(sigma, len(longer)))
         t = Text.from_symbols(*s)
-        planes.clear()
-        for budget in (1, 64, 1 << 20):
+        for budget in (1, 64, 1024, 1 << 20):
             monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
-            seen = []
+            planes.clear()
+            offsets.clear()
+            seen, batches = [], 0
             for packed, st1, st2, length in packed_batches(t, rng.randrange(0, 5)):
                 assert np.ascontiguousarray(packed.T).tobytes() == _direct_rows(
                     t, st1, st2, length, packed.shape[0]).tobytes(), (n1, n2, budget)
                 seen += (st2 - st1 + n1 - 1).tolist()
+                batches += 1
             assert sorted(seen) == list(range(n1 + n2 - 1))
-        count = (t.sigma + 1).bit_length()
-        assert set(planes) == ({count} if count < diagonal.PLANE_LIMIT else set())
+            assert set(planes) == {(t.sigma + 1).bit_length()}
+            assert len(planes) <= batches
+            if budget == 1024 and min(n1, n2) >= 100:
+                assert len(planes) > 4 and sum(map(bool, offsets)) > len(planes) // 2
     assert t.sigma == sigma
 
 
 def test_every_plane_slice_holds_its_symbols(rng, monkeypatch):
-    """Both sides are padded by min(n1, n2) + 16 symbols, and every slice
-    ``packed_batches`` hands ``_plane_rows`` still holds rows + w + 6 of
-    them, w the fixed prefix's length: 1 x n and n x 1 texts reach the
-    bound, n_slide + min(n1, n2) + 13, with w = 8 against one symbol."""
-    sizes = []
-    plane_rows = diagonal._plane_rows
+    """Both sides are padded by min(n1, n2) + 16 symbols.  Every slice whose
+    planes ``packed_batches`` packs ends at least 3 symbols short of its
+    padded sequence's end, and every batch reads only bytes inside its
+    slice's planes: rows + 8 * bytes - 8 of them from its offset on.  1 x n
+    and n x 1 texts reach the bound, n_slide + min(n1, n2) + 13, with w = 8
+    against one symbol."""
+    ends, reads = [], []
+    phase_planes, plane_rows = diagonal._phase_planes, diagonal._plane_rows
 
-    def spy(seg, fixed, rows, count):
-        sizes.append((len(seg), rows + len(fixed) + 6))
-        return plane_rows(seg, fixed, rows, count)
+    def phase_spy(seg, count):
+        start = (seg.ctypes.data - seg.base.ctypes.data) // seg.itemsize
+        ends.append((start + len(seg), len(seg.base) - 3))
+        return phase_planes(seg, count)
 
-    monkeypatch.setattr(diagonal, "_plane_rows", spy)
-    for n1, n2 in [(1, 37), (37, 1), (13, 150), (150, 13), (1, 1)]:
+    def rows_spy(phased, want, rows):
+        reads.append((rows + 8 * want.shape[1] - 8, phased.shape[1]))
+        return plane_rows(phased, want, rows)
+
+    monkeypatch.setattr(diagonal, "_phase_planes", phase_spy)
+    monkeypatch.setattr(diagonal, "_plane_rows", rows_spy)
+    for n1, n2 in [(1, 37), (37, 1), (13, 150), (150, 13), (1, 1), (300, 260)]:
         t = Text.from_symbols([rng.randrange(4) for _ in range(n1)],
                               [rng.randrange(4) for _ in range(n2)])
-        for budget in (1, 64, 1 << 20):
+        for budget in (1, 64, 1024, 1 << 20):
             monkeypatch.setattr(diagonal, "SCAN_CELLS", budget)
-            sizes.clear()
+            ends.clear()
+            reads.clear()
             assert klcf_diagonal_scan(t, 1) == klcf_oracle(t, 1)
-            assert sizes and all(got == want for got, want in sizes), (n1, n2, budget)
+            assert reads and all(got <= have for got, have in reads), (n1, n2, budget)
+            assert all(end <= bound for end, bound in ends), (n1, n2, budget)
+            if min(n1, n2) == 1:
+                assert any(end == bound for end, bound in ends), (n1, n2, budget)
 
 
 def _strip_seeds(cells, size):
@@ -520,7 +546,7 @@ def _mask(segments, shape):
 def _layouts(packed):
     """Packed rows as the (bytes, rows) batches the filter reads: a byte's
     rows adjacent in memory (the bit planes' batches), and a row's bytes
-    adjacent (the byte comparison's and the seed strips')."""
+    adjacent (the seed strips')."""
     return np.ascontiguousarray(packed.T), packed.T
 
 
@@ -627,7 +653,7 @@ def _strip_batches(monkeypatch, t: Text, cells, u: int):
 def test_filter_keeps_the_reference_bytes_of_real_batches(rng, monkeypatch, sigma):
     """Every batch of ``packed_batches`` and of ``best_in_strips``, in the
     memory order each lays out (a byte's rows adjacent from the bit planes,
-    a row's bytes adjacent from the byte comparison and in strips), keeps
+    for every alphabet, and a row's bytes adjacent in strips), keeps
     the bytes ``_kept_reference`` keeps on its rows compared directly, at
     g = 2, 4 and 8 and at r*g = 296 (floor 303).  Shapes have n1 < n2 and
     n1 > n2 and rows whose lengths are not multiples of 8; the row-end
@@ -653,7 +679,7 @@ def test_filter_keeps_the_reference_bytes_of_real_batches(rng, monkeypatch, sigm
                 if want is not None:
                     assert (_mask(got, rows.shape) == want).all(), (t.n1, t.n2, floor)
                 orders.add(packed.strides[0] < packed.strides[1])
-    assert orders == ({True} if sigma >= 15 else {True, False})
+    assert orders == {True, False}
 
 
 def test_batch_that_cannot_be_pruned_falls_back(monkeypatch):
@@ -733,12 +759,14 @@ def _read_pair():
                                                 ("read", 19, 1.005)])
 def test_scan_peak_stays_near_the_packed_batch(monkeypatch, kind, floor, bound):
     """sigma = 20, n = 1024, k = 1 at the default budget: no zero-filled run
-    sums (g = 2 at floor 5) and no one-byte-per-cell comparison (which
-    dominates at g = 8, floor 39) span a batch, so the scan's peak stays
-    near the packed batch's footprint per compared cell.  On the sigma = 4
-    read the batches come from bit planes of the batch's own symbols: the
-    planes of the whole reference would lift the peak from 0.91 to 1.30
-    bytes a cell.  At floor 19 (g = 4, the bench ``reads`` regime) the
+    sums (g = 2 at floor 5) span a batch, and its rows come from 5 bit
+    planes packed once a slice of about one batch, with no one-byte-per-cell
+    comparison (which dominated at g = 8, floor 39 while sigma = 20 was
+    compared a byte per cell), so the scan's peak stays near the packed
+    batch's footprint per compared cell.  On the sigma = 4 read a slice is
+    one batch, so the planes hold only the batch's own symbols: the planes
+    of the whole reference would lift the peak from 0.91 to 1.30 bytes a
+    cell.  At floor 19 (g = 4, the bench ``reads`` regime) the
     filter counts two blocks a byte down the (bytes, rows) batch and reads
     it in place: 0.914 bytes a cell, where a transpose of every batch to
     rows read 0.920."""
