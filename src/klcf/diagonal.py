@@ -9,16 +9,16 @@ row's cells set: the whole diagonals of ``packed_batches``, which the
 exhaustive scan and tabulation walk a batch at a time with the starts and
 lengths of ``geometry``, and the strips of ``best_in_strips`` around the
 seed cells ``seeds`` hands over.  Every batch is a (bytes, rows) array,
-byte j of every row side by side, in whichever memory order made it.  A
-batch's rows are consecutive offsets of one sequence against a prefix of
-the other, so for every alphabet they come from xor-ed bit planes of the
-symbols (``_plane_rows``), 8 cells a byte operation and one per plane,
-with a byte's rows adjacent in memory, the planes packed once a slice of
-rows (``_phase_planes``); a strip's rows are gathered, so they are
-compared a byte per cell and packed a row at a time (``_packed_rows``), a
-row's bytes adjacent.  It alone cuts them into the runs an exact stage
-reads (``_kept_runs``) and lays those end to end from any view of a batch
-(``_gather``), so the scan and tabulation differ only in that stage.
+byte j of every row side by side, with a byte's rows adjacent in memory.
+A batch's rows are consecutive offsets of one sequence against a prefix
+of the other, so for every alphabet they come from xor-ed bit planes of
+the symbols (``_plane_rows``), 8 cells a byte operation and one per
+plane, the planes packed once a slice of rows (``_phase_planes``); a
+strip's rows are gathered, so they are compared a byte per cell and
+packed straight into the batch's columns (``_packed_rows``).  It alone
+cuts them into the runs an exact stage reads (``_kept_runs``) and lays
+those end to end from any view of a batch (``_gather``), so the scan and
+tabulation differ only in that stage.
 Strided passes walk no diagonals: ``strided`` owns the cells they visit.
 
 The exhaustive scan is the per-diagonal sliding window (Flouri, Giaquinta,
@@ -123,11 +123,12 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     counts sum to at most k, and every whole block of it lies in such a
     run: a block is kept when a passing run covers it, and so is one block
     on each side for the window's partial ends.  The run sums are built
-    down each row's blocks by doubling, one call on the flat counts a step,
-    in the batch's memory order: where a block's rows are adjacent no sum
-    crosses a row's end, and where a row's blocks are, one that does is
-    dropped once it passes.  Coverage is merged from the passing starts
-    alone, so the filter costs O(bytes) whatever r is.
+    down each row's blocks by doubling, one call on the (blocks, rows)
+    counts a step, a block's rows adjacent as in every batch, so no sum
+    crosses a row's end; numpy reads a view in either memory order, so the
+    counts are right whatever order made the batch.  Coverage is merged
+    from the passing starts alone, so the filter costs O(bytes) whatever r
+    is.
     """
     g = _block_width(floor)
     if not g:
@@ -136,47 +137,36 @@ def _kept_segments(packed: np.ndarray, k: int, floor: int):
     per = 8 // g
     nb = nbytes * per
     r = (floor - g + 1) // g
-    # per-block counts (r*g passes 255 only where g = 8), a block's next one
-    # step entries on: where a row's bytes are adjacent, byte i of a word of
-    # per bytes holds block i's bits, else block i of each byte gets a row
-    dtype = np.min_scalar_type(r * g)
-    if packed.strides[0] < packed.strides[1]:
-        counts, step = packed.T.reshape(-1), 1
-        if per > 1:
-            counts = np.multiply(counts, sum(1 << 8 * i for i in range(per)), dtype=f"<u{per}")
-            counts &= sum((1 << g) - 1 << 8 * i + g * i for i in range(per))
-        counts = np.bitwise_count(counts.view(np.uint8)).astype(dtype, copy=False)
-    else:
-        counts, step = np.empty(nb * rows, dtype), rows
-        for i in range(per):
-            np.bitwise_count(packed & (1 << g) - 1 << g * i if per > 1 else packed,
-                             out=counts.reshape(nb, rows)[i::per])
+    # per-block counts (r*g passes 255 only where g = 8): block per * j + i
+    # of a row is bits g * i on of its byte j
+    counts = np.empty((nb, rows), np.min_scalar_type(r * g))
+    for i in range(per):
+        np.bitwise_count(packed & (1 << g) - 1 << g * i if per > 1 else packed,
+                         out=counts[i::per])
     # sums of r consecutive blocks, from sums of 1, 2, 4, ... by doubling;
     # none where a row holds fewer than r blocks
-    out = max(len(counts) - (r - 1) * step, 0)
+    out = max(nb - r + 1, 0)
     sums, size, done = None, 1, 0
     while True:
         if r & size:
             # the first part is used as is: the doubling below builds each
             # new counts array afresh, so adding into this view harms nothing
-            part = counts[done * step:done * step + out]
+            part = counts[done:done + out]
             sums = part if sums is None else np.add(sums, part, out=sums)
             done += size
         if 2 * size > r:
             break
-        counts = counts[:-size * step] + counts[size * step:]
+        counts = counts[:-size] + counts[size:]
         size *= 2
-    if step == 1:
-        # a row's blocks are adjacent: starts whose r blocks run past their
-        # row's end summed the next row's
-        row, j = np.divmod(np.flatnonzero(sums <= k), nb)
-        row, j = row[j <= nb - r], j[j <= nb - r]
-    else:  # a block's rows are adjacent, and no sum crosses a row's end
-        j, row = np.divmod(np.flatnonzero(sums <= k), rows)
-        row, j = np.divmod(np.sort(row * nb + j), nb)
+    start = np.flatnonzero(sums <= k)
     # every passing start keeps its own block
-    if 2 * len(j) > rows * nb:
+    if 2 * len(start) > rows * nb:
         return None
+    # flatnonzero yields each row's starts in block order, so a stable sort
+    # by row (a radix sort up to 2^16 rows) orders them by row, then block
+    j, row = np.divmod(start, rows)
+    order = np.argsort(row.astype(np.min_scalar_type(rows - 1)), kind="stable")
+    row, j = row[order], j[order]
     lo = np.maximum(j - 1, 0) // per
     hi = (np.minimum(j + r + 1, nb) + per - 1) // per
     # the starts are sorted by row, then block, so are both ends of a row's
@@ -290,17 +280,17 @@ def best_in_rows(best: MatchSpan, packed: np.ndarray, length: np.ndarray,
 
 def _packed_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (bytes, rows) batch of mismatch bits a != b of the seed strips'
-    gathered rows, 8 to a byte, a row's bytes adjacent in memory: a and b
-    hold as many rows of w cells of the padded sequences, w whole bytes, so
-    one flat packbits packs ``PACK_CELLS`` cells at a time, and the batch
-    is a view of the packed rows, not a copy."""
+    gathered rows, 8 to a byte, a byte's rows adjacent in memory as in the
+    bit planes' batches: a and b hold as many rows of w cells of the padded
+    sequences, w whole bytes, so one flat packbits packs ``PACK_CELLS``
+    cells of whole rows at a time, straight into their columns."""
     rows, w = a.shape
-    packed = np.empty(rows * w // 8, np.uint8)
+    packed = np.empty((w // 8, rows), np.uint8)
     step = max(1, PACK_CELLS // w)
     for lo in range(0, rows, step):
-        packed[lo * w // 8:(lo + step) * w // 8] = np.packbits(
-            a[lo:lo + step] != b[lo:lo + step], bitorder="little")
-    return packed.reshape(rows, w // 8).T
+        packed[:, lo:lo + step] = np.packbits(a[lo:lo + step] != b[lo:lo + step],
+                                              bitorder="little").reshape(-1, w // 8).T
+    return packed
 
 
 def _phase_planes(seg: np.ndarray, planes: int) -> np.ndarray:

@@ -544,9 +544,10 @@ def _mask(segments, shape):
 
 
 def _layouts(packed):
-    """Packed rows as the (bytes, rows) batches the filter reads: a byte's
-    rows adjacent in memory (the bit planes' batches), and a row's bytes
-    adjacent (the seed strips')."""
+    """Packed rows as (bytes, rows) batches in both memory orders: a byte's
+    rows adjacent, as every batch is laid out, and a row's bytes adjacent,
+    a view that the filter's one path must read as correctly, since a
+    layout that follows a batch's shape may produce it."""
     return np.ascontiguousarray(packed.T), packed.T
 
 
@@ -578,12 +579,16 @@ def test_run_sums_wider_than_a_byte(rng):
 
 @pytest.mark.parametrize("floor, k", [(9, 1), (27, 2), (303, 3)])
 def test_sums_across_a_row_end_are_dropped(rng, floor, k):
-    """The filter sums r blocks on a batch's flat memory, and where a row's
-    bytes are adjacent those sums cross row ends.  Rows of whole bytes (no
-    pad bits) whose heads and tails hold h < r <= 2h mismatch-free blocks,
-    with set bits between, pass an r-block sum only across a row's end, and
-    no byte of theirs may be kept; a few rows with no mismatch keep theirs.
-    g = 2, 4 and 8, the last at r*g = 296, in both memory orders."""
+    """The filter sums r blocks down each row's blocks, never across a
+    row's end, whatever the memory order of the view it reads: the one
+    count path lays the counts out with a block's rows adjacent, so a
+    row-major view, which a layout that follows a batch's shape may
+    produce, is read as correctly as a batch.  Rows of whole bytes (no pad
+    bits) whose heads and tails hold h < r <= 2h mismatch-free blocks, with
+    set bits between, would pass an r-block sum only across a row's end,
+    and no byte of theirs may be kept; a few rows with no mismatch keep
+    theirs.  g = 2, 4 and 8, the last at r*g = 296, in both memory
+    orders."""
     g = diagonal._block_width(floor)
     r = (floor - g + 1) // g
     h = r // 2 + 1
@@ -620,6 +625,31 @@ def test_coverage_costs_bytes_not_runs():
         assert peak < 64 * packed.size
 
 
+@pytest.mark.parametrize("rows", [1 << 16, 70_000])
+def test_row_order_of_tall_batches(rows):
+    """The passing starts are ordered by row with a key of the narrowest
+    unsigned type that holds rows - 1: 16 bits at 65,536 rows, more at
+    70,000.  On such batches, a byte's rows adjacent, with a few clean rows
+    and clean stretches among set bits (g = 8), the runs keep the bytes
+    ``_kept_reference`` keeps, in row and then byte order; a batch whose
+    clean rows are most of it falls back on its count of passing starts."""
+    r = np.random.default_rng(rows)
+    nbytes = 6
+    packed = np.full((rows, nbytes), 255, np.uint8)
+    packed[r.random(rows) < 0.05] = 0
+    dirty = np.flatnonzero(r.random(rows) < 0.1)
+    packed[dirty[:, None], r.integers(0, 3, (len(dirty), 1)) + np.arange(4)] = 0
+    want = _kept_reference(packed, 1, 39)
+    got = diagonal._kept_segments(np.ascontiguousarray(packed.T), 1, 39)
+    assert want is not None and got is not None
+    assert (_mask(got, packed.shape) == want).all()
+    key = got[0] * nbytes + got[1]
+    assert (key[1:] > key[:-1]).all()
+    packed[r.random(rows) < 0.6] = 0
+    assert _kept_reference(packed, 1, 39) is None
+    assert diagonal._kept_segments(np.ascontiguousarray(packed.T), 1, 39) is None
+
+
 def _row_end_text(floor: int, sigma: int) -> Text:
     """s2 of whole bytes whose first and last h blocks (h < r <= 2h) match
     the all-zero head of s1 and whose middle mismatches it, so the first
@@ -651,15 +681,14 @@ def _strip_batches(monkeypatch, t: Text, cells, u: int):
 
 @pytest.mark.parametrize("sigma", [2, 4, 7, 14, 15, 20])
 def test_filter_keeps_the_reference_bytes_of_real_batches(rng, monkeypatch, sigma):
-    """Every batch of ``packed_batches`` and of ``best_in_strips``, in the
-    memory order each lays out (a byte's rows adjacent from the bit planes,
-    for every alphabet, and a row's bytes adjacent in strips), keeps
+    """Every batch of ``packed_batches`` and of ``best_in_strips`` has a
+    byte's rows adjacent in memory (the bit planes' batches for every
+    alphabet, the first batch's row chunks and the strips alike) and keeps
     the bytes ``_kept_reference`` keeps on its rows compared directly, at
     g = 2, 4 and 8 and at r*g = 296 (floor 303).  Shapes have n1 < n2 and
     n1 > n2 and rows whose lengths are not multiples of 8; the row-end
     texts have rows whose head and tail blocks match, which a sum across a
     row's end would keep."""
-    orders = set()
     for floor, k in ((5, 1), (19, 2), (39, 3), (303, 3)):
         texts = [_row_end_text(floor, sigma)]
         if floor < 303:
@@ -678,8 +707,7 @@ def test_filter_keeps_the_reference_bytes_of_real_batches(rng, monkeypatch, sigm
                 assert (got is None) == (want is None), (t.n1, t.n2, floor)
                 if want is not None:
                     assert (_mask(got, rows.shape) == want).all(), (t.n1, t.n2, floor)
-                orders.add(packed.strides[0] < packed.strides[1])
-    assert orders == {True, False}
+                assert packed.strides[1] == 1, (t.n1, t.n2, floor, packed.strides)
 
 
 def test_batch_that_cannot_be_pruned_falls_back(monkeypatch):
